@@ -4,6 +4,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <span>
 #include <vector>
 
 #include "core/crack_ops.h"
@@ -32,6 +33,49 @@ void BM_ScanCount(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_ScanCount)->Arg(1 << 18)->Arg(1 << 21);
+
+// The aggregate kernel alone, at the per-leg Sum sizes of the engine
+// benchmark's serve (92), write_mix (1,835) and converge (14,680)
+// workloads. Second arg: 0 = scalar form, 1 = AVX2 form.
+void BM_SumValues(benchmark::State& state) {
+  const auto data = Data(static_cast<std::size_t>(state.range(0)));
+  const std::span<const std::int64_t> values(data);
+  const bool avx2 = state.range(1) == 1;
+#if defined(AIDX_SIMD_AVX2)
+  if (avx2 && !internal::SimdKernelAvailable()) {
+    state.SkipWithError("AVX2 not available on this host");
+    return;
+  }
+#else
+  if (avx2) {
+    state.SkipWithError("AVX2 form not compiled for this ISA");
+    return;
+  }
+#endif
+  for (auto _ : state) {
+#if defined(AIDX_SIMD_AVX2)
+    const Int128 sum = avx2 ? internal::SumValuesAvx2<std::int64_t>(values)
+                            : internal::SumValuesScalar<std::int64_t>(values);
+#else
+    const Int128 sum = internal::SumValuesScalar<std::int64_t>(values);
+#endif
+    benchmark::DoNotOptimize(RoundSum<std::int64_t>(sum));
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_SumValues)->ArgsProduct({{92, 1835, 14680}, {0, 1}});
+
+// The masked kernel through the scan fallback's entry point; the
+// predicate keeps about half the values.
+void BM_ScanSum(benchmark::State& state) {
+  const auto data = Data(static_cast<std::size_t>(state.range(0)));
+  const auto pred = RangePredicate<std::int64_t>::Between(0, state.range(0) / 2);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ScanSum<std::int64_t>(data, pred));
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_ScanSum)->Arg(92)->Arg(1835)->Arg(14680);
 
 void BM_FullSortBuild(benchmark::State& state) {
   const auto data = Data(static_cast<std::size_t>(state.range(0)));

@@ -85,23 +85,7 @@
 #include "core/cut.h"
 #include "storage/types.h"
 #include "util/logging.h"
-
-#if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
-#define AIDX_SIMD_AVX2 1
-#include <immintrin.h>
-#elif defined(__GNUC__) && defined(__aarch64__)
-#define AIDX_SIMD_NEON 1
-#include <arm_neon.h>
-#endif
-
-// The build does not pass -mavx2 (the library must run on baseline x86-64),
-// so the AVX2 kernels are compiled per-function with the target attribute
-// and guarded by a runtime cpuid check.
-#if defined(AIDX_SIMD_AVX2) && !defined(__AVX2__)
-#define AIDX_TARGET_AVX2 __attribute__((target("avx2")))
-#else
-#define AIDX_TARGET_AVX2
-#endif
+#include "util/simd.h"
 
 namespace aidx {
 
@@ -719,31 +703,6 @@ AIDX_TARGET_AVX2 void SimdClassifyThreeBlock(const T* block, T lo_pivot,
 }
 
 #endif  // AIDX_SIMD_AVX2
-
-/// True when the explicit-intrinsic kernel can run on this host: an AVX2
-/// path compiled in and cpuid reporting AVX2, or any aarch64 (NEON is
-/// baseline there). Cached after the first call.
-inline bool SimdKernelAvailable() {
-#if defined(AIDX_SIMD_AVX2)
-  static const bool ok = __builtin_cpu_supports("avx2") > 0;
-  return ok;
-#elif defined(AIDX_SIMD_NEON)
-  return true;
-#else
-  return false;
-#endif
-}
-
-/// The ISA the kSimd kernel would use on this host (for reports/JSON).
-inline const char* SimdIsaName() {
-#if defined(AIDX_SIMD_AVX2)
-  return SimdKernelAvailable() ? "avx2" : "scalar";
-#elif defined(AIDX_SIMD_NEON)
-  return "neon";
-#else
-  return "scalar";
-#endif
-}
 
 /// Classifier plug-ins for the blocked kernel: given a full kCrackBlock
 /// block, record the offsets of elements misplaced for a kWantBelow side

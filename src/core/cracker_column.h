@@ -198,12 +198,18 @@ class CrackerColumn {
 
   /// Sum of matching values (cracks as a side effect).
   long double Sum(const RangePredicate<T>& pred) {
+    return RoundSum<T>(SumPartial(pred));
+  }
+
+  /// Sum before its one rounding step, for callers that combine partials
+  /// (SumAcc, index/scan.h).
+  SumAcc<T> SumPartial(const RangePredicate<T>& pred) {
     return SumFrom(Select(pred), pred);
   }
 
   Result<long double> Sum(const RangePredicate<T>& pred, const QueryContext& ctx) {
     AIDX_ASSIGN_OR_RETURN(const CrackSelect sel, Select(pred, ctx));
-    return SumFrom(sel, pred);
+    return RoundSum<T>(SumFrom(sel, pred));
   }
 
   /// Appends matching values to `out` in storage order.
@@ -399,11 +405,12 @@ class CrackerColumn {
     return count;
   }
 
-  long double SumFrom(const CrackSelect& sel, const RangePredicate<T>& pred) const {
-    long double sum = 0;
-    for (std::size_t i = sel.core.begin; i < sel.core.end; ++i) sum += values_[i];
+  /// The core range in one kernel pass, each edge piece through the masked
+  /// kernel.
+  SumAcc<T> SumFrom(const CrackSelect& sel, const RangePredicate<T>& pred) const {
+    SumAcc<T> sum = SumValues<T>(ValuesIn(sel.core));
     for (int i = 0; i < sel.num_edges; ++i) {
-      sum += ScanSum<T>(ValuesIn(sel.edges[i]), pred);
+      sum += SumValues<T>(ValuesIn(sel.edges[i]), pred);
     }
     return sum;
   }

@@ -47,6 +47,7 @@
 #include "core/cut.h"
 #include "core/cut_interval_set.h"
 #include "core/organizer.h"
+#include "index/scan.h"
 #include "storage/predicate.h"
 #include "storage/types.h"
 #include "util/logging.h"
@@ -175,12 +176,11 @@ class HybridIndex {
     AbsorbPending();
     const CutRange<T> target = CutRangeForPredicate(pred);
     EnsureMerged(target);
-    long double sum = 0;
+    SumAcc<T> sum{};
     ForEachAnswerRange(target, pred, [&](const FinalSegment& seg, PositionRange r) {
-      const auto vals = seg.org.values();
-      for (std::size_t i = r.begin; i < r.end; ++i) sum += vals[i];
+      sum = SumValues<T>(seg.org.values().subspan(r.begin, r.size()), sum);
     });
-    return sum;
+    return RoundSum<T>(sum);
   }
 
   /// Materializes matching values (and row ids when enabled). Order is

@@ -190,7 +190,11 @@ Status ShardedDatabase::Scatter(std::string_view table,
   std::vector<Status> statuses(targets.size(), Status::OK());
   const auto run_leg = [&](std::size_t ti) {
     const std::size_t s = targets[ti];
-    Status st = failpoints::dist_scatter.Inject(ScatterScope(table, s));
+    // The scope string is only built when the point is armed.
+    Status st = Status::OK();
+    if (AIDX_PREDICT_FALSE(failpoints::dist_scatter.armed())) {
+      st = failpoints::dist_scatter.Inject(ScatterScope(table, s));
+    }
     if (st.ok()) {
       QueryRequest leg = req;
       leg.context = leg_ctx;
@@ -333,10 +337,13 @@ Result<RebalanceReport> ShardedDatabase::Rebalance(std::string_view table,
   AIDX_ASSIGN_OR_RETURN(std::vector<ColumnCutExport> exports,
                         src.ExportColumnCuts(table, key_column, lo, hi));
   // dist.migrate_piece fires once per extracted chunk, all before either
-  // shard mutates — an injected error is a clean abort.
+  // shard mutates — an injected error is a clean abort. The scope string
+  // is only built when the point is armed.
   const std::size_t chunks = (victims.size() + kMigrateChunkRows - 1) / kMigrateChunkRows;
   for (std::size_t i = 0; i < chunks || i == 0; ++i) {
-    AIDX_RETURN_NOT_OK(failpoints::dist_migrate_piece.Inject(PieceScope(table, i)));
+    if (AIDX_PREDICT_FALSE(failpoints::dist_migrate_piece.armed())) {
+      AIDX_RETURN_NOT_OK(failpoints::dist_migrate_piece.Inject(PieceScope(table, i)));
+    }
     if (chunks == 0) break;
   }
 

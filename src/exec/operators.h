@@ -8,6 +8,7 @@
 #include <span>
 #include <vector>
 
+#include "index/scan.h"
 #include "storage/types.h"
 #include "util/logging.h"
 
@@ -28,12 +29,10 @@ void Gather(std::span<const T> values, std::span<const row_id_t> row_ids,
 /// Sum of gathered values without materializing them.
 template <ColumnValue T>
 long double GatherSum(std::span<const T> values, std::span<const row_id_t> row_ids) {
-  long double sum = 0;
-  for (const row_id_t rid : row_ids) {
-    AIDX_DCHECK(rid < values.size());
-    sum += static_cast<long double>(values[rid]);
-  }
-  return sum;
+  return RoundSum<T>(SumEach<T>(row_ids.size(), [&](std::size_t i) {
+    AIDX_DCHECK(row_ids[i] < values.size());
+    return values[row_ids[i]];
+  }));
 }
 
 /// Applies a permutation to a whole column: out[i] = values[perm[i]].

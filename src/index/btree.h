@@ -14,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "index/scan.h"
 #include "storage/predicate.h"
 #include "storage/types.h"
 #include "util/logging.h"
@@ -173,14 +174,27 @@ class BPlusTree {
   }
 
   long double SumRange(const RangePredicate<T>& pred) const {
-    long double sum = 0;
-    VisitRange(pred, [&](T v, row_id_t) { sum += static_cast<long double>(v); });
-    return sum;
+    SumAcc<T> sum{};
+    VisitRuns(pred, [&](const Leaf& leaf, std::size_t begin, std::size_t end) {
+      sum = SumValues<T>(std::span<const T>(leaf.keys).subspan(begin, end - begin), sum);
+    });
+    return RoundSum<T>(sum);
   }
 
   /// Visits (key, rid) pairs matching `pred` in ascending key order.
   template <typename Fn>
   void VisitRange(const RangePredicate<T>& pred, Fn&& fn) const {
+    VisitRuns(pred, [&](const Leaf& leaf, std::size_t begin, std::size_t end) {
+      for (std::size_t i = begin; i < end; ++i) {
+        fn(leaf.keys[i], leaf.rids.empty() ? row_id_t{0} : leaf.rids[i]);
+      }
+    });
+  }
+
+  /// Visits the matching keys as per-leaf runs fn(leaf, begin, end), in
+  /// ascending key order.
+  template <typename Fn>
+  void VisitRuns(const RangePredicate<T>& pred, Fn&& fn) const {
     if (root_ == nullptr) return;
     // Descend to the first candidate leaf.
     const Leaf* leaf = nullptr;
@@ -223,15 +237,15 @@ class BPlusTree {
       }
     }
     // Sweep leaves until the high bound stops us.
-    while (leaf != nullptr) {
-      for (; at < leaf->keys.size(); ++at) {
-        const T k = leaf->keys[at];
-        if (pred.high_kind == BoundKind::kInclusive && k > pred.high) return;
-        if (pred.high_kind == BoundKind::kExclusive && k >= pred.high) return;
-        fn(k, leaf->rids.empty() ? row_id_t{0} : leaf->rids[at]);
+    for (; leaf != nullptr; leaf = leaf->next, at = 0) {
+      std::size_t end = at;
+      for (; end < leaf->keys.size(); ++end) {
+        const T k = leaf->keys[end];
+        if (pred.high_kind == BoundKind::kInclusive && k > pred.high) break;
+        if (pred.high_kind == BoundKind::kExclusive && k >= pred.high) break;
       }
-      leaf = leaf->next;
-      at = 0;
+      if (at < end) fn(*leaf, at, end);
+      if (end < leaf->keys.size()) return;
     }
   }
 

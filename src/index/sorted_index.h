@@ -10,6 +10,7 @@
 #include <span>
 #include <vector>
 
+#include "index/scan.h"
 #include "storage/predicate.h"
 #include "storage/types.h"
 #include "util/logging.h"
@@ -102,9 +103,7 @@ class FullSortIndex {
 
   long double SumRange(const RangePredicate<T>& pred) const {
     const PositionRange r = SelectRange(pred);
-    long double sum = 0;
-    for (std::size_t i = r.begin; i < r.end; ++i) sum += values_[i];
-    return sum;
+    return RoundSum<T>(SumValues<T>(values().subspan(r.begin, r.size())));
   }
 
   std::span<const T> values() const { return values_; }

@@ -454,15 +454,13 @@ class PartitionedCrackerColumn {
     if (pred.DefinitelyEmpty()) return 0;
     const auto [first, last] = OverlapRange(pred);
     if (first == last) {
-      return SumShard(*shards_[first], pred);
+      return RoundSum<T>(SumShard(*shards_[first], pred));
     }
-    std::vector<long double> partial(last - first + 1, 0);
+    std::vector<SumAcc<T>> partial(last - first + 1);
     ForEachOverlapping(first, last, [&](std::size_t p, std::size_t slot) {
       partial[slot] = SumShard(*shards_[p], pred);
     });
-    long double total = 0;
-    for (const long double s : partial) total += s;
-    return total;
+    return RoundSum<T>(AddPartials(partial));
   }
 
   /// Deadline/cancellation-aware Count: the context gates each shard of
@@ -499,9 +497,9 @@ class PartitionedCrackerColumn {
     AIDX_RETURN_NOT_OK(ctx.Check());
     if (pred.DefinitelyEmpty()) return static_cast<long double>(0);
     const auto [first, last] = OverlapRange(pred);
-    if (first == last) return SumShard(*shards_[first], pred);
+    if (first == last) return RoundSum<T>(SumShard(*shards_[first], pred));
     std::atomic<bool> expired{false};
-    std::vector<long double> partial(last - first + 1, 0);
+    std::vector<SumAcc<T>> partial(last - first + 1);
     ForEachOverlapping(first, last, [&](std::size_t p, std::size_t slot) {
       if (expired.load(std::memory_order_relaxed)) return;
       if (!ctx.Check().ok()) {
@@ -511,9 +509,7 @@ class PartitionedCrackerColumn {
       partial[slot] = SumShard(*shards_[p], pred);
     });
     AIDX_RETURN_NOT_OK(ctx.Check());
-    long double total = 0;
-    for (const long double s : partial) total += s;
-    return total;
+    return RoundSum<T>(AddPartials(partial));
   }
 
   /// Appends matching values to `out`, grouped by ascending partition
@@ -1311,25 +1307,31 @@ class PartitionedCrackerColumn {
         [&] { return shard.column.Count(pred); });
   }
 
-  long double SumShard(Shard& shard, const RangePredicate<T>& pred) {
+  /// One partition's unrounded sum; partitions combine in SumAcc and the
+  /// caller rounds once.
+  SumAcc<T> SumShard(Shard& shard, const RangePredicate<T>& pred) {
     const auto fast = [&](const StripedRange& r) {
-      const std::span<const T> values = shard.column.values();
-      long double sum = 0;
-      for (std::size_t i = r.begin; i < r.end; ++i) sum += values[i];
+      SumAcc<T> sum = SumValues<T>(ShardValuesIn(shard, {r.begin, r.end}));
       for (int i = 0; i < r.num_edges; ++i) {
-        sum += ScanSum<T>(ShardValuesIn(shard, r.edges[i]), pred);
+        sum += SumValues<T>(ShardValuesIn(shard, r.edges[i]), pred);
       }
       return sum;
     };
     return StripedReadOrCoarse(
         shard, pred, /*core_needs_values=*/true, fast,
         [&](const StripedRange& r, const PendingOverlay& pending) {
-          long double sum = fast(r);
-          for (const StripedPendingTuple& t : pending.inserts) sum += t.value;
-          for (const T v : pending.deletes) sum -= v;
-          return sum;
+          const SumAcc<T> sum = SumEach<T>(
+              pending.inserts.size(), [&](std::size_t i) { return pending.inserts[i].value; },
+              fast(r));
+          return SubtractValues<T>(pending.deletes, sum);
         },
-        [&] { return shard.column.Sum(pred); });
+        [&] { return shard.column.SumPartial(pred); });
+  }
+
+  static SumAcc<T> AddPartials(std::span<const SumAcc<T>> partials) {
+    SumAcc<T> total{};
+    for (const SumAcc<T>& s : partials) total += s;
+    return total;
   }
 
   void MaterializeShardValues(Shard& shard, const RangePredicate<T>& pred,

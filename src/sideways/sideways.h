@@ -37,6 +37,7 @@
 #include <utility>
 #include <vector>
 
+#include "index/scan.h"
 #include "sideways/cracker_map.h"
 #include "storage/predicate.h"
 #include "storage/table.h"
@@ -224,10 +225,10 @@ class SidewaysCracker {
     AIDX_ASSIGN_OR_RETURN(MapEntry * entry, GetOrCreateMap(tail_name, {tail_name}));
     Align(entry);
     const PositionRange r = entry->map->Select(pred);
-    long double sum = 0;
-    for (std::size_t i = r.begin; i < r.end; ++i) sum += entry->map->tail_at(i);
+    const SumAcc<T> sum = SumEach<T>(
+        r.size(), [&](std::size_t i) { return entry->map->tail_at(r.begin + i); });
     if (options_.eager_alignment) AlignAll();
-    return sum;
+    return RoundSum<T>(sum);
   }
 
   /// Multi-attribute selection σ_head_pred(A) ∧ σ_tail_pred(B) using map

@@ -204,8 +204,13 @@ class UpdatableCrackerColumn : public CrackerColumn<T> {
 
   /// Sum of matching values, after adaptive update merging.
   long double Sum(const RangePredicate<T>& pred) {
+    return RoundSum<T>(SumPartial(pred));
+  }
+
+  /// Unrounded Sum (SumAcc), after adaptive update merging.
+  SumAcc<T> SumPartial(const RangePredicate<T>& pred) {
     MergeForQuery(pred);
-    return CrackerColumn<T>::Sum(pred);
+    return CrackerColumn<T>::SumPartial(pred);
   }
 
   /// Deadline/cancellation-aware variants. The context gates the entry and

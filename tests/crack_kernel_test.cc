@@ -8,6 +8,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -562,6 +564,167 @@ TEST(CrackKernelNamingTest, DisplayNameDistinguishesKernelVariants) {
   EXPECT_EQ(crack.DisplayName(), "crack+pred");
   crack.crack_kernel = CrackKernel::kPredicatedUnrolled;
   EXPECT_EQ(crack.DisplayName(), "crack+vec");
+}
+
+// ---------------------------------------------------------------------------
+// The aggregate kernel (index/scan.h SumValues): integer sums exact against
+// an independent __int128 reference, scalar and AVX2 forms bit-identical,
+// double sums the sequential long double loop.
+// ---------------------------------------------------------------------------
+
+std::string Int128String(Int128 v) {
+  const bool negative = v < 0;
+  unsigned __int128 u = negative ? -static_cast<unsigned __int128>(v)
+                                 : static_cast<unsigned __int128>(v);
+  std::string digits;
+  do {
+    digits.insert(digits.begin(), static_cast<char>('0' + static_cast<int>(u % 10)));
+    u /= 10;
+  } while (u != 0);
+  return negative ? "-" + digits : digits;
+}
+
+/// Checks every form of the kernel over `values` (masked when `pred` is
+/// given) against the reference loop.
+template <typename T>
+void ExpectSumKernelExact(std::span<const T> values, const RangePredicate<T>* pred,
+                          const std::string& label) {
+  Int128 want = 0;
+  for (const T v : values) {
+    if (pred == nullptr || pred->Matches(v)) want += v;
+  }
+  const Int128 init = -12345;  // the running-sum argument is honoured
+  const auto run_scalar = [&](Int128 acc) {
+    return pred == nullptr ? internal::SumValuesScalar<T>(values, acc)
+                           : internal::SumValuesScalar<T>(values, *pred, acc);
+  };
+  const auto run_dispatch = [&](Int128 acc) {
+    return pred == nullptr ? SumValues<T>(values, acc) : SumValues<T>(values, *pred, acc);
+  };
+  EXPECT_TRUE(run_scalar(0) == want)
+      << label << " scalar " << Int128String(run_scalar(0)) << " want " << Int128String(want);
+  EXPECT_TRUE(run_dispatch(init) == want + init)
+      << label << " dispatch " << Int128String(run_dispatch(init)) << " want "
+      << Int128String(want + init);
+#if defined(AIDX_SIMD_AVX2)
+  if (internal::SimdKernelAvailable()) {
+    const Int128 avx2 = pred == nullptr ? internal::SumValuesAvx2<T>(values, init)
+                                        : internal::SumValuesAvx2<T>(values, *pred, init);
+    EXPECT_TRUE(avx2 == run_scalar(init))
+        << label << " avx2 " << Int128String(avx2) << " scalar "
+        << Int128String(run_scalar(init));
+  }
+#endif
+}
+
+template <typename T>
+std::vector<T> FullRangeValues(std::size_t n, Rng* rng) {
+  std::vector<T> out(n);
+  for (auto& v : out) v = static_cast<T>(rng->Next());
+  return out;
+}
+
+template <typename T>
+std::vector<RangePredicate<T>> ExtremeBoundPredicates() {
+  using P = RangePredicate<T>;
+  constexpr T kMax = std::numeric_limits<T>::max();
+  constexpr T kMin = std::numeric_limits<T>::min();
+  return {P::All(),           P::Between(kMin, kMax), P::AtLeast(kMin),
+          P::GreaterThan(kMin), P::AtMost(kMax),     P::LessThan(kMax),
+          P::GreaterThan(kMax), P::LessThan(kMin),   P::Between(kMax, kMax),
+          P::Between(kMin, kMin), P::HalfOpen(-3, kMax), P::Between(kMin / 2, kMax / 2),
+          P::Between(5, 1),   P::HalfOpen(0, 0)};
+}
+
+template <typename T>
+class SumKernelTest : public ::testing::Test {};
+
+using IntegerTypes = ::testing::Types<std::int32_t, std::int64_t>;
+TYPED_TEST_SUITE(SumKernelTest, IntegerTypes);
+
+TYPED_TEST(SumKernelTest, ExactOverSizesAndUnalignedStarts) {
+  using T = TypeParam;
+  Rng rng(2024);
+  std::vector<std::size_t> sizes;
+  for (std::size_t n = 0; n <= 67; ++n) sizes.push_back(n);
+  sizes.push_back(14680);
+  for (const std::size_t n : sizes) {
+    const std::vector<T> backing = FullRangeValues<T>(n + 3, &rng);
+    for (std::size_t start = 0; start < 4; ++start) {
+      const std::span<const T> values(backing.data() + start, n);
+      ExpectSumKernelExact<T>(values, nullptr,
+                              "n=" + std::to_string(n) + " start=" + std::to_string(start));
+    }
+  }
+}
+
+TYPED_TEST(SumKernelTest, ExactOnNegativeAndRepeatedMinimum) {
+  using T = TypeParam;
+  Rng rng(77);
+  std::vector<T> negative = FullRangeValues<T>(14680, &rng);
+  for (auto& v : negative) {
+    if (v >= 0) v = static_cast<T>(-v - 1);
+  }
+  ExpectSumKernelExact<T>(negative, nullptr, "all-negative");
+  const std::vector<T> minimum(14680, std::numeric_limits<T>::min());
+  ExpectSumKernelExact<T>(minimum, nullptr, "repeated min");
+  const std::vector<T> maximum(14680, std::numeric_limits<T>::max());
+  ExpectSumKernelExact<T>(maximum, nullptr, "repeated max");
+  for (std::size_t n = 1; n <= 67; n += 11) {
+    ExpectSumKernelExact<T>(std::span<const T>(minimum.data(), n), nullptr,
+                            "repeated min n=" + std::to_string(n));
+  }
+}
+
+TYPED_TEST(SumKernelTest, MaskedVariantAtTheExtremes) {
+  using T = TypeParam;
+  Rng rng(5);
+  std::vector<T> values = FullRangeValues<T>(14680, &rng);
+  // Plant the bounds themselves and their neighbours.
+  constexpr T kMax = std::numeric_limits<T>::max();
+  constexpr T kMin = std::numeric_limits<T>::min();
+  for (const T v : {kMin, static_cast<T>(kMin + 1), T{-3}, T{0}, T{1}, T{5},
+                    static_cast<T>(kMax - 1), kMax}) {
+    for (int copies = 0; copies < 9; ++copies) {
+      values[rng.NextBounded(values.size())] = v;
+    }
+  }
+  for (const RangePredicate<T>& pred : ExtremeBoundPredicates<T>()) {
+    for (const std::size_t n : {std::size_t{0}, std::size_t{7}, std::size_t{61},
+                                values.size() - 1}) {
+      ExpectSumKernelExact<T>(std::span<const T>(values.data() + 1, n), &pred,
+                              pred.ToString() + " n=" + std::to_string(n));
+    }
+  }
+}
+
+TEST(SumKernelDoubleTest, KeepsTheSequentialLongDoubleLoop) {
+  Rng rng(31);
+  std::vector<double> values(14680);
+  for (auto& v : values) {
+    v = static_cast<double>(static_cast<std::int64_t>(rng.Next())) * 1e-7;
+  }
+  const auto pred = RangePredicate<double>::Between(-1e11, 3e11);
+  long double all = 0.5L;
+  long double masked = 0;
+  for (const double v : values) {
+    all += static_cast<long double>(v);
+    if (pred.Matches(v)) masked += static_cast<long double>(v);
+  }
+  EXPECT_EQ(SumValues<double>(values, 0.5L), all);
+  EXPECT_EQ(SumValues<double>(values, pred), masked);
+  EXPECT_EQ(ScanSum<double>(values, pred), masked);
+}
+
+TEST(SumKernelHelpersTest, StagedAndSubtractedSumsStayExact) {
+  Rng rng(8);
+  const std::vector<std::int64_t> values = FullRangeValues<std::int64_t>(1000, &rng);
+  Int128 want = 0;
+  for (const std::int64_t v : values) want += v;
+  const Int128 staged = SumEach<std::int64_t>(
+      values.size(), [&](std::size_t i) { return values[values.size() - 1 - i]; });
+  EXPECT_TRUE(staged == want) << Int128String(staged) << " want " << Int128String(want);
+  EXPECT_TRUE(SubtractValues<std::int64_t>(values, want) == 0);
 }
 
 }  // namespace

@@ -6,10 +6,12 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "exec/access_path.h"
+#include "exec/engine.h"
 #include "index/scan.h"
 #include "util/rng.h"
 
@@ -195,6 +197,106 @@ TEST(MutablePathTest, MergePolicySelectableThroughConfig) {
   }
   EXPECT_EQ(mci->update_stats().inserts_merged, 3u);
   EXPECT_EQ(mri->update_stats().inserts_merged, 1u);
+}
+
+/// The exact sum of the values matching `pred`, rounded once: an __int128
+/// reference independent of the aggregate kernel.
+long double ExactSum(const std::vector<std::int64_t>& values,
+                     const RangePredicate<std::int64_t>& pred) {
+  __int128 sum = 0;
+  for (const std::int64_t v : values) {
+    if (pred.Matches(v)) sum += v;
+  }
+  return static_cast<long double>(sum);
+}
+
+/// Values near INT64_MAX first, small ones next, values near INT64_MIN
+/// last: a running long double sum passes 2^64 in storage order (and in
+/// sorted order from the other end), after which small addends lose bits.
+/// The extremes balance, so the full sum is small and the lost bits show
+/// even after narrowing to double.
+std::vector<std::int64_t> ExtremeColumn() {
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  Rng rng(23);
+  std::vector<std::int64_t> values;
+  for (int i = 0; i < 39; ++i) {
+    values.push_back(kMax - static_cast<std::int64_t>(rng.NextBounded(1000)));
+  }
+  for (int i = 0; i < 500; ++i) {
+    values.push_back(static_cast<std::int64_t>(rng.NextBounded(2001)) - 1000);
+  }
+  for (int i = 0; i < 39; ++i) {
+    values.push_back(kMin + static_cast<std::int64_t>(rng.NextBounded(1000)));
+  }
+  values.push_back(kMin);
+  values.push_back(kMax);
+  return values;
+}
+
+std::vector<RangePredicate<std::int64_t>> ExtremePredicates() {
+  using P = RangePredicate<std::int64_t>;
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  return {P::All(),
+          P::Between(-700, 700),
+          P::AtLeast(kMax - 500),
+          P::GreaterThan(kMin),
+          P::LessThan(kMax),
+          P::Between(kMin, 10),
+          P::AtMost(kMin + 400),
+          P::HalfOpen(-3, kMax)};
+}
+
+TEST(MutablePathTest, Int64SumsAreExactAtTheExtremes) {
+  using T = std::int64_t;
+  const std::vector<T> base = ExtremeColumn();
+  for (const StrategyConfig& config : AllStrategies()) {
+    std::vector<T> model = base;
+    auto path = MakeAccessPath<T>(base, config);
+    const std::string label = config.DisplayName() + "/" +
+                              MergePolicyName(config.merge_policy);
+    for (const auto& pred : ExtremePredicates()) {
+      EXPECT_EQ(path->Sum(pred), ExactSum(model, pred))
+          << label << " " << pred.ToString();
+    }
+    // Writes at the extremes reach the answer through each strategy's
+    // pending-update path (overlays, delta buffers, fresh runs).
+    for (const T v : {std::numeric_limits<T>::max() - 7, std::numeric_limits<T>::min() + 3,
+                      T{5}, std::numeric_limits<T>::max()}) {
+      path->Insert(v);
+      model.push_back(v);
+    }
+    for (const T v : {base[3], base[560], base[45]}) {
+      ASSERT_TRUE(path->Delete(v)) << label;
+      ASSERT_TRUE(OracleDelete(&model, v)) << label;
+    }
+    for (const auto& pred : ExtremePredicates()) {
+      EXPECT_EQ(path->Sum(pred), ExactSum(model, pred))
+          << label << " after writes " << pred.ToString();
+    }
+  }
+}
+
+TEST(MutablePathTest, DatabaseInt64SumIsExactAtTheExtremes) {
+  const std::vector<std::int64_t> values = ExtremeColumn();
+  Database db;
+  ASSERT_TRUE(db.CreateTable("t").ok());
+  ASSERT_TRUE(db.AddColumn("t", "v", std::vector<std::int64_t>(values)).ok());
+  for (const StrategyConfig& config : AllStrategies()) {
+    for (const auto& pred : ExtremePredicates()) {
+      QueryRequest req;
+      req.table = "t";
+      req.column = "v";
+      req.predicate = pred;
+      req.strategy = config;
+      const Result<double> sum = db.Sum(req);
+      ASSERT_TRUE(sum.ok()) << config.DisplayName();
+      // Database::Sum narrows the path's long double answer to double.
+      EXPECT_EQ(*sum, static_cast<double>(ExactSum(values, pred)))
+          << config.DisplayName() << " " << pred.ToString();
+    }
+  }
 }
 
 }  // namespace

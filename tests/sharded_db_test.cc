@@ -29,6 +29,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -393,6 +394,40 @@ TEST_F(ShardedDbTest, DistFailpointsAbortCleanly) {
   for (std::size_t s = 0; s < stats_before.size(); ++s) {
     EXPECT_EQ(stats_after[s].rows, stats_before[s].rows) << "shard " << s;
   }
+}
+
+TEST_F(ShardedDbTest, DistFailpointScopesNameTableAndLeg) {
+  ShardedDatabaseOptions options;
+  options.num_shards = 2;
+  ShardedDatabase db(options);
+  ASSERT_TRUE(SetUpTable(&db, RoutingKind::kRange).ok());
+  ASSERT_TRUE(db.InsertBatch("t", RowMajor(RandomKeys(400, 11))).ok());
+  std::mutex mu;
+  std::vector<std::string> seen;
+  FailpointPolicy record;
+  record.mode = FailpointMode::kCallback;
+  record.handler = [&](std::string_view scope) {
+    const std::lock_guard<std::mutex> lock(mu);
+    seen.emplace_back(scope);
+    return Status::OK();
+  };
+  const auto scope = [](const std::string& leg) {
+    return std::string("t") + kFailpointScopeSep + leg;
+  };
+
+  // One evaluation per scatter leg, scoped "<table>\x1fshard<N>".
+  failpoints::dist_scatter.Arm(record);
+  ASSERT_TRUE(db.Count(Req("t", "k", Pred::All())).ok());
+  failpoints::dist_scatter.Disarm();
+  std::sort(seen.begin(), seen.end());
+  EXPECT_EQ(seen, (std::vector<std::string>{scope("shard0"), scope("shard1")}));
+
+  // One evaluation per migrated chunk, scoped "<table>\x1fpiece<i>".
+  seen.clear();
+  failpoints::dist_migrate_piece.Arm(record);
+  ASSERT_TRUE(db.Rebalance("t", 0, 1, 0, kDomain / 2).ok());
+  failpoints::dist_migrate_piece.Disarm();
+  EXPECT_EQ(seen, std::vector<std::string>{scope("piece0")});
 }
 
 // ---------------------------------------------------------------------------
