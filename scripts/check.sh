@@ -29,11 +29,14 @@
 # scripts/check.sh --faults [schedule] runs the fault-injection chaos
 # harness under ThreadSanitizer: same build-tsan/ tree as --tsan, but the
 # concurrency-labeled suites run with AIDX_FAULT_SCHEDULE set to the named
-# schedule (quiet | delays | errors | mixed | dist; default mixed — see
-# docs/ROBUSTNESS.md, and docs/DISTRIBUTION.md for dist) and a fresh random
-# AIDX_FAULT_SEED unless one is
-# already exported. The seed is echoed up front and by the harness itself,
-# so any failure reproduces with the printed one-liner.
+# schedule (quiet | delays | errors | mixed | dist | load; default mixed —
+# see docs/ROBUSTNESS.md, and docs/DISTRIBUTION.md for dist) and a fresh
+# random AIDX_FAULT_SEED unless one is already exported. The seed is echoed
+# up front and by the harness itself, so any failure reproduces with the
+# printed one-liner. `load` is the scheduling fault: the quiet schedule,
+# oversubscribed by one busy-loop process per CPU for the whole run (killed
+# on exit), every test repeated until it fails or passes ten times — the
+# preemption that exposes quiescence and ordering races.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -60,10 +63,10 @@ if [[ "${1:-}" == "--faults" ]]; then
     shift
   fi
   case "$schedule" in
-    quiet|delays|errors|mixed|dist) ;;
+    quiet|delays|errors|mixed|dist|load) ;;
     *)
       echo "check.sh --faults: unknown schedule '$schedule'" \
-        "(expected quiet|delays|errors|mixed|dist)" >&2
+        "(expected quiet|delays|errors|mixed|dist|load)" >&2
       exit 2
       ;;
   esac
@@ -77,9 +80,21 @@ if [[ "${1:-}" == "--faults" ]]; then
     -DAIDX_BUILD_EXAMPLES=OFF \
     "$@"
   cmake --build build-tsan -j "$(nproc)"
-  AIDX_FAULT_SCHEDULE="$schedule" AIDX_FAULT_SEED="$seed" \
+  harness_schedule="$schedule"
+  repeat=()
+  if [[ "$schedule" == "load" ]]; then
+    harness_schedule="quiet"
+    repeat=(--repeat until-fail:10)
+    hogs=()
+    trap 'kill "${hogs[@]}" 2>/dev/null || true' EXIT
+    for _ in $(seq "$(nproc)"); do
+      (while :; do :; done) &
+      hogs+=("$!")
+    done
+  fi
+  AIDX_FAULT_SCHEDULE="$harness_schedule" AIDX_FAULT_SEED="$seed" \
     ctest --test-dir build-tsan --output-on-failure -j "$(nproc)" \
-    -L concurrency
+    -L concurrency "${repeat[@]}"
   exit 0
 fi
 

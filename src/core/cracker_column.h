@@ -239,7 +239,7 @@ class CrackerColumn {
 
   // -- Parallel-layer primitives (striped piece latching) ------------------
   //
-  // The partitioned column's kStripedPiece mode (docs/CONCURRENCY.md §4)
+  // The partitioned column's piece-latch protocol (docs/CONCURRENCY.md §4)
   // drives cracking through these instead of Select so that the physical
   // permutation of one piece and the index mutation that publishes it can
   // be protected by different latches. They deliberately touch neither the

@@ -96,19 +96,11 @@ struct StrategyConfig {
   // Piece size below which non-branchy kernels fall back to the branchy
   // sweep; 0 defers to the calibrated process default.
   std::size_t predication_min_piece = 0;
-  // kParallelCrack intra-partition latch protocol: piece-granularity
-  // striped rwlatches (default) or the one-mutex-per-partition baseline
-  // kept for differential testing, plus the per-partition stripe-table
-  // size (clamped to [1, 64]; docs/CONCURRENCY.md §4).
-  LatchMode latch_mode = LatchMode::kStripedPiece;
-  std::size_t latch_stripes = 16;
-  // kParallelCrack write path: piece-routed striped buffering (default)
-  // or the coarse shard-exclusive baseline, whether the stripe table
-  // grows with realized cuts, and the buffered-write count that triggers
-  // a background merge on the shared pool (0 = foreground-only;
+  // kParallelCrack piece-latch table capacity per partition (clamped to
+  // [1, 64]; docs/CONCURRENCY.md §4), and the buffered-write count that
+  // triggers a background merge on the shared pool (0 = foreground-only;
   // docs/UPDATES.md).
-  WriteMode write_mode = WriteMode::kStripedWrite;
-  bool adaptive_stripes = true;
+  std::size_t latch_stripes = 16;
   std::size_t background_merge_threshold = 0;
 
   /// Structural equality over every knob — the Database path cache keys on
@@ -134,12 +126,10 @@ struct StrategyConfig {
   }
   static StrategyConfig ParallelCrack(std::size_t partitions = 8,
                                       std::size_t threads = 4,
-                                      LatchMode latch = LatchMode::kStripedPiece,
                                       std::size_t stripes = 16) {
     return {.kind = StrategyKind::kParallelCrack,
             .num_partitions = partitions,
             .num_threads = threads,
-            .latch_mode = latch,
             .latch_stripes = stripes};
   }
 
@@ -182,17 +172,11 @@ struct StrategyConfig {
         // Shape-changing knobs stay in the name for figures and reports
         // (the Database cache keys on the full config, not this string).
         // Comma-free: the name lands unquoted in CSV headers
-        // (workload/report.cc). Latch-protocol knobs appear only off their
-        // defaults, so the striped default keeps the historical name.
+        // (workload/report.cc). Latch and merge knobs appear only off their
+        // defaults, so the default keeps the historical name.
         std::string name = "pcrack(" + std::to_string(num_partitions) + "x" +
                            std::to_string(num_threads);
-        if (latch_mode == LatchMode::kPartitionMutex) {
-          name += "-mtx";
-        } else if (latch_stripes != 16) {
-          name += "-s" + std::to_string(latch_stripes);
-        }
-        if (write_mode == WriteMode::kCoarseWrite) name += "-wc";
-        if (!adaptive_stripes) name += "-fs";
+        if (latch_stripes != 16) name += "-s" + std::to_string(latch_stripes);
         if (background_merge_threshold > 0) {
           name += "-bg" + std::to_string(background_merge_threshold);
         }
@@ -666,13 +650,12 @@ class HybridPath final : public AccessPath<T> {
 
 // Partitioned parallel cracking. Unlike the other paths this one is safe
 // to share across threads: the column latches at piece granularity
-// (striped rwlatches; or per partition under the kPartitionMutex
-// fallback — config.latch_mode), and the lazy construction itself is
-// guarded. The path owns the intra-query ThreadPool (num_threads - 1
-// workers; the querying thread participates as the last). Writes route to
-// the partition owning the value and queue under whole-partition
-// exclusion (docs/CONCURRENCY.md §3–§4), so concurrent writers to
-// disjoint partitions proceed fully in parallel.
+// (striped rwlatches), and the lazy construction itself is guarded. The
+// path owns the intra-query ThreadPool (num_threads - 1 workers; the
+// querying thread participates as the last). Writes route to the piece
+// owning the value and buffer under that piece's stripe latches
+// (docs/CONCURRENCY.md §4), so concurrent writers to disjoint pieces
+// proceed fully in parallel.
 template <ColumnValue T>
 class ParallelCrackPath final : public AccessPath<T> {
  public:
@@ -752,10 +735,7 @@ class ParallelCrackPath final : public AccessPath<T> {
       options.splitter_seed = config_.seed;
       options.merge_policy = config_.merge_policy;
       options.gradual_budget = config_.gradual_budget;
-      options.latch_mode = config_.latch_mode;
       options.latch_stripes = config_.latch_stripes;
-      options.write_mode = config_.write_mode;
-      options.adaptive_stripes = config_.adaptive_stripes;
       options.background_merge_threshold = config_.background_merge_threshold;
       column_.emplace(base_, options, pool_.get());
     });

@@ -36,10 +36,7 @@ std::size_t PathKeyHash::operator()(const PathKey& key) const {
   h = HashCombine(h, static_cast<std::size_t>(c.with_row_ids));
   h = HashCombine(h, static_cast<std::size_t>(c.crack_kernel));
   h = HashCombine(h, c.predication_min_piece);
-  h = HashCombine(h, static_cast<std::size_t>(c.latch_mode));
   h = HashCombine(h, c.latch_stripes);
-  h = HashCombine(h, static_cast<std::size_t>(c.write_mode));
-  h = HashCombine(h, static_cast<std::size_t>(c.adaptive_stripes));
   h = HashCombine(h, c.background_merge_threshold);
   return h;
 }

@@ -12,22 +12,16 @@
 //    structure actually reorganized — individual pieces, coordinated
 //    through a short-duration latch on the cracker index.
 //
-// Two latch protocols are implemented, selected by LatchMode:
-//
-//  - kPartitionMutex: one mutex per partition (the PR-2 baseline). Queries
-//    over disjoint partitions crack concurrently; queries into the same
-//    partition serialize wholesale. Kept as the differential-testing and
-//    benchmarking oracle for the striped mode.
-//  - kStripedPiece (default): the Graefe-style piece protocol. Each
-//    partition carries a fixed table of reader-writer stripe latches over
-//    *position blocks* (a piece's stripe set is the hash of every block its
-//    position range overlaps), a reader-writer `structural` latch, and a
-//    reader-writer latch on the cracker index. A select takes shared
-//    latches on what it only reads and exclusive stripe latches on the
-//    (<= 2, plus stochastic pre-cracks) pieces it cracks, so two selects
-//    into the same partition overlap whenever they crack disjoint pieces.
-//    The full protocol, its acquisition order, and the correctness
-//    argument live in docs/CONCURRENCY.md §4.
+// The latch protocol is the Graefe-style piece protocol. Each partition
+// carries a table of reader-writer stripe latches over *position blocks*
+// (a piece's stripe set is the hash of every block its position range
+// overlaps; the active stripe count grows with realized cuts), a
+// reader-writer `structural` latch, and a reader-writer latch on the
+// cracker index. A select takes shared latches on what it only reads and
+// exclusive stripe latches on the (<= 2, plus stochastic pre-cracks)
+// pieces it cracks, so two selects into the same partition overlap
+// whenever they crack disjoint pieces. The full protocol, its acquisition
+// order, and the correctness argument live in docs/CONCURRENCY.md §4.
 //
 // Ownership: a PartitionedCrackerColumn owns its K shards (each an
 // independent UpdatableCrackerColumn plus its latches) and its splitter
@@ -37,25 +31,20 @@
 //
 // Thread safety: Count, Sum, Materialize*, Insert, Delete, InsertBatch,
 // DeleteBatch, AggregatedStats, AggregatedUpdateStats, and ValidatePieces
-// are safe to call from any number of threads concurrently under both
-// latch modes. Select (which returns raw per-partition position ranges) is
-// the exception: positions are only stable while no other thread cracks
-// the same partition, so it is for externally synchronized use — tests,
-// single-threaded tools.
+// are safe to call from any number of threads concurrently. Select (which
+// returns raw per-partition position ranges) is the exception: positions
+// are only stable while no other thread cracks the same partition, so it
+// is for externally synchronized use — tests, single-threaded tools.
 //
 // Writes route to the single partition owning their value (the splitter
-// table is immutable, so routing needs no latch). Under kPartitionMutex —
-// or kStripedPiece with WriteMode::kCoarseWrite — they queue in that
-// partition's UpdatableCrackerColumn under whole-partition exclusion.
-// Under the default striped write mode they instead take `structural`
-// shared, route to the owning *piece* under that piece's exclusive stripe
-// latches (with the same lookup -> latch -> re-validate retry loop the
-// read path uses on piece subdivision), and land in a per-shard table of
+// table is immutable, so routing needs no latch). There they take
+// `structural` shared, route to the owning *piece* under that piece's
+// exclusive stripe latches, and land in a per-shard table of
 // mutex-guarded write buckets keyed by value hash; a later exclusive hold
 // drains the buckets into the shard's pending stores. Queries whose range
 // overlaps buffered or pending tuples answer exactly from the shared path
 // by overlaying the matching pending tuples, or fall back to the coarse
-// merge path (docs/CONCURRENCY.md §4).
+// merge path under `structural` exclusive (docs/CONCURRENCY.md §4).
 //
 // A per-shard background-merge mode machine (Normal -> PrepareToMerge ->
 // Merging -> Merged, modeled on the mode-switching hybrid-index design in
@@ -99,45 +88,6 @@
 
 namespace aidx {
 
-/// Intra-partition latch protocol of a PartitionedCrackerColumn.
-enum class LatchMode : char {
-  /// One mutex per partition (PR-2 baseline; differential oracle).
-  kPartitionMutex,
-  /// Piece-granularity striped reader-writer latches (docs/CONCURRENCY.md §4).
-  kStripedPiece,
-};
-
-inline const char* LatchModeName(LatchMode mode) {
-  switch (mode) {
-    case LatchMode::kPartitionMutex:
-      return "partition-mutex";
-    case LatchMode::kStripedPiece:
-      return "striped-piece";
-  }
-  return "?";
-}
-
-/// Write-path protocol under kStripedPiece (kPartitionMutex always writes
-/// coarsely).
-enum class WriteMode : char {
-  /// Whole-partition exclusion per write (the PR-5 behavior; differential
-  /// oracle axis for the striped write path).
-  kCoarseWrite,
-  /// Piece-routed writes under `structural` shared + exclusive stripe
-  /// latches, buffered in per-shard write buckets (docs/CONCURRENCY.md §4).
-  kStripedWrite,
-};
-
-inline const char* WriteModeName(WriteMode mode) {
-  switch (mode) {
-    case WriteMode::kCoarseWrite:
-      return "coarse-write";
-    case WriteMode::kStripedWrite:
-      return "striped-write";
-  }
-  return "?";
-}
-
 /// Background-merge state of one shard (SNIPPETS.md mode machine): Normal
 /// until a merge is requested, PrepareToMerge while the merger waits for
 /// in-flight shared-path readers to drain, Merging while pending updates
@@ -169,8 +119,7 @@ inline const char* ShardMergeModeName(ShardMergeMode mode) {
 /// Striped read-path routing counters: how many per-shard reads answered
 /// from the shared fast path (no pending overlap), the shared overlay path
 /// (pending overlap folded into the answer without merging), or the coarse
-/// exclusive path. kStripedPiece only; kPartitionMutex reads count as
-/// coarse.
+/// exclusive path.
 struct StripedReadPathStats {
   std::size_t fast_reads = 0;
   std::size_t overlay_reads = 0;
@@ -203,19 +152,11 @@ struct PartitionedCrackerOptions {
   /// Update-merge policy applied by every partition's update pipeline.
   MergePolicy merge_policy = MergePolicy::kRipple;
   std::size_t gradual_budget = 64;
-  /// Intra-partition latch protocol.
-  LatchMode latch_mode = LatchMode::kStripedPiece;
-  /// Stripe-latch table size per partition under kStripedPiece, clamped to
-  /// [1, 64]. More stripes = fewer false conflicts between disjoint pieces,
-  /// at a few hundred bytes per partition.
+  /// Stripe-latch table capacity per partition, clamped to [1, 64]. More
+  /// stripes = fewer false conflicts between disjoint pieces, at a few
+  /// hundred bytes per partition. The table is allocated at this cap; the
+  /// *active* stripe count starts small and doubles with realized cuts.
   std::size_t latch_stripes = 16;
-  /// Write-path protocol under kStripedPiece (ignored in kPartitionMutex).
-  WriteMode write_mode = WriteMode::kStripedWrite;
-  /// Grow each shard's *active* stripe count with its realized cut count
-  /// (starting small, doubling up to latch_stripes) instead of hashing into
-  /// the full table from the first query. Latch-table memory is allocated
-  /// at the cap either way; this only tunes the block -> stripe mapping.
-  bool adaptive_stripes = true;
   /// Buffered writes per shard that trigger a background merge on the
   /// borrowed pool (0 disables the mode machine; writes then merge on the
   /// next coarse-path query, the PR-5 behavior).
@@ -282,14 +223,15 @@ class PartitionedCrackerColumn {
   /// is destroyed, so this wait terminates under every shutdown order.
   ~PartitionedCrackerColumn() {
     shutting_down_.store(true, std::memory_order_release);
-    WaitForBackgroundMerges();
+    WaitForInFlightMerges();
   }
 
   // Atomic members rule out the defaulted moves; shards are unique_ptrs,
   // so moving transfers them (and the latches inside) untouched. Callers
   // must not move a column while other threads use it, as everywhere —
-  // background merge tasks count as users, so moves first drain them (they
-  // capture the old `this`).
+  // background merge tasks count as users, so moves first make the source
+  // quiescent (the tasks capture the old `this`, and the moved-to column
+  // must not inherit updates a finished run left behind).
   AIDX_DISALLOW_COPY_AND_ASSIGN(PartitionedCrackerColumn);
   PartitionedCrackerColumn(PartitionedCrackerColumn&& other) noexcept
       : options_((other.WaitForBackgroundMerges(), std::move(other.options_))),
@@ -301,7 +243,7 @@ class PartitionedCrackerColumn {
         live_size_(other.live_size_.load(std::memory_order_relaxed)) {}
   PartitionedCrackerColumn& operator=(PartitionedCrackerColumn&& other) noexcept {
     if (this != &other) {
-      WaitForBackgroundMerges();
+      WaitForInFlightMerges();
       other.WaitForBackgroundMerges();
       options_ = std::move(other.options_);
       pool_ = other.pool_;
@@ -317,37 +259,31 @@ class PartitionedCrackerColumn {
   }
 
   /// Queues an insert in the partition owning `value` and returns the
-  /// globally unique row id assigned to the fresh tuple. Striped write
-  /// mode routes to the owning piece under `structural` shared plus that
-  /// piece's exclusive stripes and buffers in a write bucket; otherwise the
-  /// insert queues under whole-partition exclusion. Either way the tuple
-  /// merges into the cracked array when a later query needs its range —
-  /// the same adaptive bargain as the single-threaded pipeline.
+  /// globally unique row id assigned to the fresh tuple. The insert routes
+  /// to the owning piece under `structural` shared plus that piece's
+  /// exclusive stripes and buffers in a write bucket; the tuple merges into
+  /// the cracked array when a later query (or background merge) needs its
+  /// range — the same adaptive bargain as the single-threaded pipeline.
   /// Thread-safe.
   row_id_t Insert(T value) {
     const row_id_t rid = next_rid_.fetch_add(1, std::memory_order_relaxed);
     Shard& shard = *shards_[PartitionOf(value)];
-    if (UseStripedWrites()) {
-      {
-        const std::shared_lock<std::shared_mutex> structural(shard.structural);
-        StripedEnqueueInsertLocked(shard, value, rid);
-      }
-      MaybeTriggerBackgroundMerge(shard);
-    } else {
-      WithShardExclusive(shard,
-                         [&] { shard.column.InsertWithRid(value, rid); });
+    {
+      const std::shared_lock<std::shared_mutex> structural(shard.structural);
+      StripedEnqueueInsertLocked(shard, value, rid);
     }
+    MaybeTriggerBackgroundMerge(shard);
     live_size_.fetch_add(1, std::memory_order_relaxed);
     return rid;
   }
 
   /// Queues inserts for a batch of values, grouped by owning partition so
-  /// each partition latch is taken once per batch instead of once per
-  /// tuple. Row ids for the whole batch are reserved with one atomic bump
-  /// and assigned in batch order, so the result is indistinguishable from
-  /// the equivalent Insert loop. Latches are taken one at a time in
-  /// ascending partition order — the standard latch protocol, so batch
-  /// writers compose with everything else. Thread-safe.
+  /// each partition's `structural` latch is taken once per batch instead of
+  /// once per tuple. Row ids for the whole batch are reserved with one
+  /// atomic bump and assigned in batch order, so the result is
+  /// indistinguishable from the equivalent Insert loop. Latches are taken
+  /// one partition at a time in ascending order — the standard latch
+  /// protocol, so batch writers compose with everything else. Thread-safe.
   void InsertBatch(std::span<const T> batch) {
     if (batch.empty()) return;
     const row_id_t first_rid =
@@ -357,52 +293,36 @@ class PartitionedCrackerColumn {
     for (std::size_t p = 0; p < groups.size(); ++p) {
       if (groups[p].empty()) continue;
       Shard& shard = *shards_[p];
-      if (UseStripedWrites()) {
-        {
-          const std::shared_lock<std::shared_mutex> structural(shard.structural);
-          for (const std::size_t i : groups[p]) {
-            StripedEnqueueInsertLocked(shard, batch[i],
-                                       first_rid + static_cast<row_id_t>(i));
-          }
+      {
+        const std::shared_lock<std::shared_mutex> structural(shard.structural);
+        for (const std::size_t i : groups[p]) {
+          StripedEnqueueInsertLocked(shard, batch[i],
+                                     first_rid + static_cast<row_id_t>(i));
         }
-        MaybeTriggerBackgroundMerge(shard);
-      } else {
-        WithShardExclusive(shard, [&] {
-          for (const std::size_t i : groups[p]) {
-            shard.column.InsertWithRid(batch[i],
-                                       first_rid + static_cast<row_id_t>(i));
-          }
-        });
       }
+      MaybeTriggerBackgroundMerge(shard);
     }
     live_size_.fetch_add(batch.size(), std::memory_order_relaxed);
   }
 
   /// Deletes one live tuple equal to `value` from its owning partition;
-  /// false when absent. Striped write mode runs the existence probe (a
-  /// point resolve, which cracks — a delete is a query here too) under
-  /// `structural` shared and buffers the surviving delete in a write
-  /// bucket; otherwise the whole operation runs under whole-partition
-  /// exclusion. Thread-safe.
+  /// false when absent. The existence probe (a point resolve, which cracks
+  /// — a delete is a query here too) runs under `structural` shared, and
+  /// the surviving delete buffers in a write bucket. Thread-safe.
   bool Delete(T value) {
     Shard& shard = *shards_[PartitionOf(value)];
     bool deleted;
-    if (UseStripedWrites()) {
-      {
-        const std::shared_lock<std::shared_mutex> structural(shard.structural);
-        deleted = StripedDeleteLocked(shard, value);
-      }
-      MaybeTriggerBackgroundMerge(shard);
-    } else {
-      deleted = WithShardExclusive(
-          shard, [&] { return shard.column.DeleteValue(value); });
+    {
+      const std::shared_lock<std::shared_mutex> structural(shard.structural);
+      deleted = StripedDeleteLocked(shard, value);
     }
+    MaybeTriggerBackgroundMerge(shard);
     if (deleted) live_size_.fetch_sub(1, std::memory_order_relaxed);
     return deleted;
   }
 
   /// Deletes one live tuple per batch entry (multiset semantics, same as a
-  /// Delete loop) with one latch acquisition per touched partition.
+  /// Delete loop) with one `structural` acquisition per touched partition.
   /// Returns how many tuples were actually deleted. Thread-safe.
   std::size_t DeleteBatch(std::span<const T> batch) {
     if (batch.empty()) return 0;
@@ -411,21 +331,13 @@ class PartitionedCrackerColumn {
     for (std::size_t p = 0; p < groups.size(); ++p) {
       if (groups[p].empty()) continue;
       Shard& shard = *shards_[p];
-      if (UseStripedWrites()) {
-        {
-          const std::shared_lock<std::shared_mutex> structural(shard.structural);
-          for (const std::size_t i : groups[p]) {
-            deleted += StripedDeleteLocked(shard, batch[i]) ? 1 : 0;
-          }
+      {
+        const std::shared_lock<std::shared_mutex> structural(shard.structural);
+        for (const std::size_t i : groups[p]) {
+          deleted += StripedDeleteLocked(shard, batch[i]) ? 1 : 0;
         }
-        MaybeTriggerBackgroundMerge(shard);
-      } else {
-        WithShardExclusive(shard, [&] {
-          for (const std::size_t i : groups[p]) {
-            deleted += shard.column.DeleteValue(batch[i]) ? 1 : 0;
-          }
-        });
       }
+      MaybeTriggerBackgroundMerge(shard);
     }
     live_size_.fetch_sub(deleted, std::memory_order_relaxed);
     return deleted;
@@ -664,14 +576,13 @@ class PartitionedCrackerColumn {
 
   /// Asks the borrowed pool to absorb partition `p`'s buffered and pending
   /// updates off the query path. Returns false (and changes nothing) when
-  /// the machine cannot run: no pool / no pool workers / kPartitionMutex /
-  /// shutting down / the shard is already off Normal. Thread-safe; the
-  /// write path calls this automatically once buffered writes cross
+  /// the machine cannot run: no pool / no pool workers / shutting down /
+  /// degraded / the shard is already off Normal. Thread-safe; the write
+  /// path calls this automatically once buffered writes cross
   /// background_merge_threshold.
   bool RequestBackgroundMerge(std::size_t p) {
     AIDX_CHECK(p < shards_.size());
     if (pool_ == nullptr || pool_->num_threads() == 0) return false;
-    if (options_.latch_mode != LatchMode::kStripedPiece) return false;
     if (shutting_down_.load(std::memory_order_acquire)) return false;
     Shard& shard = *shards_[p];
     if (shard.degraded.load(std::memory_order_acquire)) return false;
@@ -708,21 +619,33 @@ class PartitionedCrackerColumn {
     return true;
   }
 
-  /// Blocks until no background merge task is queued or running. Callers
-  /// that assert on post-merge state (tests, FlushPending) use this to make
-  /// the machine quiescent.
-  void WaitForBackgroundMerges() const {
-    while (background_tasks_.load(std::memory_order_acquire) != 0) {
-      std::this_thread::yield();
+  /// Makes the machine quiescent: blocks until no background merge task is
+  /// queued or running, then requests one more run for every shard that
+  /// still holds buffered or pending updates and waits again. Writes that
+  /// land after a run's last empty-buffer check stay below the threshold
+  /// and nothing else re-triggers them; the second pass absorbs them. It is
+  /// bounded because a run drains everything present when it starts. So
+  /// whenever background merging can run, every write that happened before
+  /// this call has been absorbed on return. When it cannot (no pool,
+  /// shutting down, degraded shard) the requests are refused and this only
+  /// waits. Callers that assert on post-merge state, and moves, use it.
+  void WaitForBackgroundMerges() {
+    WaitForInFlightMerges();
+    bool requested = false;
+    for (std::size_t p = 0; p < shards_.size(); ++p) {
+      if (HasUnmergedUpdates(*shards_[p])) {
+        requested |= RequestBackgroundMerge(p);
+      }
     }
+    if (requested) WaitForInFlightMerges();
   }
 
-  /// Foreground drain: waits out background merges, then folds every
-  /// buffered and pending update of every partition. Afterwards all
+  /// Foreground drain: waits out in-flight background merges, then folds
+  /// every buffered and pending update of every partition. Afterwards all
   /// pending stores are empty and queries take the fast path until the
   /// next write. Thread-safe.
   void FlushPending() {
-    WaitForBackgroundMerges();
+    WaitForInFlightMerges();
     for (const auto& shard : shards_) {
       WithShardExclusive(*shard, [&] {
         MaybeGrowStripes(*shard);
@@ -786,13 +709,12 @@ class PartitionedCrackerColumn {
   /// still-pending ones). Thread-safe.
   std::size_t size() const { return live_size_.load(std::memory_order_relaxed); }
   std::size_t num_partitions() const { return shards_.size(); }
-  /// Stripe-latch table capacity per partition (1 in kPartitionMutex mode;
-  /// the clamped latch_stripes option otherwise).
+  /// Stripe-latch table capacity per partition (the clamped latch_stripes
+  /// option).
   std::size_t latch_stripes() const { return shards_.front()->stripes.size(); }
   /// Partition p's *active* stripe count — how many of the allocated
   /// stripes the block hash currently maps to. Starts small and doubles
-  /// with realized cuts under adaptive_stripes; pinned at the capacity
-  /// otherwise. Thread-safe.
+  /// with realized cuts up to the capacity. Thread-safe.
   std::size_t active_stripes(std::size_t p) const {
     AIDX_CHECK(p < shards_.size());
     const std::shared_lock<std::shared_mutex> guard(shards_[p]->structural);
@@ -859,8 +781,7 @@ class PartitionedCrackerColumn {
   /// in distinct blocks, while a huge early piece simply covers every
   /// stripe (equivalent to whole-partition exclusion — which it is).
   static constexpr std::size_t kStripeBlockShift = 8;
-  /// Initial active stripe count under adaptive_stripes: a nearly uncracked
-  /// shard has few pieces, so a few wide stripes conflict no more than many
+  /// Initial active stripe count: a nearly uncracked shard has few pieces, so a few wide stripes conflict no more than many
   /// narrow ones and cost fewer latch acquisitions per piece.
   static constexpr std::size_t kInitialActiveStripes = 4;
   /// Per-shard slots for the free-status registry (threads hash into one).
@@ -896,7 +817,7 @@ class PartitionedCrackerColumn {
     std::vector<StripedPendingTuple> deletes;
   };
 
-  /// Fast-path work counters (kStripedPiece). Relaxed atomics: bumped under
+  /// Fast-path work counters. Relaxed atomics: bumped under
   /// shared latches, aggregated into CrackerStats by AggregatedStats.
   struct StripedShardStats {
     std::atomic<std::size_t> num_selects{0};
@@ -910,19 +831,14 @@ class PartitionedCrackerColumn {
     Shard(std::vector<T> values, std::vector<row_id_t> row_ids,
           const CrackerColumnOptions& opts, const PartitionedCrackerOptions& parent,
           std::size_t self_index)
-        : stripes(parent.latch_mode == LatchMode::kStripedPiece
-                      ? std::clamp<std::size_t>(parent.latch_stripes, 1,
-                                                kMaxLatchStripes)
-                      : 1),
+        : stripes(std::clamp<std::size_t>(parent.latch_stripes, 1,
+                                          kMaxLatchStripes)),
           write_buckets(stripes.size()),
-          active_stripes(parent.latch_mode == LatchMode::kStripedPiece &&
-                                 parent.adaptive_stripes
-                             ? std::min(kInitialActiveStripes, stripes.size())
-                             : stripes.size()),
+          active_stripes(std::min(kInitialActiveStripes, stripes.size())),
           index(self_index),
           // Same seed as the inner column's stochastic rng: single-threaded
-          // pure-query runs then pick identical pivots in both latch modes,
-          // which is what pins the differential stat-parity tests.
+          // pure-query runs then pick the same pivots as a twin driven
+          // through Select(), which pins the differential stat-parity tests.
           rng(opts.stochastic_seed),
           column(std::move(values), std::move(row_ids),
                  typename UpdatableCrackerColumn<T>::Options{
@@ -931,11 +847,7 @@ class PartitionedCrackerColumn {
                      .crack = opts},
                  /*first_fresh_rid=*/0) {}
 
-    // kPartitionMutex: the whole protocol — this latch guards `column`,
-    // including its stats and pending stores.
-    mutable std::mutex latch;
-
-    // kStripedPiece (docs/CONCURRENCY.md §4). Latch order: structural ->
+    // The piece protocol (docs/CONCURRENCY.md §4). Latch order: structural ->
     // stripes (ascending) -> {index_latch | write-bucket mu | rng_latch},
     // the three leaves (nothing is acquired while holding any of them).
     //
@@ -1135,16 +1047,10 @@ class PartitionedCrackerColumn {
     return mask;
   }
 
-  /// Runs fn under whole-partition exclusion: the partition mutex in
-  /// kPartitionMutex mode, the structural latch (exclusive) in
-  /// kStripedPiece mode. Writes, merges, stats aggregation, and the raw
-  /// Select path use this.
+  /// Runs fn under whole-partition exclusion (`structural` exclusive).
+  /// Stats aggregation, validation, and the raw Select path use this.
   template <typename Fn>
   decltype(auto) WithShardExclusive(const Shard& shard, Fn&& fn) const {
-    if (options_.latch_mode == LatchMode::kPartitionMutex) {
-      const std::lock_guard<std::mutex> guard(shard.latch);
-      return fn();
-    }
     const std::unique_lock<std::shared_mutex> guard(shard.structural);
     return fn();
   }
@@ -1213,8 +1119,7 @@ class PartitionedCrackerColumn {
   }
 
   /// The striped read protocol's one skeleton, shared by Count/Sum/
-  /// Materialize*. kPartitionMutex: whole-partition exclusion + `coarse`.
-  /// kStripedPiece, under `structural` shared:
+  /// Materialize*. Under `structural` shared:
   ///
   ///  - no pending update matches `pred` (PendingOverlaps): run
   ///    `fast(resolved range)` under the shared stripe masks of the edges —
@@ -1237,10 +1142,6 @@ class PartitionedCrackerColumn {
   auto StripedReadOrCoarse(Shard& shard, const RangePredicate<T>& pred,
                            bool core_needs_values, FastFn&& fast,
                            OverlayFn&& overlay, CoarseFn&& coarse) {
-    if (options_.latch_mode == LatchMode::kPartitionMutex) {
-      const std::lock_guard<std::mutex> guard(shard.latch);
-      return coarse();
-    }
     using Result = decltype(coarse());
     Result result{};
     bool answered = false;
@@ -1444,7 +1345,7 @@ class PartitionedCrackerColumn {
   // update needs merging for this predicate. Mirrors CrackerColumn::Select
   // decision-for-decision (crack-in-three fast path, stochastic pre-cracks,
   // sub-threshold edges) so that single-threaded runs produce bit-identical
-  // piece structures and stats in both latch modes.
+  // piece structures and stats to the inner column's own Select.
 
   StripedRange StripedResolve(Shard& shard, const RangePredicate<T>& pred) {
     shard.striped_stats.num_selects.fetch_add(1, std::memory_order_relaxed);
@@ -1685,11 +1586,6 @@ class PartitionedCrackerColumn {
 
   // -- The striped write path (docs/CONCURRENCY.md §4) ---------------------
 
-  bool UseStripedWrites() const {
-    return options_.latch_mode == LatchMode::kStripedPiece &&
-           options_.write_mode == WriteMode::kStripedWrite;
-  }
-
   WriteBucket& BucketFor(const Shard& shard, T value) const {
     return shard.write_buckets[std::hash<T>{}(value) %
                                shard.write_buckets.size()];
@@ -1834,10 +1730,6 @@ class PartitionedCrackerColumn {
   /// holds whole-partition exclusion, so no thread can hold a stripe latch
   /// and the block -> stripe remap is safe.
   void MaybeGrowStripes(Shard& shard) const {
-    if (options_.latch_mode != LatchMode::kStripedPiece ||
-        !options_.adaptive_stripes) {
-      return;
-    }
     const std::size_t cuts = shard.column.index().num_cuts();
     shard.realized_cuts.store(cuts, std::memory_order_relaxed);
     const std::size_t cap = shard.stripes.size();
@@ -1850,8 +1742,7 @@ class PartitionedCrackerColumn {
   /// relaxed cut mirror). Caller holds `structural` shared, which pins
   /// active_stripes.
   bool StripeGrowthDue(const Shard& shard) const {
-    return options_.adaptive_stripes &&
-           shard.active_stripes < shard.stripes.size() &&
+    return shard.active_stripes < shard.stripes.size() &&
            shard.realized_cuts.load(std::memory_order_relaxed) >=
                2 * shard.active_stripes;
   }
@@ -1887,6 +1778,20 @@ class PartitionedCrackerColumn {
       return;
     }
     RequestBackgroundMerge(shard.index);
+  }
+
+  /// Spins until no background merge task is queued or running.
+  void WaitForInFlightMerges() const {
+    while (background_tasks_.load(std::memory_order_acquire) != 0) {
+      std::this_thread::yield();
+    }
+  }
+
+  /// True when the shard holds buffered writes or pending-store updates.
+  bool HasUnmergedUpdates(const Shard& shard) const {
+    if (shard.buffered_writes.load(std::memory_order_acquire) != 0) return true;
+    const std::shared_lock<std::shared_mutex> structural(shard.structural);
+    return shard.column.has_pending();
   }
 
   /// Foreground fallback for degraded shards: drain the write buckets and

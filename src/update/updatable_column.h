@@ -111,16 +111,9 @@ class UpdatableCrackerColumn : public CrackerColumn<T> {
   /// Queues an insert; returns the new tuple's row id.
   row_id_t Insert(T value) {
     const row_id_t rid = next_row_id_++;
-    InsertWithRid(value, rid);
-    return rid;
-  }
-
-  /// Queues an insert carrying a caller-chosen row id (partitioned columns
-  /// allocate globally unique ids outside the shard).
-  void InsertWithRid(T value, row_id_t rid) {
-    if (rid != kPendingNoRid && rid >= next_row_id_) next_row_id_ = rid + 1;
     pending_inserts_.push_back({value, rid});
     ++stats_.inserts_queued;
+    return rid;
   }
 
   /// Queues a delete of the tuple (value, rid). If the tuple is still a
@@ -272,9 +265,9 @@ class UpdatableCrackerColumn : public CrackerColumn<T> {
   }
 
   /// Adopts an insert that was already counted as queued by an outer
-  /// buffer (the partitioned column's striped write buckets): identical to
-  /// InsertWithRid minus the inserts_queued bump, so draining a buffer
-  /// never double-counts.
+  /// buffer (the partitioned column's striped write buckets), carrying the
+  /// row id the outer layer allocated. Skips the inserts_queued bump, so
+  /// draining a buffer never double-counts.
   void AdoptPendingInsert(T value, row_id_t rid) {
     if (rid != kPendingNoRid && rid >= next_row_id_) next_row_id_ = rid + 1;
     pending_inserts_.push_back({value, rid});

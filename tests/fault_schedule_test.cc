@@ -171,8 +171,6 @@ using ParallelColumn = PartitionedCrackerColumn<std::int64_t>;
 PartitionedCrackerOptions MachineOptions(std::size_t threshold) {
   PartitionedCrackerOptions options;
   options.num_partitions = 2;
-  options.latch_mode = LatchMode::kStripedPiece;
-  options.write_mode = WriteMode::kStripedWrite;
   options.background_merge_threshold = threshold;
   options.background_merge_chunk = 128;
   return options;

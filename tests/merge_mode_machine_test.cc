@@ -5,7 +5,9 @@
 //    shard off Normal, a second request while off Normal is rejected, and
 //    the machine always returns to Normal once the merge drains;
 //  - requests degrade to "did not run" (false, no state change) without a
-//    pool, without pool workers, or under kPartitionMutex;
+//    pool or without pool workers;
+//  - quiescence: WaitForBackgroundMerges absorbs every write made before
+//    it, including sub-threshold leftovers no run was triggered for;
 //  - readers are never blocked while a shard is Merging: queries running
 //    concurrently with a chunked background merge stay exact throughout;
 //  - background merge is observationally identical to the foreground
@@ -53,8 +55,6 @@ PartitionedCrackerOptions MachineOptions(std::size_t threshold,
                                          std::size_t chunk = 128) {
   PartitionedCrackerOptions options;
   options.num_partitions = 2;
-  options.latch_mode = LatchMode::kStripedPiece;
-  options.write_mode = WriteMode::kStripedWrite;
   options.background_merge_threshold = threshold;
   options.background_merge_chunk = chunk;
   return options;
@@ -72,8 +72,6 @@ TEST(MergeModeMachineTest, ShardsStartNormalAndNamesRoundTrip) {
                "prepare-to-merge");
   EXPECT_STREQ(ShardMergeModeName(ShardMergeMode::kMerging), "merging");
   EXPECT_STREQ(ShardMergeModeName(ShardMergeMode::kMerged), "merged");
-  EXPECT_STREQ(WriteModeName(WriteMode::kStripedWrite), "striped-write");
-  EXPECT_STREQ(WriteModeName(WriteMode::kCoarseWrite), "coarse-write");
 }
 
 TEST(MergeModeMachineTest, RequestsDegradeWithoutARunnableMachine) {
@@ -88,13 +86,6 @@ TEST(MergeModeMachineTest, RequestsDegradeWithoutARunnableMachine) {
     Column col(base, MachineOptions(8), &empty_pool);
     EXPECT_FALSE(col.RequestBackgroundMerge(0));
     EXPECT_EQ(col.shard_mode(0), ShardMergeMode::kNormal);
-  }
-  {
-    ThreadPool pool(1);
-    PartitionedCrackerOptions options = MachineOptions(8);
-    options.latch_mode = LatchMode::kPartitionMutex;
-    Column col(base, options, &pool);
-    EXPECT_FALSE(col.RequestBackgroundMerge(0));
   }
 }
 
@@ -142,6 +133,29 @@ TEST(MergeModeMachineTest, ThresholdCrossingTriggersAndDrains) {
   const UpdateStats stats = col.AggregatedUpdateStats();
   EXPECT_EQ(stats.inserts_queued, 64u);
   EXPECT_EQ(stats.inserts_merged + stats.deletes_cancelled, 64u);
+  EXPECT_TRUE(col.ValidatePieces());
+}
+
+// The quiescence regression, made deterministic: threshold - 1 buffered
+// writes never cross the threshold, so no run is ever triggered for them.
+// WaitForBackgroundMerges must still absorb them; a wait that only
+// watches the task count returns at once and leaves them pending.
+TEST(MergeModeMachineTest, WaitAbsorbsSubThresholdLeftovers) {
+  constexpr std::size_t kThreshold = 8;
+  const auto base = RandomValues(4000, 1000, 53);
+  ThreadPool pool(2);
+  Column col(base, MachineOptions(kThreshold), &pool);
+  col.WaitForBackgroundMerges();
+  for (std::size_t i = 0; i < kThreshold - 1; ++i) {
+    col.Insert(static_cast<std::int64_t>(i));  // all land in partition 0
+  }
+  ASSERT_EQ(col.pending_update_count(), kThreshold - 1);
+  col.WaitForBackgroundMerges();
+  EXPECT_EQ(col.pending_update_count(), 0u);
+  for (std::size_t p = 0; p < col.num_partitions(); ++p) {
+    EXPECT_EQ(col.shard_mode(p), ShardMergeMode::kNormal);
+  }
+  EXPECT_EQ(col.Count(Pred::All()), base.size() + kThreshold - 1);
   EXPECT_TRUE(col.ValidatePieces());
 }
 
@@ -289,22 +303,31 @@ TEST(MergeModeMachineTest, MoveTransfersAQuiescentMachine) {
 TEST(MergeModeMachineTest, DisjointQueriesKeepFullFastPathHitRate) {
   for (const MergePolicy policy :
        {MergePolicy::kRipple, MergePolicy::kComplete, MergePolicy::kGradual}) {
-  for (const WriteMode write_mode :
-       {WriteMode::kStripedWrite, WriteMode::kCoarseWrite}) {
-    // kCoarseWrite places the pending tuples in the internal per-shard
-    // stores, the exact spot where NeedsMergeFor used to short-circuit to
-    // "merge everything" under kComplete/kGradual; kStripedWrite places
-    // them in the write buckets. Neither location may tax disjoint reads.
+  for (const bool in_inner_stores : {false, true}) {
+    // Pending tuples sit either in the write buckets, or in the internal
+    // per-shard stores — the exact spot where NeedsMergeFor used to
+    // short-circuit to "merge everything" under kComplete/kGradual.
+    // Neither location may tax disjoint reads. Under kComplete any merge
+    // folds every pending tuple, so drained tuples rest in its inner
+    // stores only mid-background-merge, where reads take the overlay path.
+    if (in_inner_stores && policy == MergePolicy::kComplete) continue;
     const auto base = RandomValues(8000, 1000, 41);
     PartitionedCrackerOptions options = MachineOptions(/*threshold=*/0);
     options.merge_policy = policy;
-    options.write_mode = write_mode;
+    // kGradual then merges only what a query needs, like kRipple.
+    if (in_inner_stores) options.gradual_budget = 0;
     Column col(base, options);
     // Warm up the cracked structure, then buffer writes far above the
     // query domain: every pending key is >= 5000, every query is < 1000.
     (void)col.Count(Pred::Between(100, 900));
     for (std::int64_t v = 0; v < 50; ++v) col.Insert(5000 + v);
-    ASSERT_GT(col.pending_update_count(), 0u);
+    if (in_inner_stores) {
+      // A raw Select over the top partition drains its write buckets into
+      // the inner stores under exclusion; disjoint from every pending key,
+      // it merges none of them.
+      (void)col.Select(Pred::Between(900, 999));
+    }
+    ASSERT_EQ(col.pending_update_count(), 50u);
     const StripedReadPathStats before = col.AggregatedReadPathStats();
     Rng rng(42);
     for (int q = 0; q < 200; ++q) {

@@ -196,12 +196,11 @@ TEST(PartitionedCrackerTest, EmptyColumn) {
 
 TEST(PartitionedCrackerTest, StatsAggregateAcrossPartitions) {
   const auto base = RandomValues(8000, 1000, 37);
-  // Partition-mutex mode: all work flows through the inner columns, so the
-  // aggregate must equal the per-partition sum exactly.
-  Column col(base,
-             {.num_partitions = 4, .latch_mode = LatchMode::kPartitionMutex});
+  // Queries driven through Select(): all work flows through the inner
+  // columns, so the aggregate must equal the per-partition sum exactly.
+  Column col(base, {.num_partitions = 4});
   Rng rng(38);
-  for (int q = 0; q < 50; ++q) col.Count(RandomPredicate(&rng, 1000));
+  for (int q = 0; q < 50; ++q) (void)col.Select(RandomPredicate(&rng, 1000));
   const CrackerStats stats = col.AggregatedStats();
   EXPECT_GT(stats.num_selects, 0u);
   EXPECT_GT(stats.num_crack_in_two + stats.num_crack_in_three, 0u);
@@ -214,10 +213,9 @@ TEST(PartitionedCrackerTest, StatsAggregateAcrossPartitions) {
 
 TEST(PartitionedCrackerTest, StatsAggregateIncludeStripedFastPath) {
   const auto base = RandomValues(8000, 1000, 37);
-  // Striped mode counts its fast-path selects in shard-level counters; the
+  // The striped fast path counts its selects in shard-level counters; the
   // aggregate must still see every query exactly once.
-  Column col(base,
-             {.num_partitions = 4, .latch_mode = LatchMode::kStripedPiece});
+  Column col(base, {.num_partitions = 4});
   Rng rng(38);
   std::size_t shard_queries = 0;
   for (int q = 0; q < 50; ++q) {
@@ -266,36 +264,6 @@ TEST(PartitionedCrackerTest, ConcurrentSelectStress) {
         const std::size_t got = col.Count(p);
         const std::size_t expect = ScanCount<std::int64_t>(base, p);
         if (got != expect) failures.fetch_add(1);
-      }
-    });
-  }
-  for (auto& thread : threads) thread.join();
-  EXPECT_EQ(failures.load(), 0);
-  EXPECT_TRUE(col.ValidatePieces());
-}
-
-// The same stress pinned to the kPartitionMutex fallback protocol, so the
-// PR-2 latch scheme stays TSan-covered alongside the striped default (the
-// striped mode has its own suite, tests/striped_latch_test.cc).
-TEST(PartitionedCrackerTest, ConcurrentSelectStressPartitionMutex) {
-  constexpr std::size_t kThreads = 8;
-  constexpr int kQueriesPerThread = 100;
-  constexpr std::int64_t kDomain = 2000;
-  const auto base = RandomValues(20000, kDomain, 49);
-  Column col(base,
-             {.num_partitions = 8, .latch_mode = LatchMode::kPartitionMutex});
-
-  std::atomic<int> failures{0};
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (std::size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      Rng rng(1500 + t);
-      for (int q = 0; q < kQueriesPerThread; ++q) {
-        const Pred p = RandomPredicate(&rng, kDomain);
-        if (col.Count(p) != ScanCount<std::int64_t>(base, p)) {
-          failures.fetch_add(1);
-        }
       }
     });
   }

@@ -70,8 +70,6 @@ Pred RandomPredicate(Rng* rng) {
 PartitionedCrackerOptions StressOptions(std::size_t background_threshold = 0) {
   PartitionedCrackerOptions options;
   options.num_partitions = 4;
-  options.latch_mode = LatchMode::kStripedPiece;
-  options.write_mode = WriteMode::kStripedWrite;
   options.background_merge_threshold = background_threshold;
   options.background_merge_chunk = 64;  // small chunks: more mode cycles
   return options;

@@ -3,17 +3,16 @@
 //  - differential oracle: under every merge policy and value type, a
 //    column taking the striped write path (piece-routed, value-hashed
 //    write buckets under stripe latches) must produce exactly the answers
-//    of the kPartitionMutex baseline AND of a plain vector model —
-//    including Delete's hit/miss return value on every single call;
+//    of a plain vector model — including Delete's hit/miss return value
+//    on every single call;
 //  - batch writes, row-id materialization, and stochastic cracking ride
 //    the same oracle;
 //  - multi-threaded writers against a single-threaded replay: the final
 //    multiset must match regardless of interleaving;
 //  - write accounting: striped enqueues land in AggregatedUpdateStats with
-//    the same queued/merged totals as the coarse path;
+//    exact queued/cancelled/merged totals;
 //  - adaptive stripe growth: the active stripe count starts small, grows
-//    only with realized cuts, never passes the allocated capacity, and
-//    pins to the capacity when adaptive_stripes is off.
+//    only with realized cuts, and never passes the allocated capacity.
 //
 // Runs under ThreadSanitizer via the `concurrency` ctest label
 // (scripts/check.sh --tsan).
@@ -60,21 +59,12 @@ RangePredicate<T> RandomPredicate(Rng* rng, std::int64_t domain) {
 PartitionedCrackerOptions StripedWriteOptions(std::size_t partitions = 6) {
   PartitionedCrackerOptions options;
   options.num_partitions = partitions;
-  options.latch_mode = LatchMode::kStripedPiece;
-  options.write_mode = WriteMode::kStripedWrite;
-  return options;
-}
-
-PartitionedCrackerOptions CoarseOptions(std::size_t partitions = 6) {
-  PartitionedCrackerOptions options;
-  options.num_partitions = partitions;
-  options.latch_mode = LatchMode::kPartitionMutex;
   return options;
 }
 
 // The core differential pin, typed over every column value type: striped
-// writes vs the coarse whole-partition baseline vs a vector model, with
-// every Delete's return value asserted equal call by call.
+// writes vs a vector model, with every Delete's return value asserted
+// equal call by call.
 template <typename T>
 class StripedWriteDifferentialTest : public ::testing::Test {};
 
@@ -89,17 +79,13 @@ TYPED_TEST(StripedWriteDifferentialTest, MixedWorkloadAllMergePolicies) {
     auto model = RandomValues<T>(6000, kDomain, 81);
     PartitionedCrackerOptions striped_opts = StripedWriteOptions();
     striped_opts.merge_policy = policy;
-    PartitionedCrackerOptions coarse_opts = CoarseOptions();
-    coarse_opts.merge_policy = policy;
     PartitionedCrackerColumn<T> striped(model, striped_opts);
-    PartitionedCrackerColumn<T> coarse(model, coarse_opts);
     Rng rng(82);
     for (int step = 0; step < 600; ++step) {
       const auto dice = rng.NextBounded(10);
       if (dice < 3) {
         const T v = static_cast<T>(rng.NextBounded(kDomain));
         striped.Insert(v);
-        coarse.Insert(v);
         model.push_back(v);
       } else if (dice < 5) {
         // Half the deletes target live values, half target values that may
@@ -116,15 +102,11 @@ TYPED_TEST(StripedWriteDifferentialTest, MixedWorkloadAllMergePolicies) {
         }();
         ASSERT_EQ(striped.Delete(v), expect)
             << MergePolicyName(policy) << " step " << step;
-        ASSERT_EQ(coarse.Delete(v), expect)
-            << MergePolicyName(policy) << " step " << step;
       } else if (dice < 8) {
         const auto p = RandomPredicate<T>(&rng, kDomain);
         const std::size_t expect = ScanCount<T>(model, p);
         ASSERT_EQ(striped.Count(p), expect)
             << MergePolicyName(policy) << " step " << step << " " << p.ToString();
-        ASSERT_EQ(coarse.Count(p), expect)
-            << MergePolicyName(policy) << " step " << step;
       } else {
         const auto p = RandomPredicate<T>(&rng, kDomain);
         const long double expect = ScanSum<T>(model, p);
@@ -135,9 +117,7 @@ TYPED_TEST(StripedWriteDifferentialTest, MixedWorkloadAllMergePolicies) {
     }
     EXPECT_EQ(striped.size(), model.size()) << MergePolicyName(policy);
     EXPECT_EQ(striped.Count(RangePredicate<T>::All()), model.size());
-    EXPECT_EQ(coarse.Count(RangePredicate<T>::All()), model.size());
     EXPECT_TRUE(striped.ValidatePieces()) << MergePolicyName(policy);
-    EXPECT_TRUE(coarse.ValidatePieces()) << MergePolicyName(policy);
   }
 }
 
@@ -321,29 +301,25 @@ TEST(StripedWriteTest, ConcurrentWritersConvergeToSequentialReplay) {
   EXPECT_TRUE(col.ValidatePieces());
 }
 
+// The write ledger the single-threaded pipeline would keep: 30 queued
+// inserts; 10 deletes, each of a value with a buffered insert, so each
+// cancels it; after a full-range query every surviving insert is merged.
 TEST(StripedWriteTest, QueuedAndMergedCountsMatchCoarsePath) {
   const auto base = RandomValues<std::int64_t>(4000, 1000, 101);
   PartitionedCrackerColumn<std::int64_t> striped(base, StripedWriteOptions());
-  PartitionedCrackerColumn<std::int64_t> coarse(base, CoarseOptions());
-  for (std::int64_t v = 0; v < 30; ++v) {
-    striped.Insert(v * 13 % 1000);
-    coarse.Insert(v * 13 % 1000);
-  }
+  for (std::int64_t v = 0; v < 30; ++v) striped.Insert(v * 13 % 1000);
   for (std::int64_t v = 0; v < 10; ++v) {
     ASSERT_TRUE(striped.Delete(v * 13 % 1000));
-    ASSERT_TRUE(coarse.Delete(v * 13 % 1000));
   }
-  // Force every pending tuple through the pipeline, then compare ledgers.
+  // Force every pending tuple through the pipeline, then check the ledger.
   ASSERT_EQ(striped.Count(RangePredicate<std::int64_t>::All()),
-            coarse.Count(RangePredicate<std::int64_t>::All()));
+            base.size() + 20);
   const UpdateStats s = striped.AggregatedUpdateStats();
-  const UpdateStats c = coarse.AggregatedUpdateStats();
-  EXPECT_EQ(s.inserts_queued, c.inserts_queued);
-  EXPECT_EQ(s.deletes_queued + s.deletes_cancelled,
-            c.deletes_queued + c.deletes_cancelled);
-  EXPECT_EQ(s.inserts_merged + s.deletes_cancelled,
-            c.inserts_merged + c.deletes_cancelled);
   EXPECT_EQ(s.inserts_queued, 30u);
+  EXPECT_EQ(s.deletes_queued + s.deletes_cancelled, 10u);
+  EXPECT_EQ(s.inserts_merged + s.deletes_cancelled, 30u);
+  EXPECT_EQ(s.deletes_merged, s.deletes_queued);
+  EXPECT_EQ(striped.pending_update_count(), 0u);
 }
 
 TEST(StripedWriteTest, InsertThenDeleteCancelsInsideTheBucket) {
@@ -380,34 +356,6 @@ TEST(StripedWriteTest, DeleteClaimsAreExactAcrossDuplicates) {
   EXPECT_TRUE(col.ValidatePieces());
 }
 
-TEST(StripedWriteTest, CoarseWriteModeUnderStripedLatchesStaysExact) {
-  // write_mode is independent of latch_mode: striped reads with the coarse
-  // write fallback must still satisfy the model.
-  constexpr std::int64_t kDomain = 600;
-  auto model = RandomValues<std::int64_t>(3000, kDomain, 105);
-  PartitionedCrackerOptions options = StripedWriteOptions();
-  options.write_mode = WriteMode::kCoarseWrite;
-  PartitionedCrackerColumn<std::int64_t> col(model, options);
-  Rng rng(106);
-  for (int step = 0; step < 300; ++step) {
-    const auto dice = rng.NextBounded(6);
-    if (dice < 2) {
-      const auto v = static_cast<std::int64_t>(rng.NextBounded(kDomain));
-      col.Insert(v);
-      model.push_back(v);
-    } else if (dice < 3 && !model.empty()) {
-      const std::size_t pick = rng.NextBounded(model.size());
-      ASSERT_TRUE(col.Delete(model[pick]));
-      model[pick] = model.back();
-      model.pop_back();
-    } else {
-      const auto p = RandomPredicate<std::int64_t>(&rng, kDomain);
-      ASSERT_EQ(col.Count(p), ScanCount<std::int64_t>(model, p));
-    }
-  }
-  EXPECT_TRUE(col.ValidatePieces());
-}
-
 TEST(StripedWriteTest, AdaptiveStripesGrowWithRealizedCuts) {
   const auto base = RandomValues<std::int64_t>(40000, 10000, 107);
   PartitionedCrackerOptions options = StripedWriteOptions(2);
@@ -427,23 +375,11 @@ TEST(StripedWriteTest, AdaptiveStripesGrowWithRealizedCuts) {
     grown = std::max(grown, col.active_stripes(p));
   }
   EXPECT_GT(grown, 4u) << "hundreds of cracks must grow the active table";
-
-  // With adaptation off, the full capacity is active from the start.
-  options.adaptive_stripes = false;
-  PartitionedCrackerColumn<std::int64_t> fixed(base, options);
-  EXPECT_EQ(fixed.active_stripes(0), 64u);
-  EXPECT_EQ(fixed.active_stripes(1), 64u);
 }
 
 TEST(StripedWriteTest, DisplayNamesExposeWriteKnobs) {
   StrategyConfig config = StrategyConfig::ParallelCrack(8, 4);
   EXPECT_EQ(config.DisplayName(), "pcrack(8x4)");  // defaults stay terse
-  config.write_mode = WriteMode::kCoarseWrite;
-  EXPECT_EQ(config.DisplayName(), "pcrack(8x4-wc)");
-  config.write_mode = WriteMode::kStripedWrite;
-  config.adaptive_stripes = false;
-  EXPECT_EQ(config.DisplayName(), "pcrack(8x4-fs)");
-  config.adaptive_stripes = true;
   config.background_merge_threshold = 64;
   EXPECT_EQ(config.DisplayName(), "pcrack(8x4-bg64)");
   // Knob variants must be distinct configs (the Database caches on this).

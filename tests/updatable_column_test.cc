@@ -130,6 +130,16 @@ struct PolicyParam {
   const char* name;
 };
 
+// Static storage, so the padding after `policy` is zero-filled: the
+// parameter is printed byte-wise into the test name, and padding taken
+// from the stack would make the name change from one listing to the next.
+constexpr PolicyParam kPolicyParams[] = {
+    {MergePolicy::kRipple, 0, "MRI"},
+    {MergePolicy::kComplete, 0, "MCI"},
+    {MergePolicy::kGradual, 4, "MGI4"},
+    {MergePolicy::kGradual, 64, "MGI64"},
+};
+
 class UpdatePolicyTest : public ::testing::TestWithParam<PolicyParam> {};
 
 // The central property: under any interleaving of queries, inserts, and
@@ -175,10 +185,7 @@ TEST_P(UpdatePolicyTest, DifferentialAgainstImmediateModel) {
 
 INSTANTIATE_TEST_SUITE_P(
     Policies, UpdatePolicyTest,
-    ::testing::Values(PolicyParam{MergePolicy::kRipple, 0, "MRI"},
-                      PolicyParam{MergePolicy::kComplete, 0, "MCI"},
-                      PolicyParam{MergePolicy::kGradual, 4, "MGI4"},
-                      PolicyParam{MergePolicy::kGradual, 64, "MGI64"}),
+    ::testing::ValuesIn(kPolicyParams),
     [](const auto& info) { return info.param.name; });
 
 TEST(UpdatableColumnTest, SumReflectsUpdates) {
