@@ -24,7 +24,11 @@
 # scripts/compare_bench.py — schema plus per-bench headline metrics (a
 # trend gate, not a noise gate). CI runs this on every push and uploads
 # the JSONs as artifacts — the repo's recorded perf trajectory. Scale
-# overrides: AIDX_N / AIDX_Q as usual.
+# overrides: AIDX_N / AIDX_Q as usual. It then runs every engine_bench
+# workload for one second (built under build/engine-bench): each answer
+# is replayed against the bench's independent oracle, and a wrong answer,
+# a build failure or the wall-clock cap fails the smoke. Its timings are
+# not gated.
 #
 # scripts/check.sh --faults [schedule] runs the fault-injection chaos
 # harness under ThreadSanitizer: same build-tsan/ tree as --tsan, but the
@@ -140,8 +144,11 @@ if [[ "${1:-}" == "--bench-smoke" ]]; then
       build/bench-artifacts/BENCH_e11_parallel_scaling.json \
       build/bench-artifacts/BENCH_e4_updates.json \
       build/bench-artifacts/BENCH_e13_sharded.json
+    CARGO_TARGET_DIR=build/engine-bench \
+      python3 engine_bench/run.py --workload all --seed 1 --seconds 1
   else
-    echo "bench-smoke: python3 unavailable; skipped compare_bench.py gate" >&2
+    echo "bench-smoke: python3 unavailable; skipped compare_bench.py gate" \
+      "and the engine_bench oracle smoke" >&2
   fi
   exit 0
 fi

@@ -134,11 +134,16 @@ class AdaptiveMergingIndex {
 
   /// Sum of matching values; merges as a side effect.
   long double Sum(const RangePredicate<T>& pred) {
+    return RoundSum<T>(SumPartial(pred));
+  }
+
+  /// Sum before its one rounding step (SumAcc, index/scan.h).
+  SumAcc<T> SumPartial(const RangePredicate<T>& pred) {
     ++stats_.num_queries;
-    if (pred.DefinitelyEmpty()) return 0;
+    if (pred.DefinitelyEmpty()) return {};
     AbsorbPending();
     EnsureMerged(CutRangeForPredicate(pred));
-    return final_tree_.SumRange(pred);
+    return final_tree_.SumRangePartial(pred);
   }
 
   /// Materializes matching (value, row-id) pairs in key order.

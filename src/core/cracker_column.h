@@ -207,9 +207,9 @@ class CrackerColumn {
     return SumFrom(Select(pred), pred);
   }
 
-  Result<long double> Sum(const RangePredicate<T>& pred, const QueryContext& ctx) {
+  Result<SumAcc<T>> SumPartial(const RangePredicate<T>& pred, const QueryContext& ctx) {
     AIDX_ASSIGN_OR_RETURN(const CrackSelect sel, Select(pred, ctx));
-    return RoundSum<T>(SumFrom(sel, pred));
+    return SumFrom(sel, pred);
   }
 
   /// Appends matching values to `out` in storage order.

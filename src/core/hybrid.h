@@ -171,8 +171,13 @@ class HybridIndex {
 
   /// Sum of matching values; migrates as a side effect.
   long double Sum(const RangePredicate<T>& pred) {
+    return RoundSum<T>(SumPartial(pred));
+  }
+
+  /// Sum before its one rounding step (SumAcc, index/scan.h).
+  SumAcc<T> SumPartial(const RangePredicate<T>& pred) {
     ++stats_.num_queries;
-    if (pred.DefinitelyEmpty()) return 0;
+    if (pred.DefinitelyEmpty()) return {};
     AbsorbPending();
     const CutRange<T> target = CutRangeForPredicate(pred);
     EnsureMerged(target);
@@ -180,7 +185,7 @@ class HybridIndex {
     ForEachAnswerRange(target, pred, [&](const FinalSegment& seg, PositionRange r) {
       sum = SumValues<T>(seg.org.values().subspan(r.begin, r.size()), sum);
     });
-    return RoundSum<T>(sum);
+    return sum;
   }
 
   /// Materializes matching values (and row ids when enabled). Order is

@@ -1,6 +1,8 @@
 #include "dist/sharded_database.h"
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <utility>
 
 #include "storage/table.h"
@@ -28,6 +30,23 @@ std::string PieceScope(std::string_view table, std::size_t chunk) {
 
 /// Rows extracted per dist.migrate_piece evaluation during rebalance.
 constexpr std::size_t kMigrateChunkRows = 4096;
+
+/// Sanitizer builds run a leg about ten times slower than a release build.
+/// The budget below scales with them, so that those builds keep taking the
+/// inline path that release builds take: checking it is what they are for.
+#if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
+constexpr int kSanitizerSlowdown = 10;
+#else
+constexpr int kSanitizerSlowdown = 1;
+#endif
+
+/// A multi-leg scatter runs on the calling thread while its legs finish
+/// under this budget (sharded_database.h, "Threading"). About one pool
+/// hand-off on a 4-vCPU host: a cheaper leg costs less than moving it to
+/// a worker. A constant, not a knob: it compares a leg with the hand-off
+/// it would save, and only a machine with a very different wake-up
+/// latency would want a different value.
+constexpr std::chrono::microseconds kInlineLegBudget{20 * kSanitizerSlowdown};
 
 /// Bounded retries for the evacuation DeleteWhere once the target has
 /// absorbed the rows — the only failure source there is probabilistic
@@ -180,13 +199,14 @@ template <typename Fn>
 Status ShardedDatabase::Scatter(std::string_view table,
                                 const std::vector<std::size_t>& targets,
                                 const QueryRequest& req, Fn&& fn) {
-  // One token per scatter, chained to the caller's: the first failing leg
-  // cancels its siblings at their next piece check without being able to
-  // cancel the caller's query as a whole.
-  const QueryContext base = req.context ? *req.context : QueryContext();
-  auto scatter_token = CancellationToken::Chained(base.token());
-  QueryContext leg_ctx = base;
-  leg_ctx.SetToken(scatter_token);
+  // One leg request per scatter, shared by every leg. Its token is fresh
+  // and chained to the caller's: the first failing leg cancels its
+  // siblings at their next piece check without being able to cancel the
+  // caller's query as a whole.
+  QueryRequest leg = req;
+  if (!leg.context.has_value()) leg.context.emplace();
+  auto scatter_token = CancellationToken::Chained(leg.context->token());
+  leg.context->SetToken(scatter_token);
   std::vector<Status> statuses(targets.size(), Status::OK());
   const auto run_leg = [&](std::size_t ti) {
     const std::size_t s = targets[ti];
@@ -196,8 +216,6 @@ Status ShardedDatabase::Scatter(std::string_view table,
       st = failpoints::dist_scatter.Inject(ScatterScope(table, s));
     }
     if (st.ok()) {
-      QueryRequest leg = req;
-      leg.context = leg_ctx;
       std::lock_guard<std::mutex> shard_lock(*shard_mu_[s]);
       st = fn(ti, s, leg);
     }
@@ -206,10 +224,34 @@ Status ShardedDatabase::Scatter(std::string_view table,
       scatter_token->Cancel();
     }
   };
-  if (scatter_pool_ != nullptr && targets.size() > 1) {
-    scatter_pool_->ParallelFor(targets.size(), run_leg);
-  } else {
+  if (scatter_pool_ == nullptr || targets.size() == 1) {
     for (std::size_t ti = 0; ti < targets.size(); ++ti) run_leg(ti);
+  } else {
+    // True when the leg finished within kInlineLegBudget.
+    const auto run_timed_leg = [&](std::size_t ti) {
+      const auto start = std::chrono::steady_clock::now();
+      run_leg(ti);
+      return std::chrono::steady_clock::now() - start <= kInlineLegBudget;
+    };
+    bool cheap = true;
+    std::size_t next = 0;
+    if (legs_cheap_.load(std::memory_order_relaxed)) {
+      // The last fan-out was all cheap legs: run them here, where they
+      // cost less than a hand-off. The first leg over budget sends the
+      // rest to the pool, so a wrong guess costs at most one leg.
+      while (cheap && next < targets.size()) cheap = run_timed_leg(next++);
+    }
+    if (next < targets.size()) {
+      const std::size_t first = next;
+      std::atomic<bool> pooled_cheap{true};
+      scatter_pool_->ParallelFor(targets.size() - first, [&](std::size_t i) {
+        if (!run_timed_leg(first + i)) {
+          pooled_cheap.store(false, std::memory_order_relaxed);
+        }
+      });
+      cheap = cheap && pooled_cheap.load(std::memory_order_relaxed);
+    }
+    legs_cheap_.store(cheap, std::memory_order_relaxed);
   }
   // Report the root cause: a leg's own error beats the Cancelled its
   // siblings unwound with.
@@ -246,16 +288,18 @@ Result<double> ShardedDatabase::Sum(const QueryRequest& req) {
   AIDX_ASSIGN_OR_RETURN(std::vector<std::size_t> targets,
                         TargetsFor(req.table, req.column, req.predicate));
   if (targets.empty()) return 0.0;
-  std::vector<double> sums(targets.size(), 0.0);
+  // Exact per-shard partials, rounded once: the same answer a single node
+  // holding every row gives, bit for bit.
+  std::vector<SumAcc<std::int64_t>> sums(targets.size());
   AIDX_RETURN_NOT_OK(Scatter(
       req.table, targets, req,
       [&](std::size_t ti, std::size_t s, const QueryRequest& leg) -> Status {
-        AIDX_ASSIGN_OR_RETURN(sums[ti], shards_[s]->Sum(leg));
+        AIDX_ASSIGN_OR_RETURN(sums[ti], shards_[s]->SumPartial(leg));
         return Status::OK();
       }));
-  double total = 0.0;
-  for (double x : sums) total += x;
-  return total;
+  SumAcc<std::int64_t> total = 0;
+  for (const SumAcc<std::int64_t>& x : sums) total += x;
+  return static_cast<double>(RoundSum<std::int64_t>(total));
 }
 
 Result<ProjectionResult<std::int64_t>> ShardedDatabase::SelectProject(
@@ -373,6 +417,9 @@ Result<RebalanceReport> ShardedDatabase::Rebalance(std::string_view table,
           "kept failing: " + std::string(evacuated.message()));
     }
   }
+  // The moved range's reads now fan out to both shards, and both queue
+  // merges: the last scatter's timings no longer describe the next one.
+  legs_cheap_.store(false, std::memory_order_relaxed);
   AIDX_RETURN_NOT_OK(router_.AddOverride(table, lo, hi, to));
   AIDX_RETURN_NOT_OK(tgt.ReplayColumnCuts(table, key_column, exports));
   return report;

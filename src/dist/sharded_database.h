@@ -5,8 +5,10 @@
 // them, and (optionally borrowing) a scatter pool. Queries take the
 // QueryRequest form verbatim — the same struct a single node serves — and
 // are scattered to the router's shard superset, gathered, and merged:
-// Count sums, Sum sums, SelectProject concatenates per-shard projections
-// in shard order. DML routes by the table's declared key column.
+// Count sums, Sum adds exact per-shard partials and rounds once (so it
+// equals a single node's Sum bit for bit), SelectProject concatenates
+// per-shard projections in shard order. DML routes by the table's
+// declared key column.
 //
 // Consistency model: one topology-wide reader/writer lock. Every query
 // and DML call holds it shared; Rebalance (and schema changes) hold it
@@ -15,6 +17,21 @@
 // observe a rebalance's intermediate state — a scatter sees the topology
 // either wholly before or wholly after a migration, which is what the
 // differential harness's mid-rebalance exactness checks rely on.
+//
+// Threading: a scatter's legs run where they are cheapest. A single-leg
+// scatter, or any scatter without a pool, runs on the calling thread. A
+// multi-leg scatter runs its legs on the calling thread too when every leg
+// of the previous multi-leg scatter finished under kInlineLegBudget
+// (20 µs, about one pool hand-off on a 4-vCPU host; ten times that in
+// sanitizer builds, whose legs run that much slower; sharded_database.cc)
+// — the converged case, where a leg is an index lookup and waking a worker
+// costs more than the leg. Otherwise — including the first fan-out of a
+// fresh store and the first after a rebalance — legs go to the pool via
+// ParallelFor. The budget is a constant, not a knob: it prices a leg
+// against the hand-off it saves. A wrong guess is bounded: the first
+// inline leg over budget hands the remaining legs to the pool. Where a
+// leg runs changes nothing else: it holds the same shard mutex, shares
+// the same chained token, and reports errors the same way.
 //
 // Deadlines and cancellation: a request's QueryContext is re-derived per
 // scatter — every leg shares one fresh token *chained* to the caller's
@@ -40,6 +57,7 @@
 // the validate phase, before either shard mutates.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <initializer_list>
 #include <memory>
@@ -65,7 +83,7 @@ struct ShardedDatabaseOptions {
   /// Per-node engine options. `node_options.thread_pool` is overwritten
   /// with `scatter_pool` so the nodes and the scatter share one pool.
   DatabaseOptions node_options;
-  /// Borrowed; may be null (scatter then runs inline on the caller).
+  /// Borrowed; may be null (every scatter then runs inline on the caller).
   ThreadPool* scatter_pool = nullptr;
   /// Consistent-hash ring resolution (vnodes per shard).
   std::size_t vnodes_per_shard = 64;
@@ -136,7 +154,7 @@ class ShardedDatabase {
 
   /// COUNT(*) summed over the shard superset for `req.predicate`.
   Result<std::size_t> Count(const QueryRequest& req);
-  /// SUM(column) over the superset.
+  /// SUM(column) over the superset: exact per-shard partials, rounded once.
   Result<double> Sum(const QueryRequest& req);
   /// Projection gathered in shard order (row order across shards is
   /// routing-dependent; compare as multisets).
@@ -177,17 +195,22 @@ class ShardedDatabase {
       std::string_view table, std::string_view column,
       const RangePredicate<std::int64_t>& pred) const;
 
-  /// Runs `fn(shard)` for every shard in `targets` — on the scatter pool
-  /// when one is configured and the fan-out warrants it, inline otherwise.
-  /// Each invocation holds that shard's mutex. Returns the first (lowest
-  /// shard index) non-OK status; a shared chained token cancels sibling
-  /// legs once any leg fails.
+  /// Runs `fn(ti, shard, leg_request)` for every shard in `targets` — on
+  /// the calling thread or the scatter pool per the file comment's
+  /// threading rule. Each invocation holds that shard's mutex; every leg
+  /// shares one leg request. Returns the root-cause non-OK status (a leg's
+  /// own error over its siblings' Cancelled); a shared chained token
+  /// cancels sibling legs once any leg fails.
   template <typename Fn>
   Status Scatter(std::string_view table, const std::vector<std::size_t>& targets,
                  const QueryRequest& req, Fn&& fn);
 
   ShardRouter router_;
   ThreadPool* scatter_pool_;  // borrowed; may be null
+  // Whether every leg of the last multi-leg scatter was under budget; the
+  // next one then runs inline. Starts false: a cold store fans out. A
+  // rebalance resets it.
+  std::atomic<bool> legs_cheap_{false};
   // unique_ptr: Database is move-only but the vector must not relocate
   // nodes while shard mutexes point at them.
   std::vector<std::unique_ptr<Database>> shards_;

@@ -200,7 +200,14 @@ class AccessPath {
   virtual ~AccessPath() = default;
   virtual std::string name() const = 0;
   virtual std::size_t Count(const RangePredicate<T>& pred) = 0;
-  virtual long double Sum(const RangePredicate<T>& pred) = 0;
+  /// SUM before its one rounding step (SumAcc, index/scan.h). Strategies
+  /// implement this; callers that combine sums across paths or nodes (the
+  /// dist gather) add partials and round once, so a split answer equals
+  /// the unsplit one bit for bit.
+  virtual SumAcc<T> SumPartial(const RangePredicate<T>& pred) = 0;
+  long double Sum(const RangePredicate<T>& pred) {
+    return RoundSum<T>(SumPartial(pred));
+  }
 
   /// Deadline/cancellation-aware variants (docs/ROBUSTNESS.md). The
   /// default checks the context once at entry — coarse granularity, honest
@@ -214,10 +221,14 @@ class AccessPath {
     AIDX_RETURN_NOT_OK(ctx.Check());
     return Count(pred);
   }
-  virtual Result<long double> Sum(const RangePredicate<T>& pred,
-                                  const QueryContext& ctx) {
+  virtual Result<SumAcc<T>> SumPartial(const RangePredicate<T>& pred,
+                                       const QueryContext& ctx) {
     AIDX_RETURN_NOT_OK(ctx.Check());
-    return Sum(pred);
+    return SumPartial(pred);
+  }
+  Result<long double> Sum(const RangePredicate<T>& pred, const QueryContext& ctx) {
+    AIDX_ASSIGN_OR_RETURN(const SumAcc<T> sum, SumPartial(pred, ctx));
+    return RoundSum<T>(sum);
   }
 
   /// Accepts one fresh tuple and returns the row id assigned to it. When
@@ -303,8 +314,8 @@ class ScanPath final : public AccessPath<T> {
   std::size_t Count(const RangePredicate<T>& pred) override {
     return ScanCount<T>(Data(), pred);
   }
-  long double Sum(const RangePredicate<T>& pred) override {
-    return ScanSum<T>(Data(), pred);
+  SumAcc<T> SumPartial(const RangePredicate<T>& pred) override {
+    return SumValues<T>(Data(), pred);
   }
   row_id_t Insert(T value) override {
     EnsureOwned();
@@ -354,9 +365,9 @@ class FullSortPath final : public AccessPath<T> {
     MergeDelta();
     return Index().CountRange(pred);
   }
-  long double Sum(const RangePredicate<T>& pred) override {
+  SumAcc<T> SumPartial(const RangePredicate<T>& pred) override {
     MergeDelta();
-    return Index().SumRange(pred);
+    return Index().SumRangePartial(pred);
   }
   row_id_t Insert(T value) override {
     Index();  // materialize while the base span is still valid
@@ -415,9 +426,9 @@ class BTreePath final : public AccessPath<T> {
     MergeDelta();
     return Tree().CountRange(pred);
   }
-  long double Sum(const RangePredicate<T>& pred) override {
+  SumAcc<T> SumPartial(const RangePredicate<T>& pred) override {
     MergeDelta();
-    return Tree().SumRange(pred);
+    return Tree().SumRangePartial(pred);
   }
   row_id_t Insert(T value) override {
     Tree();  // materialize while the base span is still valid
@@ -481,8 +492,8 @@ class CrackPath final : public AccessPath<T> {
   std::size_t Count(const RangePredicate<T>& pred) override {
     return Column().Count(pred);
   }
-  long double Sum(const RangePredicate<T>& pred) override {
-    return Column().Sum(pred);
+  SumAcc<T> SumPartial(const RangePredicate<T>& pred) override {
+    return Column().SumPartial(pred);
   }
   // Piece-granularity deadline/cancellation: the context reaches the crack
   // loops inside UpdatableCrackerColumn.
@@ -490,9 +501,9 @@ class CrackPath final : public AccessPath<T> {
                             const QueryContext& ctx) override {
     return Column().Count(pred, ctx);
   }
-  Result<long double> Sum(const RangePredicate<T>& pred,
-                          const QueryContext& ctx) override {
-    return Column().Sum(pred, ctx);
+  Result<SumAcc<T>> SumPartial(const RangePredicate<T>& pred,
+                               const QueryContext& ctx) override {
+    return Column().SumPartial(pred, ctx);
   }
   row_id_t Insert(T value) override { return Column().Insert(value); }
   bool Delete(T value) override { return Column().DeleteValue(value); }
@@ -558,8 +569,8 @@ class AdaptiveMergePath final : public AccessPath<T> {
   std::size_t Count(const RangePredicate<T>& pred) override {
     return Index().Count(pred);
   }
-  long double Sum(const RangePredicate<T>& pred) override {
-    return Index().Sum(pred);
+  SumAcc<T> SumPartial(const RangePredicate<T>& pred) override {
+    return Index().SumPartial(pred);
   }
   row_id_t Insert(T value) override { return Index().Insert(value); }
   bool Delete(T value) override { return Index().Delete(value); }
@@ -607,8 +618,8 @@ class HybridPath final : public AccessPath<T> {
   std::size_t Count(const RangePredicate<T>& pred) override {
     return Index().Count(pred);
   }
-  long double Sum(const RangePredicate<T>& pred) override {
-    return Index().Sum(pred);
+  SumAcc<T> SumPartial(const RangePredicate<T>& pred) override {
+    return Index().SumPartial(pred);
   }
   row_id_t Insert(T value) override { return Index().Insert(value); }
   bool Delete(T value) override { return Index().Delete(value); }
@@ -665,8 +676,8 @@ class ParallelCrackPath final : public AccessPath<T> {
   std::size_t Count(const RangePredicate<T>& pred) override {
     return Column().Count(pred);
   }
-  long double Sum(const RangePredicate<T>& pred) override {
-    return Column().Sum(pred);
+  SumAcc<T> SumPartial(const RangePredicate<T>& pred) override {
+    return Column().SumPartial(pred);
   }
   // Shard-granularity deadline/cancellation: the fan-out checks the
   // context before each shard's resolve (docs/ROBUSTNESS.md).
@@ -674,9 +685,9 @@ class ParallelCrackPath final : public AccessPath<T> {
                             const QueryContext& ctx) override {
     return Column().Count(pred, ctx);
   }
-  Result<long double> Sum(const RangePredicate<T>& pred,
-                          const QueryContext& ctx) override {
-    return Column().Sum(pred, ctx);
+  Result<SumAcc<T>> SumPartial(const RangePredicate<T>& pred,
+                               const QueryContext& ctx) override {
+    return Column().SumPartial(pred, ctx);
   }
   row_id_t Insert(T value) override { return Column().Insert(value); }
   bool Delete(T value) override { return Column().Delete(value); }

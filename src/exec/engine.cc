@@ -365,15 +365,18 @@ Result<std::size_t> Database::Count(const QueryRequest& req) {
 }
 
 Result<double> Database::Sum(const QueryRequest& req) {
+  AIDX_ASSIGN_OR_RETURN(const SumAcc<std::int64_t> sum, SumPartial(req));
+  return static_cast<double>(RoundSum<std::int64_t>(sum));
+}
+
+Result<SumAcc<std::int64_t>> Database::SumPartial(const QueryRequest& req) {
   AIDX_ASSIGN_OR_RETURN(AccessPath<std::int64_t> * path,
                         PathFor(req.table, req.column, req.strategy));
-  if (!req.context.has_value()) {
-    return static_cast<double>(path->Sum(req.predicate));
-  }
-  AIDX_ASSIGN_OR_RETURN(const long double sum,
-                        path->Sum(req.predicate, *req.context));
+  if (!req.context.has_value()) return path->SumPartial(req.predicate);
+  AIDX_ASSIGN_OR_RETURN(const SumAcc<std::int64_t> sum,
+                        path->SumPartial(req.predicate, *req.context));
   SyncResourceGauges();
-  return static_cast<double>(sum);
+  return sum;
 }
 
 Result<SidewaysCracker<std::int64_t>*> Database::SidewaysFor(std::string_view table,

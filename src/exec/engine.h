@@ -242,6 +242,11 @@ class Database {
   /// semantics as Count.
   Result<double> Sum(const QueryRequest& req);
 
+  /// Sum before its one rounding step (SumAcc, index/scan.h): the exact
+  /// 128-bit sum. Sum is RoundSum of this; the dist gather adds per-shard
+  /// partials and rounds once, so a sharded Sum equals a single node's.
+  Result<SumAcc<std::int64_t>> SumPartial(const QueryRequest& req);
+
   /// σ_predicate(column) projecting `req.tails`, via sideways cracking
   /// (one cracker map per projected column, adaptively aligned, maintained
   /// incrementally under DML).

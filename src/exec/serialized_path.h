@@ -32,9 +32,9 @@ class SerializedAccessPath final : public AccessPath<T> {
     return inner_->Count(pred);
   }
 
-  long double Sum(const RangePredicate<T>& pred) override {
+  SumAcc<T> SumPartial(const RangePredicate<T>& pred) override {
     const std::lock_guard<std::mutex> guard(latch_);
-    return inner_->Sum(pred);
+    return inner_->SumPartial(pred);
   }
 
   row_id_t Insert(T value) override {

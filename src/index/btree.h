@@ -174,11 +174,16 @@ class BPlusTree {
   }
 
   long double SumRange(const RangePredicate<T>& pred) const {
+    return RoundSum<T>(SumRangePartial(pred));
+  }
+
+  /// SumRange before its one rounding step (SumAcc, index/scan.h).
+  SumAcc<T> SumRangePartial(const RangePredicate<T>& pred) const {
     SumAcc<T> sum{};
     VisitRuns(pred, [&](const Leaf& leaf, std::size_t begin, std::size_t end) {
       sum = SumValues<T>(std::span<const T>(leaf.keys).subspan(begin, end - begin), sum);
     });
-    return RoundSum<T>(sum);
+    return sum;
   }
 
   /// Visits (key, rid) pairs matching `pred` in ascending key order.

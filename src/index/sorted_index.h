@@ -102,8 +102,13 @@ class FullSortIndex {
   }
 
   long double SumRange(const RangePredicate<T>& pred) const {
+    return RoundSum<T>(SumRangePartial(pred));
+  }
+
+  /// SumRange before its one rounding step (SumAcc, index/scan.h).
+  SumAcc<T> SumRangePartial(const RangePredicate<T>& pred) const {
     const PositionRange r = SelectRange(pred);
-    return RoundSum<T>(SumValues<T>(values().subspan(r.begin, r.size())));
+    return SumValues<T>(values().subspan(r.begin, r.size()));
   }
 
   std::span<const T> values() const { return values_; }

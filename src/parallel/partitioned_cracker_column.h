@@ -363,16 +363,19 @@ class PartitionedCrackerColumn {
   /// SUM of matching values across all partitions (cracks as a side
   /// effect). Thread-safe.
   long double Sum(const RangePredicate<T>& pred) {
-    if (pred.DefinitelyEmpty()) return 0;
+    return RoundSum<T>(SumPartial(pred));
+  }
+
+  /// Sum before its one rounding step (SumAcc, index/scan.h). Thread-safe.
+  SumAcc<T> SumPartial(const RangePredicate<T>& pred) {
+    if (pred.DefinitelyEmpty()) return {};
     const auto [first, last] = OverlapRange(pred);
-    if (first == last) {
-      return RoundSum<T>(SumShard(*shards_[first], pred));
-    }
+    if (first == last) return SumShard(*shards_[first], pred);
     std::vector<SumAcc<T>> partial(last - first + 1);
     ForEachOverlapping(first, last, [&](std::size_t p, std::size_t slot) {
       partial[slot] = SumShard(*shards_[p], pred);
     });
-    return RoundSum<T>(AddPartials(partial));
+    return AddPartials(partial);
   }
 
   /// Deadline/cancellation-aware Count: the context gates each shard of
@@ -404,12 +407,12 @@ class PartitionedCrackerColumn {
 
   /// Deadline/cancellation-aware Sum; same per-shard gating as the Count
   /// overload. Thread-safe.
-  Result<long double> Sum(const RangePredicate<T>& pred,
-                          const QueryContext& ctx) {
+  Result<SumAcc<T>> SumPartial(const RangePredicate<T>& pred,
+                               const QueryContext& ctx) {
     AIDX_RETURN_NOT_OK(ctx.Check());
-    if (pred.DefinitelyEmpty()) return static_cast<long double>(0);
+    if (pred.DefinitelyEmpty()) return SumAcc<T>{};
     const auto [first, last] = OverlapRange(pred);
-    if (first == last) return RoundSum<T>(SumShard(*shards_[first], pred));
+    if (first == last) return SumShard(*shards_[first], pred);
     std::atomic<bool> expired{false};
     std::vector<SumAcc<T>> partial(last - first + 1);
     ForEachOverlapping(first, last, [&](std::size_t p, std::size_t slot) {
@@ -421,7 +424,7 @@ class PartitionedCrackerColumn {
       partial[slot] = SumShard(*shards_[p], pred);
     });
     AIDX_RETURN_NOT_OK(ctx.Check());
-    return RoundSum<T>(AddPartials(partial));
+    return AddPartials(partial);
   }
 
   /// Appends matching values to `out`, grouped by ascending partition

@@ -216,10 +216,10 @@ class UpdatableCrackerColumn : public CrackerColumn<T> {
     return CrackerColumn<T>::Count(pred, ctx);
   }
 
-  Result<long double> Sum(const RangePredicate<T>& pred, const QueryContext& ctx) {
+  Result<SumAcc<T>> SumPartial(const RangePredicate<T>& pred, const QueryContext& ctx) {
     AIDX_RETURN_NOT_OK(ctx.Check());
     MergeForQuery(pred);
-    return CrackerColumn<T>::Sum(pred, ctx);
+    return CrackerColumn<T>::SumPartial(pred, ctx);
   }
 
   /// Folds the pending updates the predicate's range requires (policy-

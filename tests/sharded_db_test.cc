@@ -25,13 +25,16 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
+#include <functional>
 #include <iostream>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "dist/sharded_database.h"
@@ -428,6 +431,310 @@ TEST_F(ShardedDbTest, DistFailpointScopesNameTableAndLeg) {
   ASSERT_TRUE(db.Rebalance("t", 0, 1, 0, kDomain / 2).ok());
   failpoints::dist_migrate_piece.Disarm();
   EXPECT_EQ(seen, std::vector<std::string>{scope("piece0")});
+}
+
+// ---------------------------------------------------------------------------
+// Exact Sum across shards.
+// ---------------------------------------------------------------------------
+
+TEST_F(ShardedDbTest, SumRoundsOnceAcrossShards) {
+  // 2^62 + 1 is not a double; adding per-shard doubles loses the 1 and
+  // cancels to 0. Adding exact per-shard partials keeps it.
+  const std::int64_t big = std::int64_t{1} << 62;
+  const std::vector<std::int64_t> rows = {1, big + 1, 200, -big};
+  TableRoutingSpec spec;
+  spec.key_column = "k";
+  spec.kind = RoutingKind::kRange;
+  spec.range_boundaries = {100};
+  ThreadPool pool(2);
+  ShardedDatabaseOptions options;
+  options.num_shards = 2;
+  options.scatter_pool = &pool;
+  ShardedDatabase sharded(options);
+  ASSERT_TRUE(sharded.CreateTable("t", spec).ok());
+  ASSERT_TRUE(sharded.AddColumn("t", "k").ok());
+  ASSERT_TRUE(sharded.AddColumn("t", "v").ok());
+  ASSERT_TRUE(sharded.InsertBatch("t", rows).ok());
+  Database single;
+  ASSERT_TRUE(single.CreateTable("t").ok());
+  ASSERT_TRUE(single.AddColumn("t", "k", {}).ok());
+  ASSERT_TRUE(single.AddColumn("t", "v", {}).ok());
+  ASSERT_TRUE(single.InsertBatch("t", rows).ok());
+  // Each shard holds one row.
+  ASSERT_EQ(*sharded.shard(0).Count(Req("t", "k", Pred::All())), 1u);
+  ASSERT_EQ(*sharded.shard(1).Count(Req("t", "k", Pred::All())), 1u);
+
+  for (const StrategyConfig& config :
+       {StrategyConfig::FullScan(), StrategyConfig::FullSort(),
+        StrategyConfig::BTree(), StrategyConfig::Crack(),
+        StrategyConfig::AdaptiveMerge(),
+        StrategyConfig::Hybrid(OrganizeMode::kCrack, OrganizeMode::kSort),
+        StrategyConfig::ParallelCrack(2, 2)}) {
+    SCOPED_TRACE(config.DisplayName());
+    QueryRequest req = Req("t", "v", Pred::All());
+    req.strategy = config;
+    for (const bool with_context : {false, true}) {
+      if (with_context) req.context = QueryContext::WithTimeout(std::chrono::hours(1));
+      auto got = sharded.Sum(req);
+      auto want = single.Sum(req);
+      ASSERT_TRUE(got.ok() && want.ok());
+      EXPECT_EQ(*want, 1.0);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(*got), std::bit_cast<std::uint64_t>(*want))
+          << *got << " vs " << *want;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Scatter threading: cheap legs run on the caller, expensive ones on the
+// pool (sharded_database.h, "Threading").
+// ---------------------------------------------------------------------------
+
+// Records the thread of every scatter leg through the dist.scatter
+// callback; `then` runs after the record (a sleep, an injected error). The
+// record is kept cheap — no allocation — because it runs inside the timed
+// leg.
+class LegThreads {
+ public:
+  LegThreads() { threads_.reserve(kMaxLegs); }
+  // The armed handler points at this object.
+  ~LegThreads() { failpoints::dist_scatter.Disarm(); }
+
+  void Arm(std::function<Status(std::string_view)> then = nullptr) {
+    failpoints::dist_scatter.Disarm();
+    {
+      const std::lock_guard<std::mutex> lock(mu_);
+      threads_.clear();
+    }
+    then_ = std::move(then);
+    FailpointPolicy policy;
+    policy.mode = FailpointMode::kCallback;
+    policy.handler = [this](std::string_view scope) {
+      {
+        const std::lock_guard<std::mutex> lock(mu_);
+        if (threads_.size() < kMaxLegs) threads_.push_back(std::this_thread::get_id());
+      }
+      return then_ ? then_(scope) : Status::OK();
+    };
+    failpoints::dist_scatter.Arm(std::move(policy));
+  }
+
+  std::vector<std::thread::id> Take() {
+    const std::lock_guard<std::mutex> lock(mu_);
+    std::vector<std::thread::id> out = threads_;
+    threads_.clear();
+    return out;
+  }
+
+  std::size_t Distinct() {
+    const std::lock_guard<std::mutex> lock(mu_);
+    std::vector<std::thread::id> ids = threads_;
+    std::sort(ids.begin(), ids.end());
+    return static_cast<std::size_t>(std::unique(ids.begin(), ids.end()) - ids.begin());
+  }
+
+ private:
+  static constexpr std::size_t kMaxLegs = 64;
+  std::mutex mu_;
+  std::vector<std::thread::id> threads_;
+  // Written only while the point is disarmed.
+  std::function<Status(std::string_view)> then_;
+};
+
+bool AllOnCaller(const std::vector<std::thread::id>& legs, std::size_t expected) {
+  return legs.size() == expected &&
+         std::all_of(legs.begin(), legs.end(),
+                     [](std::thread::id id) { return id == std::this_thread::get_id(); });
+}
+
+// Counts ThreadPool submissions from here on. A pooled scatter submits
+// helpers even when the caller ends up claiming every leg itself, so zero
+// submissions is what tells an inline scatter apart.
+void CountPoolSubmits() {
+  FailpointPolicy count;
+  count.mode = FailpointMode::kCallback;
+  count.handler = [](std::string_view) { return Status::OK(); };
+  failpoints::threadpool_submit.ResetCounters();
+  failpoints::threadpool_submit.Arm(std::move(count));
+}
+
+std::uint64_t PoolSubmits() { return failpoints::threadpool_submit.hits(); }
+
+// A warm hash-routed 4-shard store on a 2-worker pool: every range query
+// fans out to all four shards, and repeated queries have converged.
+class ScatterThreadingTest : public ShardedDbTest {
+ protected:
+  static constexpr std::size_t kShards = 4;
+
+  void SetUp() override {
+    ShardedDbTest::SetUp();
+    ShardedDatabaseOptions options;
+    options.num_shards = kShards;
+    options.scatter_pool = &pool_;
+    db_ = std::make_unique<ShardedDatabase>(options);
+    ASSERT_TRUE(SetUpTable(db_.get(), RoutingKind::kHash).ok());
+    ASSERT_TRUE(SetUpOracle(&oracle_).ok());
+    const auto rows = RowMajor(RandomKeys(400, 91));
+    ASSERT_TRUE(db_->InsertBatch("t", rows).ok());
+    ASSERT_TRUE(oracle_.InsertBatch("t", rows).ok());
+    for (int i = 0; i < 50; ++i) ASSERT_TRUE(db_->Count(Probe()).ok());
+  }
+
+  static QueryRequest Probe() { return Req("t", "k", Pred::Between(100, 899)); }
+
+  // Runs the probe until one scatter keeps every leg on the caller. The
+  // first try normally does; retries only absorb a leg that a preempted
+  // thread pushed over budget, which rightly sends the next scatter to
+  // the pool.
+  bool ScatterStaysOnCaller(LegThreads* legs) {
+    for (int attempt = 0; attempt < 100; ++attempt) {
+      legs->Arm();
+      CountPoolSubmits();
+      auto count = db_->Count(Probe());
+      failpoints::dist_scatter.Disarm();
+      failpoints::threadpool_submit.Disarm();
+      if (!count.ok()) return false;
+      if (AllOnCaller(legs->Take(), kShards) && PoolSubmits() == 0) return true;
+    }
+    return false;
+  }
+
+  ThreadPool pool_{2};
+  std::unique_ptr<ShardedDatabase> db_;
+  Database oracle_;
+};
+
+TEST_F(ScatterThreadingTest, ConvergedLegsRunOnTheCaller) {
+  LegThreads legs;
+  EXPECT_TRUE(ScatterStaysOnCaller(&legs));
+}
+
+TEST_F(ScatterThreadingTest, RebalanceSendsTheNextScatterToThePool) {
+  LegThreads legs;
+  ASSERT_TRUE(ScatterStaysOnCaller(&legs));
+  ASSERT_TRUE(db_->Rebalance("t", 0, 1, 0, kDomain / 2).ok());
+  CountPoolSubmits();
+  ASSERT_TRUE(db_->Count(Probe()).ok());
+  failpoints::threadpool_submit.Disarm();
+  EXPECT_GT(PoolSubmits(), 0u);
+  // The moved rows answer from their new shard.
+  auto count = db_->Count(Probe());
+  auto want = oracle_.Count(Probe());
+  ASSERT_TRUE(count.ok() && want.ok());
+  EXPECT_EQ(*count, *want);
+}
+
+TEST_F(ScatterThreadingTest, ExpensiveLegsReturnToThePoolAndBack) {
+  LegThreads legs;
+  ASSERT_TRUE(ScatterStaysOnCaller(&legs));
+
+  // Slow legs: the first runs inline and misses the budget, and the
+  // scatter hands the rest to the pool.
+  legs.Arm([](std::string_view) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    return Status::OK();
+  });
+  CountPoolSubmits();
+  ASSERT_TRUE(db_->Count(Probe()).ok());
+  failpoints::threadpool_submit.Disarm();
+  const auto slow = legs.Take();
+  ASSERT_EQ(slow.size(), kShards);
+  EXPECT_EQ(slow.front(), std::this_thread::get_id());
+  EXPECT_GT(PoolSubmits(), 0u);
+
+  // The next scatter goes to the pool. Each leg waits (bounded) for a
+  // second thread to join, so the check does not depend on how fast a
+  // worker wakes — and an inline scatter would fail it, one thread only.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  legs.Arm([&](std::string_view) {
+    while (legs.Distinct() < 2 && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+    return Status::OK();
+  });
+  ASSERT_TRUE(db_->Count(Probe()).ok());
+  EXPECT_GE(legs.Distinct(), 2u);
+  failpoints::dist_scatter.Disarm();
+
+  // Cheap legs again: one pooled scatter observes it, and the following
+  // ones return to the caller.
+  ASSERT_TRUE(db_->Count(Probe()).ok());
+  EXPECT_TRUE(ScatterStaysOnCaller(&legs));
+}
+
+TEST_F(ScatterThreadingTest, InlineLegErrorIsReportedNotCancelled) {
+  LegThreads legs;
+  const std::string failing = std::string("t") + kFailpointScopeSep + "shard1";
+  bool inline_seen = false;
+  for (int attempt = 0; attempt < 100 && !inline_seen; ++attempt) {
+    legs.Arm([&](std::string_view scope) {
+      return scope == failing ? Status::ResourceExhausted("injected leg fault")
+                              : Status::OK();
+    });
+    CountPoolSubmits();
+    auto count = db_->Count(Probe());
+    failpoints::dist_scatter.Disarm();
+    failpoints::threadpool_submit.Disarm();
+    // Legs after shard 1 unwind with Cancelled; the root cause wins.
+    ASSERT_FALSE(count.ok());
+    EXPECT_TRUE(count.status().IsResourceExhausted()) << count.status().ToString();
+    inline_seen = AllOnCaller(legs.Take(), kShards) && PoolSubmits() == 0;
+  }
+  EXPECT_TRUE(inline_seen);
+  auto count = db_->Count(Probe());
+  auto want = oracle_.Count(Probe());
+  ASSERT_TRUE(count.ok() && want.ok());
+  EXPECT_EQ(*count, *want);
+}
+
+TEST_F(ScatterThreadingTest, AnswersStayExactWhileLegsFlipBetweenThreads) {
+  // Oracle answers first: the single-node Database is not thread-safe.
+  std::vector<QueryRequest> probes;
+  std::vector<std::size_t> counts;
+  std::vector<double> sums;
+  for (std::int64_t lo = 0; lo < kDomain; lo += 125) {
+    for (QueryRequest req : {Req("t", "k", Pred::Between(lo, lo + 200)),
+                             Req("t", "a", Pred::Between(PayloadA(lo), PayloadA(lo + 200)))}) {
+      auto c = oracle_.Count(req);
+      auto s = oracle_.Sum(req);
+      ASSERT_TRUE(c.ok() && s.ok());
+      probes.push_back(std::move(req));
+      counts.push_back(*c);
+      sums.push_back(*s);
+    }
+  }
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < 4; ++c) {
+    clients.emplace_back([&, c] {
+      for (int i = 0; i < 150; ++i) {
+        const std::size_t p = static_cast<std::size_t>(c * 7 + i) % probes.size();
+        auto count = db_->Count(probes[p]);
+        auto sum = db_->Sum(probes[p]);
+        if (!count.ok() || *count != counts[p] || !sum.ok() || *sum != sums[p]) {
+          mismatches.fetch_add(1);
+        }
+      }
+    });
+  }
+  std::thread flipper([&] {
+    // Over the inline budget in every build, sanitized ones included.
+    FailpointPolicy slow;
+    slow.mode = FailpointMode::kDelay;
+    slow.delay_micros = 500;
+    while (!stop.load()) {
+      failpoints::dist_scatter.Arm(slow);
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      failpoints::dist_scatter.Disarm();
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+  });
+  for (auto& client : clients) client.join();
+  stop.store(true);
+  flipper.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 // ---------------------------------------------------------------------------
