@@ -10,6 +10,7 @@
 
 #include "bench_common.h"
 #include "sideways/sideways.h"
+#include "storage/table.h"
 #include "util/rng.h"
 #include "util/timer.h"
 #include "workload/data_generator.h"
@@ -27,8 +28,9 @@ struct Outcome {
   std::uint64_t checksum = 0;
 };
 
-Outcome RunSession(const std::vector<std::int64_t>& head,
-                   const std::vector<std::vector<std::int64_t>>& tails,
+/// One session over `base` (head column "head", tails "t0".."t<k-1>"); the
+/// cracker is built inside the first query, as every strategy's is.
+Outcome RunSession(Table* base, std::size_t num_tails,
                    std::span<const RangePredicate<std::int64_t>> queries,
                    SidewaysCracker<std::int64_t>::Options options) {
   Outcome out;
@@ -37,14 +39,14 @@ Outcome RunSession(const std::vector<std::int64_t>& head,
   for (const auto& pred : queries) {
     WallTimer t;
     if (cracker == nullptr) {
-      cracker = std::make_unique<SidewaysCracker<std::int64_t>>(head, options);
-      for (std::size_t i = 0; i < tails.size(); ++i) {
-        AIDX_CHECK_OK(cracker->AddTailColumn("t" + std::to_string(i), tails[i]));
+      cracker = std::make_unique<SidewaysCracker<std::int64_t>>(base, "head", options);
+      for (std::size_t i = 0; i < num_tails; ++i) {
+        AIDX_CHECK_OK(cracker->AddTailColumn("t" + std::to_string(i)));
       }
     }
     // Rotate through single-column projections: the access pattern where
     // alignment policy matters.
-    const std::string tail = "t" + std::to_string(rng.NextBounded(tails.size()));
+    const std::string tail = "t" + std::to_string(rng.NextBounded(num_tails));
     auto sum = cracker->SelectSum(pred, tail);
     AIDX_CHECK(sum.ok()) << sum.status().ToString();
     out.checksum += static_cast<std::uint64_t>(*sum) & 0xFFFFFFFF;
@@ -65,10 +67,13 @@ int main() {
   const auto domain = static_cast<std::int64_t>(n);
   constexpr std::size_t kTails = 6;
 
-  const auto head = GenerateData({.n = n, .domain = domain, .seed = 7});
-  std::vector<std::vector<std::int64_t>> tails(kTails);
+  Table base("t");
+  AIDX_CHECK_OK(
+      base.AddColumn("head", GenerateData({.n = n, .domain = domain, .seed = 7})));
   for (std::size_t i = 0; i < kTails; ++i) {
-    tails[i] = GenerateData({.n = n, .domain = domain, .seed = 200 + i});
+    AIDX_CHECK_OK(base.AddColumn(
+        "t" + std::to_string(i),
+        GenerateData({.n = n, .domain = domain, .seed = 200 + i})));
   }
   const auto queries = GenerateQueries({.num_queries = q,
                                         .domain = domain,
@@ -80,15 +85,15 @@ int main() {
 
   const std::size_t map_bytes = n * 2 * sizeof(std::int64_t);
   TablePrinter table({"configuration", "total", "tape replays", "evictions"});
-  const Outcome adaptive = RunSession(head, tails, queries, {});
+  const Outcome adaptive = RunSession(&base, kTails, queries, {});
   table.AddRow({"adaptive alignment, unlimited", FormatSeconds(adaptive.total),
                 std::to_string(adaptive.replays), std::to_string(adaptive.evictions)});
-  const Outcome eager = RunSession(head, tails, queries, {.eager_alignment = true});
+  const Outcome eager = RunSession(&base, kTails, queries, {.eager_alignment = true});
   table.AddRow({"eager alignment, unlimited", FormatSeconds(eager.total),
                 std::to_string(eager.replays), std::to_string(eager.evictions)});
   for (const std::size_t maps : {kTails, kTails / 2, std::size_t{2}}) {
     const Outcome budget =
-        RunSession(head, tails, queries, {.storage_budget_bytes = maps * map_bytes});
+        RunSession(&base, kTails, queries, {.storage_budget_bytes = maps * map_bytes});
     table.AddRow({"adaptive, budget " + std::to_string(maps) + " maps",
                   FormatSeconds(budget.total), std::to_string(budget.replays),
                   std::to_string(budget.evictions)});

@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "crack_two_pass.h"
 #include "core/crack_ops.h"
 #include "core/cracker_column.h"
 #include "core/kernel_autotune.h"

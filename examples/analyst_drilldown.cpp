@@ -67,8 +67,10 @@ int main() {
   TablePrinter table({"step", "rows", "time", "note"});
   for (std::size_t s = 0; s < session.size(); ++s) {
     WallTimer t;
-    auto res = db.SelectProject("sales", "day", session[s].pred,
-                                session[s].projection);
+    auto res = db.SelectProject({.table = "sales",
+                                 .column = "day",
+                                 .predicate = session[s].pred,
+                                 .tails = session[s].projection});
     AIDX_CHECK(res.ok()) << res.status().ToString();
     long double revenue = 0;
     for (const auto v : res->columns[0]) revenue += v;
@@ -91,7 +93,10 @@ int main() {
   TablePrinter again({"step", "time"});
   for (const auto& step : session) {
     WallTimer t;
-    auto res = db.SelectProject("sales", "day", step.pred, step.projection);
+    auto res = db.SelectProject({.table = "sales",
+                                 .column = "day",
+                                 .predicate = step.pred,
+                                 .tails = step.projection});
     AIDX_CHECK(res.ok());
     again.AddRow({step.question, FormatSeconds(t.ElapsedSeconds())});
   }

@@ -36,13 +36,18 @@ int main() {
   TablePrinter table({"attempt", "scan", "crack (adaptive)"});
   for (int attempt = 1; attempt <= 5; ++attempt) {
     WallTimer scan_timer;
-    const auto scan_count =
-        db.Count("sales", "amount", pred, StrategyConfig::FullScan());
+    const auto scan_count = db.Count({.table = "sales",
+                                      .column = "amount",
+                                      .predicate = pred,
+                                      .strategy = StrategyConfig::FullScan()});
     const double scan_s = scan_timer.ElapsedSeconds();
     AIDX_CHECK(scan_count.ok());
 
     WallTimer crack_timer;
-    const auto crack_count = db.Count("sales", "amount", pred, StrategyConfig::Crack());
+    const auto crack_count = db.Count({.table = "sales",
+                                       .column = "amount",
+                                       .predicate = pred,
+                                       .strategy = StrategyConfig::Crack()});
     const double crack_s = crack_timer.ElapsedSeconds();
     AIDX_CHECK(crack_count.ok());
     AIDX_CHECK(*scan_count == *crack_count);
@@ -61,7 +66,10 @@ int main() {
   for (std::int64_t lo = 0; lo < 1'000'000; lo += 200'000) {
     const auto p = RangePredicate<std::int64_t>::Between(lo, lo + 10'000);
     WallTimer t;
-    const auto count = db.Count("sales", "amount", p, StrategyConfig::Crack());
+    const auto count = db.Count({.table = "sales",
+                                 .column = "amount",
+                                 .predicate = p,
+                                 .strategy = StrategyConfig::Crack()});
     AIDX_CHECK(count.ok());
     drift.AddRow({"[" + std::to_string(lo) + ", " + std::to_string(lo + 10'000) + "]",
                   FormatSeconds(t.ElapsedSeconds()), std::to_string(*count)});

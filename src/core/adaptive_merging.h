@@ -51,8 +51,6 @@ class AdaptiveMergingIndex {
     /// 16-run initial partitioning of a 4M-value column.
     std::size_t run_size = 1 << 18;
     bool with_row_ids = true;
-    std::size_t tree_leaf_capacity = 256;
-    std::size_t tree_internal_fanout = 64;
   };
 
   /// Builds the sorted runs. As with CrackerColumn, construction is the
@@ -61,9 +59,8 @@ class AdaptiveMergingIndex {
       : options_(options),
         total_size_(base.size()),
         next_rid_(static_cast<row_id_t>(base.size())),
-        final_tree_({.leaf_capacity = options.tree_leaf_capacity,
-                     .internal_fanout = options.tree_internal_fanout,
-                     .with_row_ids = options.with_row_ids}) {
+        // The final tree keeps the B+-tree's default node geometry.
+        final_tree_({.with_row_ids = options.with_row_ids}) {
     AIDX_CHECK(options_.run_size >= 1);
     runs_.reserve(base.size() / options_.run_size + 1);
     for (std::size_t at = 0; at < base.size(); at += options_.run_size) {

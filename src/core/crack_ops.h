@@ -68,10 +68,9 @@
 // (predication's fixed per-element cost and the blocked kernel's setup lose
 // to a handful of cheap, mostly-predictable branches), so the non-branchy
 // kernels silently fall back on tiny pieces. The threshold defaults to the
-// calibrated value (kPredicationMinPiece before/without calibration) and is
-// overridable per call site via the min_piece parameter
-// (StrategyConfig::predication_min_piece upstream). bench_e12 measures the
-// crossover.
+// calibrated value (kPredicationMinPiece before/without calibration); the
+// min_piece parameter pins it per call, which only the calibration sweep
+// and tests do. bench_e12 measures the crossover.
 #pragma once
 
 #include <algorithm>
@@ -1064,7 +1063,7 @@ inline std::size_t CrackInThreeValuesTouched(std::size_t n) { return n; }
 /// kernel is the classic one-pass Dutch-national-flag sweep; the predicated
 /// family uses the single-pass two-cursor kernel (one sweep, branch-free,
 /// ~1 pass of memory traffic — bench_e12's three_way section measures it
-/// against the old two-pass decomposition, kept as CrackInThreeTwoPass).
+/// against the old two-pass decomposition, bench/crack_two_pass.h).
 template <ColumnValue T, typename Payload = row_id_t>
 ThreeWaySplit CrackInThree(std::span<T> values, std::span<Payload> row_ids,
                            const Cut<T>& lo_cut, const Cut<T>& hi_cut,
@@ -1100,27 +1099,6 @@ ThreeWaySplit CrackInThree(std::span<T> values, std::span<Payload> row_ids,
     }
   }
   return {a, z};
-}
-
-/// The pre-single-pass decomposition — crack on lo_cut, then re-crack the
-/// upper remainder on hi_cut — kept as the reference point: the differential
-/// tests oracle the single-pass kernel against it, and bench_e12's
-/// three_way section measures what retiring it bought.
-template <ColumnValue T, typename Payload = row_id_t>
-ThreeWaySplit CrackInThreeTwoPass(std::span<T> values, std::span<Payload> row_ids,
-                                  const Cut<T>& lo_cut, const Cut<T>& hi_cut,
-                                  CrackKernel kernel = CrackKernel::kAuto,
-                                  std::size_t min_piece = 0) {
-  AIDX_DCHECK(!(hi_cut < lo_cut));
-  AIDX_DCHECK(row_ids.empty() || row_ids.size() == values.size());
-  const std::size_t lower =
-      CrackInTwo<T, Payload>(values, row_ids, lo_cut, kernel, min_piece);
-  const std::size_t middle =
-      lower + CrackInTwo<T, Payload>(
-                  values.subspan(lower),
-                  row_ids.empty() ? row_ids : row_ids.subspan(lower), hi_cut,
-                  kernel, min_piece);
-  return {lower, middle};
 }
 
 }  // namespace aidx

@@ -51,9 +51,6 @@ struct CrackerColumnOptions {
   /// core/crack_ops.h; tiny pieces always fall back to the branchy sweep).
   /// kAuto resolves to the host-calibrated kernel at the dispatch point.
   CrackKernel kernel = CrackKernel::kAuto;
-  /// Piece size below which non-branchy kernels fall back to the branchy
-  /// sweep; 0 = the calibrated process default (kernel_autotune).
-  std::size_t predication_min_piece = 0;
 };
 
 /// Result of a cracked select. `core` positions all qualify; `edges` (at
@@ -256,7 +253,7 @@ class CrackerColumn {
     return piece.begin +
            CrackInTwo<T>(MutableValuesIn({piece.begin, piece.end}),
                          MutableRowIdsIn({piece.begin, piece.end}), cut,
-                         options_.kernel, options_.predication_min_piece);
+                         options_.kernel);
   }
 
   /// Three-way variant: partitions the piece around both cuts at once and
@@ -266,8 +263,7 @@ class CrackerColumn {
     (void)failpoints::crack_piece.Inject();  // delay-only: no Status path here
     return CrackInThree<T>(MutableValuesIn({piece.begin, piece.end}),
                            MutableRowIdsIn({piece.begin, piece.end}), lo_cut,
-                           hi_cut, options_.kernel,
-                           options_.predication_min_piece);
+                           hi_cut, options_.kernel);
   }
 
   /// Publishes a cut realized through CrackPieceAt/CrackPieceInThreeAt.
@@ -442,8 +438,7 @@ class CrackerColumn {
     const std::size_t split =
         piece.begin + CrackInTwo<T>(MutableValuesIn({piece.begin, piece.end}),
                                     MutableRowIdsIn({piece.begin, piece.end}), cut,
-                                    options_.kernel,
-                                    options_.predication_min_piece);
+                                    options_.kernel);
     ++stats_.num_crack_in_two;
     stats_.values_touched += piece.end - piece.begin;
     index_.AddCut(cut, split);
@@ -467,7 +462,7 @@ class CrackerColumn {
     const ThreeWaySplit split =
         CrackInThree<T>(MutableValuesIn({piece.begin, piece.end}),
                         MutableRowIdsIn({piece.begin, piece.end}), lo_cut, hi_cut,
-                        options_.kernel, options_.predication_min_piece);
+                        options_.kernel);
     ++stats_.num_crack_in_three;
     stats_.values_touched +=
         CrackInThreeValuesTouched(piece.end - piece.begin);
@@ -497,7 +492,7 @@ class CrackerColumn {
       const std::size_t split = piece->begin +
           CrackInTwo<T>(MutableValuesIn({piece->begin, piece->end}),
                         MutableRowIdsIn({piece->begin, piece->end}), random_cut,
-                        options_.kernel, options_.predication_min_piece);
+                        options_.kernel);
       ++stats_.num_stochastic_cracks;
       stats_.values_touched += span_size;
       index_.AddCut(random_cut, split);

@@ -80,8 +80,6 @@ class HybridIndex {
     bool with_row_ids = true;
     /// Crack kernel applied by every cracked segment (core/crack_ops.h).
     CrackKernel kernel = CrackKernel::kAuto;
-    /// Branchy-fallback piece threshold; 0 = calibrated process default.
-    std::size_t predication_min_piece = 0;
   };
 
   /// "HCC", "HCS", ... — the paper's naming for a policy pair.
@@ -108,12 +106,7 @@ class HybridIndex {
       }
       partitions_.push_back(Partition{
           SegmentOrganizer<T>(std::move(values), std::move(rids),
-                              {.mode = options_.initial_mode,
-                               .radix_bits = options_.radix_bits,
-                               .with_row_ids = options_.with_row_ids,
-                               .kernel = options_.kernel,
-                               .predication_min_piece =
-                                   options_.predication_min_piece}),
+                              SegmentOptions(options_.initial_mode)),
           n});
     }
   }
@@ -259,6 +252,15 @@ class HybridIndex {
     row_id_t rid;
   };
 
+  /// Options for a segment organized under `mode`; every other knob is the
+  /// index's own.
+  typename SegmentOrganizer<T>::Options SegmentOptions(OrganizeMode mode) const {
+    return {.mode = mode,
+            .radix_bits = options_.radix_bits,
+            .with_row_ids = options_.with_row_ids,
+            .kernel = options_.kernel};
+  }
+
   /// The final segment whose bounds contain `value`, or nullptr. Segments
   /// have pairwise-disjoint bounds sorted by lower cut, so at most one can.
   /// The probe is (value, kLess): a bound lo is above `value` exactly when
@@ -298,12 +300,7 @@ class HybridIndex {
     const std::size_t n = fresh_values.size();
     partitions_.push_back(Partition{
         SegmentOrganizer<T>(std::move(fresh_values), std::move(fresh_rids),
-                            {.mode = options_.initial_mode,
-                             .radix_bits = options_.radix_bits,
-                             .with_row_ids = options_.with_row_ids,
-                             .kernel = options_.kernel,
-                             .predication_min_piece =
-                                 options_.predication_min_piece}),
+                            SegmentOptions(options_.initial_mode)),
         n});
   }
 
@@ -336,12 +333,7 @@ class HybridIndex {
     if (options_.with_row_ids) rids.push_back(t.rid);
     finals_.insert(it, FinalSegment{
                            SegmentOrganizer<T>(std::move(values), std::move(rids),
-                                               {.mode = options_.final_mode,
-                                                .radix_bits = options_.radix_bits,
-                                                .with_row_ids = options_.with_row_ids,
-                                                .kernel = options_.kernel,
-                                                .predication_min_piece =
-                                                    options_.predication_min_piece}),
+                                               SegmentOptions(options_.final_mode)),
                            bounds});
     ++stats_.final_segments;
   }
@@ -378,12 +370,7 @@ class HybridIndex {
       if (staging.empty()) continue;
       stats_.values_merged += staging.size();
       FinalSegment seg{SegmentOrganizer<T>(std::move(staging), std::move(staging_rids),
-                                           {.mode = options_.final_mode,
-                                            .radix_bits = options_.radix_bits,
-                                            .with_row_ids = options_.with_row_ids,
-                                            .kernel = options_.kernel,
-                                            .predication_min_piece =
-                                                options_.predication_min_piece}),
+                                           SegmentOptions(options_.final_mode)),
                        gap};
       // Eager policies (sort/radix) pay their organization cost at merge
       // time — the "what's merged gets organized" half of the hybrid idea.

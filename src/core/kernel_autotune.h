@@ -10,11 +10,11 @@
 // ranking into a constant, the first kAuto resolution (i.e. first engine
 // use with default config) runs a ~few-millisecond sweep over the concrete
 // kernels at two element widths, caches the winners process-wide, and
-// derives the min-piece crossover from a piece-size sweep. Results are
-// overridable per strategy via StrategyConfig::{crack_kernel,
-// predication_min_piece} and the whole sweep can be disabled with
-// AIDX_CALIBRATE=0 (or SetCalibrationEnabled(false)), which pins the
-// documented fallback: kPredicatedUnrolled at kPredicationMinPiece.
+// derives the min-piece crossover from a piece-size sweep. The kernel is
+// overridable per strategy via StrategyConfig::crack_kernel, and the whole
+// sweep can be disabled with AIDX_CALIBRATE=0 (or
+// SetCalibrationEnabled(false)), which pins the documented fallback:
+// kPredicatedUnrolled at kPredicationMinPiece.
 #pragma once
 
 #include <cstddef>

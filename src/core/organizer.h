@@ -45,8 +45,6 @@ class SegmentOrganizer {
     /// Crack kernel for the lazily organized policies (kCrack / kRadix's
     /// intra-cluster cracks); kSort never cracks.
     CrackKernel kernel = CrackKernel::kAuto;
-    /// Branchy-fallback piece threshold; 0 = calibrated process default.
-    std::size_t predication_min_piece = 0;
   };
 
   /// Adopts the segment's arrays. `row_ids` may be empty when
@@ -55,10 +53,8 @@ class SegmentOrganizer {
                    Options options)
       : options_(options),
         crack_(std::move(values), std::move(row_ids),
-               CrackerColumnOptions{
-                   .with_row_ids = options.with_row_ids,
-                   .kernel = options.kernel,
-                   .predication_min_piece = options.predication_min_piece}) {}
+               CrackerColumnOptions{.with_row_ids = options.with_row_ids,
+                                    .kernel = options.kernel}) {}
 
   AIDX_DEFAULT_MOVE_ONLY(SegmentOrganizer);
 

@@ -93,9 +93,6 @@ struct StrategyConfig {
   // default resolves to the host-calibrated kernel at the dispatch point
   // (core/kernel_autotune.h); pin a concrete kernel for differentials.
   CrackKernel crack_kernel = CrackKernel::kAuto;
-  // Piece size below which non-branchy kernels fall back to the branchy
-  // sweep; 0 defers to the calibrated process default.
-  std::size_t predication_min_piece = 0;
   // kParallelCrack piece-latch table capacity per partition (clamped to
   // [1, 64]; docs/CONCURRENCY.md §4), and the buffered-write count that
   // triggers a background merge on the shared pool (0 = foreground-only;
@@ -146,10 +143,7 @@ struct StrategyConfig {
         kind == StrategyKind::kParallelCrack ||
         (kind == StrategyKind::kHybrid && (hybrid_initial != OrganizeMode::kSort ||
                                            hybrid_final != OrganizeMode::kSort));
-    std::string kernel_suffix = cracks ? CrackKernelSuffix(crack_kernel) : "";
-    if (cracks && predication_min_piece > 0) {
-      kernel_suffix += "+mp" + std::to_string(predication_min_piece);
-    }
+    const std::string kernel_suffix = cracks ? CrackKernelSuffix(crack_kernel) : "";
     switch (kind) {
       case StrategyKind::kFullScan:
         return "scan";
@@ -539,7 +533,6 @@ class CrackPath final : public AccessPath<T> {
       options.with_row_ids = config_.with_row_ids;
       options.min_piece_size = config_.min_piece_size;
       options.kernel = config_.crack_kernel;
-      options.predication_min_piece = config_.predication_min_piece;
       if (config_.kind == StrategyKind::kStochasticCrack) {
         options.stochastic_threshold = config_.stochastic_threshold;
         options.stochastic_seed = config_.seed;
@@ -648,9 +641,7 @@ class HybridPath final : public AccessPath<T> {
                                 .final_mode = config_.hybrid_final,
                                 .radix_bits = config_.radix_bits,
                                 .with_row_ids = config_.with_row_ids,
-                                .kernel = config_.crack_kernel,
-                                .predication_min_piece =
-                                    config_.predication_min_piece});
+                                .kernel = config_.crack_kernel});
     }
     return *index_;
   }
@@ -741,8 +732,6 @@ class ParallelCrackPath final : public AccessPath<T> {
       options.column_options.with_row_ids = config_.with_row_ids;
       options.column_options.min_piece_size = config_.min_piece_size;
       options.column_options.kernel = config_.crack_kernel;
-      options.column_options.predication_min_piece =
-          config_.predication_min_piece;
       options.splitter_seed = config_.seed;
       options.merge_policy = config_.merge_policy;
       options.gradual_budget = config_.gradual_budget;

@@ -35,13 +35,32 @@ std::size_t PathKeyHash::operator()(const PathKey& key) const {
   h = HashCombine(h, c.gradual_budget);
   h = HashCombine(h, static_cast<std::size_t>(c.with_row_ids));
   h = HashCombine(h, static_cast<std::size_t>(c.crack_kernel));
-  h = HashCombine(h, c.predication_min_piece);
   h = HashCombine(h, c.latch_stripes);
   h = HashCombine(h, c.background_merge_threshold);
   return h;
 }
 
 }  // namespace internal
+
+namespace {
+
+/// Position of `name` in `names`; names.size() when absent.
+std::size_t IndexOf(const std::vector<std::string>& names, std::string_view name) {
+  return static_cast<std::size_t>(std::find(names.begin(), names.end(), name) -
+                                  names.begin());
+}
+
+/// Index of the key column `column` in `t.column_names()`; NotFound when
+/// absent.
+Result<std::size_t> KeyIndex(const Table& t, std::string_view column) {
+  const std::size_t i = IndexOf(t.column_names(), column);
+  if (i == t.num_columns()) {
+    return t.GetColumn(column).status();  // NotFound with the usual message
+  }
+  return i;
+}
+
+}  // namespace
 
 DatabaseOptions DatabaseOptions::FromEnv() {
   DatabaseOptions options;
@@ -131,19 +150,17 @@ void Database::LogSidewaysInsert(SidewaysCracker<std::int64_t>& cracker,
                                  const std::vector<std::string>& names,
                                  std::span<const std::int64_t> row,
                                  row_id_t rid) {
-  const auto index_of = [&](std::string_view name) {
-    for (std::size_t i = 0; i < names.size(); ++i) {
-      if (names[i] == name) return i;
-    }
-    AIDX_CHECK(false) << "sideways column '" << name << "' missing from table";
-    return std::size_t{0};
+  const auto value_of = [&](std::string_view name) {
+    const std::size_t i = IndexOf(names, name);
+    AIDX_CHECK(i < names.size()) << "sideways column '" << name << "' missing from table";
+    return row[i];
   };
   std::vector<std::int64_t> tails;
   tails.reserve(cracker.registered_tails().size());
   for (const std::string& tail_name : cracker.registered_tails()) {
-    tails.push_back(row[index_of(tail_name)]);
+    tails.push_back(value_of(tail_name));
   }
-  cracker.ApplyInsert(rid, row[index_of(head)], std::move(tails));
+  cracker.ApplyInsert(rid, value_of(head), std::move(tails));
 }
 
 Status Database::Insert(std::string_view table,
@@ -171,18 +188,6 @@ Status Database::Insert(std::string_view table,
   for (std::size_t i = 0; i < cols.size(); ++i) cols[i]->Append(row[i]);
   t->CommitAppendedRow(rid);
   return Status::OK();
-}
-
-Status Database::Insert(std::string_view table, std::string_view column,
-                        std::int64_t value) {
-  AIDX_ASSIGN_OR_RETURN(Table * t, catalog_.GetTable(table));
-  AIDX_RETURN_NOT_OK(t->GetColumn(column).status());
-  if (t->num_columns() != 1) {
-    return Status::InvalidArgument(
-        "column-addressed insert into multi-column table '" + t->name() +
-        "' would desynchronize rows; use the row overload");
-  }
-  return Insert(table, std::span<const std::int64_t>(&value, 1));
 }
 
 Status Database::InsertBatch(std::string_view table,
@@ -221,64 +226,16 @@ Status Database::InsertBatch(std::string_view table,
   return Status::OK();
 }
 
-Status Database::InsertBatch(std::string_view table, std::string_view column,
-                             std::span<const std::int64_t> values) {
-  AIDX_ASSIGN_OR_RETURN(Table * t, catalog_.GetTable(table));
-  AIDX_RETURN_NOT_OK(t->GetColumn(column).status());
-  if (t->num_columns() != 1) {
-    return Status::InvalidArgument(
-        "column-addressed batch insert into multi-column table '" + t->name() +
-        "' would desynchronize rows; use the row-major overload");
-  }
-  return InsertBatch(table, values);
-}
-
 Result<bool> Database::Delete(std::string_view table, std::string_view column,
                               std::int64_t value) {
   std::vector<TypedColumn<std::int64_t>*> cols;
   AIDX_ASSIGN_OR_RETURN(Table * t, PrepareRowDml(table, &cols));
-  const std::vector<std::string>& names = t->column_names();
-  std::size_t key_index = names.size();
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    if (names[i] == column) {
-      key_index = i;
-      break;
-    }
-  }
-  if (key_index == names.size()) {
-    return t->GetColumn(column).status();  // NotFound with the usual message
-  }
-  const auto key_values = cols[key_index]->Values();
+  AIDX_ASSIGN_OR_RETURN(const std::size_t key, KeyIndex(*t, column));
+  const auto key_values = cols[key]->Values();
   const auto victim = std::find(key_values.begin(), key_values.end(), value);
   if (victim == key_values.end()) return false;  // no row matches: no-op
-  const std::size_t pos =
-      static_cast<std::size_t>(victim - key_values.begin());
-  // Validate phase done — nothing below can fail (row-atomicity). Capture
-  // the row before any structure mutates.
-  std::vector<std::int64_t> row(cols.size());
-  for (std::size_t i = 0; i < cols.size(); ++i) row[i] = cols[i]->Values()[pos];
-  const row_id_t rid = t->row_ids()[pos];
-  for (std::size_t i = 0; i < cols.size(); ++i) {
-    ForEachPathOf(table, names[i], [&](AccessPath<std::int64_t>& path) {
-      const bool removed = path.Delete(row[i]);
-      // Paths mirror the base multiset, so the tuple must exist there too.
-      AIDX_DCHECK(removed);
-      (void)removed;
-    });
-  }
-  ForEachSidewaysOf(table, [&](std::string_view head,
-                               SidewaysCracker<std::int64_t>& cracker) {
-    std::size_t head_index = names.size();
-    for (std::size_t i = 0; i < names.size(); ++i) {
-      if (names[i] == head) {
-        head_index = i;
-        break;
-      }
-    }
-    AIDX_CHECK(head_index < names.size());
-    cracker.ApplyDelete(rid, row[head_index]);
-  });
-  AIDX_CHECK_OK(t->EraseRow(pos));
+  const std::size_t pos = static_cast<std::size_t>(victim - key_values.begin());
+  ApplyErase(t, cols, std::span<const std::size_t>(&pos, 1));
   return true;
 }
 
@@ -287,58 +244,42 @@ Result<std::size_t> Database::DeleteWhere(
     const RangePredicate<std::int64_t>& pred) {
   std::vector<TypedColumn<std::int64_t>*> cols;
   AIDX_ASSIGN_OR_RETURN(Table * t, PrepareRowDml(table, &cols));
-  const std::vector<std::string>& names = t->column_names();
-  std::size_t key_index = names.size();
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    if (names[i] == column) {
-      key_index = i;
-      break;
-    }
-  }
-  if (key_index == names.size()) {
-    return t->GetColumn(column).status();  // NotFound with the usual message
-  }
-  const auto key_values = cols[key_index]->Values();
+  AIDX_ASSIGN_OR_RETURN(const std::size_t key, KeyIndex(*t, column));
+  const auto key_values = cols[key]->Values();
   std::vector<std::size_t> victims;
   for (std::size_t pos = 0; pos < key_values.size(); ++pos) {
     if (pred.Matches(key_values[pos])) victims.push_back(pos);
   }
-  if (victims.empty()) return std::size_t{0};
-  // Validate phase done — nothing below can fail (row-atomicity). Capture
-  // the doomed rows before any structure mutates.
-  std::vector<std::vector<std::int64_t>> rows(victims.size());
-  std::vector<row_id_t> rids(victims.size());
-  const auto row_id_span = t->row_ids();
-  for (std::size_t v = 0; v < victims.size(); ++v) {
-    rows[v].resize(cols.size());
+  if (!victims.empty()) ApplyErase(t, cols, victims);
+  return victims.size();
+}
+
+void Database::ApplyErase(Table* t,
+                          const std::vector<TypedColumn<std::int64_t>*>& cols,
+                          std::span<const std::size_t> positions) {
+  // The validate phase is done, so nothing here can fail (row atomicity).
+  // Each doomed row is read from the base, which changes only at the end.
+  const std::vector<std::string>& names = t->column_names();
+  const auto row_ids = t->row_ids();
+  std::vector<std::int64_t> row(cols.size());
+  for (const std::size_t pos : positions) {
+    for (std::size_t i = 0; i < cols.size(); ++i) row[i] = cols[i]->Values()[pos];
     for (std::size_t i = 0; i < cols.size(); ++i) {
-      rows[v][i] = cols[i]->Values()[victims[v]];
-    }
-    rids[v] = row_id_span[victims[v]];
-  }
-  for (std::size_t v = 0; v < rows.size(); ++v) {
-    for (std::size_t i = 0; i < cols.size(); ++i) {
-      ForEachPathOf(table, names[i], [&](AccessPath<std::int64_t>& path) {
-        const bool removed = path.Delete(rows[v][i]);
+      ForEachPathOf(t->name(), names[i], [&](AccessPath<std::int64_t>& path) {
+        const bool removed = path.Delete(row[i]);
+        // Paths mirror the base multiset, so the tuple must exist there too.
         AIDX_DCHECK(removed);
         (void)removed;
       });
     }
-    ForEachSidewaysOf(table, [&](std::string_view head,
-                                 SidewaysCracker<std::int64_t>& cracker) {
-      std::size_t head_index = names.size();
-      for (std::size_t i = 0; i < names.size(); ++i) {
-        if (names[i] == head) {
-          head_index = i;
-          break;
-        }
-      }
+    ForEachSidewaysOf(t->name(), [&](std::string_view head,
+                                     SidewaysCracker<std::int64_t>& cracker) {
+      const std::size_t head_index = IndexOf(names, head);
       AIDX_CHECK(head_index < names.size());
-      cracker.ApplyDelete(rids[v], rows[v][head_index]);
+      cracker.ApplyDelete(row_ids[pos], row[head_index]);
     });
   }
-  AIDX_CHECK_OK(t->EraseRows(victims));
-  return victims.size();
+  AIDX_CHECK_OK(t->EraseRows(positions));
 }
 
 Result<AccessPath<std::int64_t>*> Database::PathFor(std::string_view table,
@@ -391,8 +332,8 @@ Result<SidewaysCracker<std::int64_t>*> Database::SidewaysFor(std::string_view ta
 
   AIDX_ASSIGN_OR_RETURN(Table * t, catalog_.GetTable(table));
   AIDX_RETURN_NOT_OK(t->GetTypedColumn<std::int64_t>(head).status());
-  // Table-backed mode: spans are fetched per access and DML feeds the
-  // cracker's operation log, so maps survive writes.
+  // Spans are fetched per access and DML feeds the cracker's operation
+  // log, so maps survive writes.
   auto cracker = std::make_unique<SidewaysCracker<std::int64_t>>(
       t, std::string(head));
   // Register every other int64 column of the table as a potential tail.

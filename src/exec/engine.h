@@ -26,16 +26,11 @@
 // orders paths -> sideways log -> base, so paths that still borrow the
 // base span snapshot it before it changes.
 //
-// Sideways cracker maps are NOT dropped on DML: crackers run in
-// table-backed mode (sideways/sideways.h) and each row mutation is
-// appended to their operation log, folded into live maps by ripple moves
-// on the next touch — cracked investment survives writes. Only AddColumn
-// (a schema change) still drops a table's cached sideways state.
-//
-// Single-column tables keep the historical column-addressed DML surface
-// (Insert/InsertBatch with a column name); on a multi-column table those
-// overloads return InvalidArgument instead of silently desynchronizing
-// the table — use the row overloads.
+// Sideways cracker maps are NOT dropped on DML: crackers are backed by
+// the table (sideways/sideways.h) and each row mutation is appended to
+// their operation log, folded into live maps by ripple moves on the next
+// touch — cracked investment survives writes. Only AddColumn (a schema
+// change) still drops a table's cached sideways state.
 //
 // The type is move-only and not thread-safe: callers wanting concurrency
 // wrap paths in SerializedAccessPath (exec/serialized_path.h), shard by
@@ -46,11 +41,9 @@
 //
 // The query surface is a single QueryRequest struct — table, column,
 // predicate, strategy, optional context, projection tails — with one
-// entry per verb (Count / Sum / SelectProject). A request is the
-// serializable unit the dist router (src/dist/) forwards to a shard
-// verbatim, and what a future socket front-end would ship. The historical
-// per-argument overloads remain as thin inline shims over the request
-// form; they are deprecated in favor of it (docs/UPDATES.md).
+// entry per verb (Count / Sum / SumPartial / SelectProject). A request is
+// the serializable unit the dist router (src/dist/) forwards to a shard
+// verbatim, and what a future socket front-end would ship.
 //
 // Usage:
 //   Database db;                       // or Database(DatabaseOptions{...})
@@ -141,11 +134,11 @@ struct QueryRequest {
   RangePredicate<std::int64_t> predicate = RangePredicate<std::int64_t>::All();
   /// Which adaptive structure answers (and adapts); ignored by
   /// SelectProject, whose sideways maps have their own machinery.
-  StrategyConfig strategy;
+  StrategyConfig strategy{};
   /// Deadline/cancellation; nullopt runs in the background context.
-  std::optional<QueryContext> context;
+  std::optional<QueryContext> context{};
   /// Projected columns (SelectProject only).
-  std::vector<std::string> tails;
+  std::vector<std::string> tails{};
 };
 
 /// Aggregate engine gauges for health endpoints (dist ShardStats).
@@ -195,21 +188,11 @@ class Database {
     return Insert(table, std::span<const std::int64_t>(row.begin(), row.size()));
   }
 
-  /// Column-addressed compatibility form: valid only on single-column
-  /// tables (where it is the one-wide row insert); InvalidArgument on
-  /// multi-column tables, which require the row overload.
-  Status Insert(std::string_view table, std::string_view column,
-                std::int64_t value);
-
   /// Batch row insert: `rows` is row-major, size a multiple of the column
   /// count. Same row-atomic contract as Insert; validation covers the
   /// whole batch before any row applies.
   Status InsertBatch(std::string_view table,
                      std::span<const std::int64_t> rows);
-
-  /// Column-addressed compatibility form; single-column tables only.
-  Status InsertBatch(std::string_view table, std::string_view column,
-                     std::span<const std::int64_t> values);
 
   /// Deletes the first base row (lowest position) whose `column` value
   /// equals `value`, row-atomically across all columns, cached paths, and
@@ -251,47 +234,6 @@ class Database {
   /// (one cracker map per projected column, adaptively aligned, maintained
   /// incrementally under DML).
   Result<ProjectionResult<std::int64_t>> SelectProject(const QueryRequest& req);
-
-  // -- Deprecated per-argument overloads ------------------------------------
-  //
-  // Thin shims over the QueryRequest form, kept for source compatibility
-  // (docs/UPDATES.md marks them deprecated). New code — and anything that
-  // may one day cross a wire — should build a QueryRequest.
-
-  Result<std::size_t> Count(std::string_view table, std::string_view column,
-                            const RangePredicate<std::int64_t>& pred,
-                            const StrategyConfig& config) {
-    return Count(MakeRequest(table, column, pred, config));
-  }
-  Result<std::size_t> Count(std::string_view table, std::string_view column,
-                            const RangePredicate<std::int64_t>& pred,
-                            const StrategyConfig& config,
-                            const QueryContext& ctx) {
-    QueryRequest req = MakeRequest(table, column, pred, config);
-    req.context = ctx;
-    return Count(req);
-  }
-  Result<double> Sum(std::string_view table, std::string_view column,
-                     const RangePredicate<std::int64_t>& pred,
-                     const StrategyConfig& config) {
-    return Sum(MakeRequest(table, column, pred, config));
-  }
-  Result<double> Sum(std::string_view table, std::string_view column,
-                     const RangePredicate<std::int64_t>& pred,
-                     const StrategyConfig& config, const QueryContext& ctx) {
-    QueryRequest req = MakeRequest(table, column, pred, config);
-    req.context = ctx;
-    return Sum(req);
-  }
-  Result<ProjectionResult<std::int64_t>> SelectProject(
-      std::string_view table, std::string_view head,
-      const RangePredicate<std::int64_t>& pred,
-      const std::vector<std::string>& tails) {
-    QueryRequest req = MakeRequest(table, head, pred, StrategyConfig());
-    req.tails = tails;
-    return SelectProject(req);
-  }
-  // -------------------------------------------------------------------------
 
   /// Drops every cached adaptive structure (access paths and sideways
   /// maps); base tables are untouched.
@@ -340,17 +282,6 @@ class Database {
                           const std::vector<ColumnCutExport>& exports);
 
  private:
-  static QueryRequest MakeRequest(std::string_view table, std::string_view column,
-                                  const RangePredicate<std::int64_t>& pred,
-                                  const StrategyConfig& config) {
-    QueryRequest req;
-    req.table = std::string(table);
-    req.column = std::string(column);
-    req.predicate = pred;
-    req.strategy = config;
-    return req;
-  }
-
   Result<std::span<const std::int64_t>> ColumnSpan(std::string_view table,
                                                    std::string_view column) const;
   Result<AccessPath<std::int64_t>*> PathFor(std::string_view table,
@@ -363,6 +294,11 @@ class Database {
   /// After it returns OK, the apply phase cannot fail.
   Result<Table*> PrepareRowDml(std::string_view table,
                                std::vector<TypedColumn<std::int64_t>*>* cols);
+  /// The apply phase shared by Delete and DeleteWhere: removes the rows at
+  /// `positions` (strictly ascending) from every cached path, logs them to
+  /// every sideways cracker, then erases them from the base. Cannot fail.
+  void ApplyErase(Table* t, const std::vector<TypedColumn<std::int64_t>*>& cols,
+                  std::span<const std::size_t> positions);
   /// Applies `write` to every cached access path of (table, column).
   template <typename Fn>
   void ForEachPathOf(std::string_view table, std::string_view column, Fn&& write) {

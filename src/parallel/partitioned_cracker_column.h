@@ -146,8 +146,6 @@ struct PartitionedCrackerOptions {
   /// Applied to every per-partition CrackerColumn; the stochastic seed is
   /// perturbed per partition so partitions do not pick identical pivots.
   CrackerColumnOptions column_options = {};
-  /// Splitters are equi-depth quantiles of a sample this large.
-  std::size_t splitter_sample_size = 1024;
   std::uint64_t splitter_seed = 0xA24BAED4963EE407ULL;
   /// Update-merge policy applied by every partition's update pipeline.
   MergePolicy merge_policy = MergePolicy::kRipple;
@@ -787,6 +785,8 @@ class PartitionedCrackerColumn {
   /// Initial active stripe count: a nearly uncracked shard has few pieces, so a few wide stripes conflict no more than many
   /// narrow ones and cost fewer latch acquisitions per piece.
   static constexpr std::size_t kInitialActiveStripes = 4;
+  /// Splitters are equi-depth quantiles of a value sample this large.
+  static constexpr std::size_t kSplitterSampleSize = 1024;
   /// Per-shard slots for the free-status registry (threads hash into one).
   static constexpr std::size_t kFreeStatusSlots = 32;
   /// Hard ceiling on chunked exclusive holds per background merge run, so
@@ -1909,12 +1909,12 @@ class PartitionedCrackerColumn {
     const std::size_t k = options_.num_partitions;
     if (k <= 1 || base.size() < 2) return {};
     std::vector<T> sample;
-    if (base.size() <= options_.splitter_sample_size) {
+    if (base.size() <= kSplitterSampleSize) {
       sample.assign(base.begin(), base.end());
     } else {
       Rng rng(options_.splitter_seed);
-      sample.reserve(options_.splitter_sample_size);
-      for (std::size_t i = 0; i < options_.splitter_sample_size; ++i) {
+      sample.reserve(kSplitterSampleSize);
+      for (std::size_t i = 0; i < kSplitterSampleSize; ++i) {
         sample.push_back(base[rng.NextBounded(base.size())]);
       }
     }

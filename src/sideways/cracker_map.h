@@ -62,19 +62,15 @@ class CrackerMap {
   /// (core/crack_ops.h); the entries ride as the tandem payload through
   /// every kernel.
   CrackerMap(std::span<const T> head, std::span<const TailT> tail,
-             CrackKernel kernel = CrackKernel::kAuto,
-             std::size_t predication_min_piece = 0)
-      : CrackerMap(head, tail, std::span<const row_id_t>{}, kernel,
-                   predication_min_piece) {}
+             CrackKernel kernel = CrackKernel::kAuto)
+      : CrackerMap(head, tail, std::span<const row_id_t>{}, kernel) {}
 
   /// Materialization with explicit row ids (tables whose rid sequence has
   /// diverged from position under DML). Empty `rids` means identity.
   CrackerMap(std::span<const T> head, std::span<const TailT> tail,
              std::span<const row_id_t> rids,
-             CrackKernel kernel = CrackKernel::kAuto,
-             std::size_t predication_min_piece = 0)
+             CrackKernel kernel = CrackKernel::kAuto)
       : kernel_(kernel),
-        predication_min_piece_(predication_min_piece),
         head_(head.begin(), head.end()),
         index_(head.size()) {
     AIDX_CHECK(head.size() == tail.size())
@@ -95,7 +91,6 @@ class CrackerMap {
   /// crack/ripple history, but copying a fully-aligned sibling can.
   CrackerMap(const CrackerMap& layout_source, std::vector<TailT> tail)
       : kernel_(layout_source.kernel_),
-        predication_min_piece_(layout_source.predication_min_piece_),
         head_(layout_source.head_),
         index_(layout_source.index_.Clone()) {
     AIDX_CHECK(tail.size() == head_.size())
@@ -127,7 +122,7 @@ class CrackerMap {
         const auto& piece = lo.piece;
         const ThreeWaySplit split = CrackInThree<T, Entry>(
             HeadIn(piece.begin, piece.end), EntriesIn(piece.begin, piece.end),
-            cuts.lower, cuts.upper, kernel_, predication_min_piece_);
+            cuts.lower, cuts.upper, kernel_);
         ++stats_.num_cracks;
         stats_.values_touched +=
             CrackInThreeValuesTouched(piece.end - piece.begin);
@@ -270,8 +265,7 @@ class CrackerMap {
     const std::size_t split =
         piece.begin + CrackInTwo<T, Entry>(HeadIn(piece.begin, piece.end),
                                            EntriesIn(piece.begin, piece.end),
-                                           cut, kernel_,
-                                           predication_min_piece_);
+                                           cut, kernel_);
     ++stats_.num_cracks;
     stats_.values_touched += piece.end - piece.begin;
     index_.AddCut(cut, split);
@@ -279,7 +273,6 @@ class CrackerMap {
   }
 
   CrackKernel kernel_ = CrackKernel::kAuto;
-  std::size_t predication_min_piece_ = 0;
   std::vector<T> head_;
   std::vector<Entry> entries_;
   CrackerIndex<T> index_;

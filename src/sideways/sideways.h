@@ -5,11 +5,11 @@
 // number of tail (projection) attributes B1..Bk:
 //   * map M_{A,Bi} is materialized lazily, the first time a query projects
 //     Bi — only queried columns ever pay storage (partial indexing);
-//   * every select predicate — and, in table-backed mode, every row insert
-//     and delete — is appended to a shared *operation log*; a map is
-//     aligned by replaying the log entries it has not applied yet, which
-//     reproduces the exact same physical layout in every map (adaptive
-//     alignment) so positions correspond across maps row by row;
+//   * every select predicate, row insert and row delete is appended to a
+//     shared *operation log*; a map is aligned by replaying the log entries
+//     it has not applied yet, which reproduces the exact same physical
+//     layout in every map (adaptive alignment) so positions correspond
+//     across maps row by row;
 //   * a map that joins a cohort whose log already contains updates cannot
 //     be rebuilt by replay (an interleaved crack/ripple history is not
 //     reproducible from the current base), so it *clones* a fully-aligned
@@ -17,13 +17,10 @@
 //   * a storage budget (partial sideways cracking) caps the bytes pinned by
 //     maps; least-recently-used maps are evicted and rebuilt on demand.
 //
-// Two construction modes:
-//   * span-based: borrows immutable base columns (benches, ablations) —
-//     DML is not available, the log holds only predicates;
-//   * table-backed: fetches column spans from a Table on demand, so the
-//     cracker survives base reallocation and ApplyInsert / ApplyDelete keep
-//     the maps maintained *incrementally* under row-atomic DML
-//     (update-aware sideways cracking; the Database facade uses this mode).
+// A cracker is backed by a Table: column spans are fetched on demand, so
+// the cracker survives base reallocation, and ApplyInsert / ApplyDelete
+// keep the maps maintained *incrementally* under row-atomic DML
+// (update-aware sideways cracking; the Database facade feeds them).
 #pragma once
 
 #include <algorithm>
@@ -83,45 +80,21 @@ class SidewaysCracker {
     /// Crack kernel applied by every map (head and tail move in tandem, so
     /// this exercises the kernels' payload path; core/crack_ops.h).
     CrackKernel kernel = CrackKernel::kAuto;
-    /// Branchy-fallback piece threshold; 0 = calibrated process default.
-    std::size_t predication_min_piece = 0;
   };
 
-  /// Span mode: borrows the base columns; they must outlive the cracker and
-  /// must not change. DML entry points are unavailable in this mode.
-  SidewaysCracker(std::span<const T> head, Options options = {})
-      : options_(options), head_(head) {}
-
-  /// Table-backed mode: spans are fetched from `table` (which must outlive
-  /// the cracker) on demand; ApplyInsert / ApplyDelete feed row-atomic DML
-  /// into the operation log so cracked investment survives writes.
+  /// Spans are fetched from `table` (which must outlive the cracker) on
+  /// demand; ApplyInsert / ApplyDelete feed row-atomic DML into the
+  /// operation log so cracked investment survives writes.
   SidewaysCracker(Table* table, std::string head_name, Options options = {})
       : options_(options), table_(table), head_name_(std::move(head_name)) {
-    AIDX_CHECK(table_ != nullptr) << "table-backed cracker needs a table";
+    AIDX_CHECK(table_ != nullptr) << "sideways cracker needs a table";
   }
 
   AIDX_DEFAULT_MOVE_ONLY(SidewaysCracker);
 
-  /// Registers a tail column in span mode (no map materialized yet).
-  Status AddTailColumn(std::string name, std::span<const T> tail) {
-    AIDX_CHECK(table_ == nullptr) << "span registration on a table-backed cracker";
-    if (tail.size() != head_.size()) {
-      return Status::InvalidArgument("tail '" + name + "' has " +
-                                     std::to_string(tail.size()) + " rows, head has " +
-                                     std::to_string(head_.size()));
-    }
-    if (IsRegistered(name)) {
-      return Status::AlreadyExists("tail '" + name + "' already registered");
-    }
-    legacy_tails_.emplace(name, tail);
-    tail_order_.push_back(std::move(name));
-    return Status::OK();
-  }
-
-  /// Registers a tail column in table-backed mode; the span is fetched per
-  /// access, so later base growth needs no re-registration.
+  /// Registers a tail column (no map materialized yet); the span is fetched
+  /// per access, so later base growth needs no re-registration.
   Status AddTailColumn(std::string name) {
-    AIDX_CHECK(table_ != nullptr) << "named registration needs a table-backed cracker";
     if (name == head_name_) {
       return Status::InvalidArgument("tail '" + name + "' is the head column");
     }
@@ -137,13 +110,12 @@ class SidewaysCracker {
   /// arrive in exactly this order.
   const std::vector<std::string>& registered_tails() const { return tail_order_; }
 
-  /// Logs a row insert (table-backed mode): the base row (rid, head_value,
-  /// tails in registered_tails() order) has just been appended to the
-  /// table. O(1) here; each live map folds the insert in (ripple move) the
-  /// next time it is touched.
+  /// Logs a row insert: the base row (rid, head_value, tails in
+  /// registered_tails() order) has just been appended to the table. O(1)
+  /// here; each live map folds the insert in (ripple move) the next time it
+  /// is touched.
   void ApplyInsert(row_id_t rid, T head_value, std::vector<T> tails) {
     (void)failpoints::sideways_ripple.Inject();  // delay-only: apply phase
-    AIDX_CHECK(table_ != nullptr) << "DML on a span-mode sideways cracker";
     AIDX_CHECK(tails.size() == tail_order_.size())
         << "insert carries " << tails.size() << " tails, " << tail_order_.size()
         << " registered";
@@ -157,11 +129,10 @@ class SidewaysCracker {
     ++stats_.dml_inserts;
   }
 
-  /// Logs a row delete (table-backed mode): the base row (rid, head_value)
-  /// is about to be erased from the table.
+  /// Logs a row delete: the base row (rid, head_value) is about to be
+  /// erased from the table.
   void ApplyDelete(row_id_t rid, T head_value) {
     (void)failpoints::sideways_ripple.Inject();  // delay-only: apply phase
-    AIDX_CHECK(table_ != nullptr) << "DML on a span-mode sideways cracker";
     LogOp op;
     op.kind = LogOp::Kind::kDelete;
     op.rid = rid;
@@ -313,23 +284,7 @@ class SidewaysCracker {
     ++num_select_ops_;
   }
 
-  std::size_t BaseRows() const {
-    return table_ != nullptr ? table_->num_rows() : head_.size();
-  }
-
-  Result<std::span<const T>> HeadSpan() const {
-    if (table_ == nullptr) return head_;
-    AIDX_ASSIGN_OR_RETURN(const TypedColumn<T>* col,
-                          table_->template GetTypedColumn<T>(head_name_));
-    return col->Values();
-  }
-
-  Result<std::span<const T>> TailSpan(const std::string& name) const {
-    if (table_ == nullptr) {
-      const auto it = legacy_tails_.find(name);
-      AIDX_CHECK(it != legacy_tails_.end());
-      return it->second;
-    }
+  Result<std::span<const T>> ColumnSpan(const std::string& name) const {
     AIDX_ASSIGN_OR_RETURN(const TypedColumn<T>* col,
                           table_->template GetTypedColumn<T>(name));
     return col->Values();
@@ -339,7 +294,6 @@ class SidewaysCracker {
   /// (position -> rid); the base gives (rid -> tail value).
   Result<std::vector<T>> GatherTailByRid(const CrackerMap<T>& sibling,
                                          std::span<const T> tail_span) {
-    AIDX_CHECK(table_ != nullptr);
     const std::span<const row_id_t> base_rids = table_->row_ids();
     AIDX_CHECK(base_rids.size() == tail_span.size());
     AIDX_CHECK(sibling.size() == tail_span.size())
@@ -369,7 +323,7 @@ class SidewaysCracker {
     }
     auto map_it = maps_.find(name);
     if (map_it == maps_.end()) {
-      AIDX_ASSIGN_OR_RETURN(const auto tail_span, TailSpan(name));
+      AIDX_ASSIGN_OR_RETURN(const auto tail_span, ColumnSpan(name));
       AIDX_RETURN_NOT_OK(EnsureBudgetFor(PerMapBytes(), pinned));
       MapEntry entry;
       entry.tail_index =
@@ -387,14 +341,9 @@ class SidewaysCracker {
         entry.ops_pos = ops_.size();
         ++stats_.maps_cloned;
       } else {
-        AIDX_ASSIGN_OR_RETURN(const auto head_span, HeadSpan());
-        AIDX_CHECK(head_span.size() == tail_span.size())
-            << "head/tail desynchronized: " << head_span.size() << " vs "
-            << tail_span.size();
-        entry.map = std::make_unique<CrackerMap<T>>(
-            head_span, tail_span,
-            table_ != nullptr ? table_->row_ids() : std::span<const row_id_t>{},
-            options_.kernel, options_.predication_min_piece);
+        AIDX_ASSIGN_OR_RETURN(const auto head_span, ColumnSpan(head_name_));
+        entry.map = std::make_unique<CrackerMap<T>>(head_span, tail_span,
+                                                    table_->row_ids(), options_.kernel);
         if (num_dml_ops_ == 0) {
           entry.ops_pos = 0;  // a fresh map replays the whole (select) log
         } else {
@@ -444,7 +393,7 @@ class SidewaysCracker {
   }
 
   std::size_t PerMapBytes() const {
-    return BaseRows() * CrackerMap<T>::kBytesPerRow;
+    return table_->num_rows() * CrackerMap<T>::kBytesPerRow;
   }
 
   /// Evicts LRU maps (never `pinned` ones) until `incoming` extra bytes fit
@@ -477,11 +426,9 @@ class SidewaysCracker {
   }
 
   Options options_;
-  Table* table_ = nullptr;      // table-backed mode; null in span mode
-  std::string head_name_;       // table-backed mode
-  std::span<const T> head_;     // span mode
-  std::vector<std::string> tail_order_;  // registration order, both modes
-  std::unordered_map<std::string, std::span<const T>> legacy_tails_;  // span mode
+  Table* table_;
+  std::string head_name_;
+  std::vector<std::string> tail_order_;  // registration order
   std::unordered_map<std::string, MapEntry> maps_;
   std::vector<LogOp> ops_;
   std::size_t num_select_ops_ = 0;

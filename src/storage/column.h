@@ -1,6 +1,8 @@
 // Columns: fixed-width dense arrays, the storage unit of the substrate.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <memory>
 #include <span>
 #include <string>
@@ -18,6 +20,26 @@ namespace aidx {
 template <ColumnValue T>
 class TypedColumn;
 
+/// Order-preserving erase of `sorted_positions` (strictly ascending, in
+/// range) from `values`: one block move per surviving run, so erasing one
+/// position costs what vector::erase does and erasing many is one pass.
+template <typename V>
+void EraseSortedPositions(std::vector<V>* values,
+                          std::span<const std::size_t> sorted_positions) {
+  if (sorted_positions.empty()) return;
+  const auto at = [values](std::size_t pos) {
+    return values->begin() + static_cast<std::ptrdiff_t>(pos);
+  };
+  auto write = at(sorted_positions.front());
+  for (std::size_t v = 0; v < sorted_positions.size(); ++v) {
+    const auto run_end = v + 1 < sorted_positions.size()
+                             ? at(sorted_positions[v + 1])
+                             : values->end();
+    write = std::copy(at(sorted_positions[v] + 1), run_end, write);
+  }
+  values->erase(write, values->end());
+}
+
 /// Type-erased handle to a column. Concrete storage lives in TypedColumn<T>.
 class Column {
  public:
@@ -30,21 +52,12 @@ class Column {
   /// Bytes of value payload held by this column.
   virtual std::size_t MemoryUsageBytes() const = 0;
 
-  /// Erases the value at `pos`, preserving the order of the rest. Type-
-  /// erased so Table::EraseRow can remove one row across heterogeneous
-  /// columns in lock step (row-atomic DML).
-  virtual void EraseRow(std::size_t pos) = 0;
-
   /// Erases the values at `sorted_positions` (strictly ascending, in
-  /// range), order-preserving. The default loops EraseRow back to front;
-  /// TypedColumn overrides with a single compaction pass — the bulk
-  /// primitive shard rebalance uses to evacuate a key range in O(n)
-  /// instead of O(rows_moved * n).
-  virtual void EraseRows(std::span<const std::size_t> sorted_positions) {
-    for (std::size_t i = sorted_positions.size(); i > 0; --i) {
-      EraseRow(sorted_positions[i - 1]);
-    }
-  }
+  /// range), order-preserving. Type-erased so Table::EraseRows can remove
+  /// rows across heterogeneous columns in lock step (row-atomic DML), in one
+  /// compaction pass — the bulk primitive shard rebalance uses to evacuate
+  /// a key range in O(n) instead of O(rows_moved * n).
+  virtual void EraseRows(std::span<const std::size_t> sorted_positions) = 0;
 
   /// Down-casts to the typed column; returns an error on a type mismatch.
   template <ColumnValue T>
@@ -87,24 +100,8 @@ class TypedColumn final : public Column {
   void AppendMany(std::span<const T> values) {
     values_.insert(values_.end(), values.begin(), values.end());
   }
-  void EraseRow(std::size_t pos) override {
-    AIDX_DCHECK(pos < values_.size());
-    values_.erase(values_.begin() + static_cast<std::ptrdiff_t>(pos));
-  }
   void EraseRows(std::span<const std::size_t> sorted_positions) override {
-    if (sorted_positions.empty()) return;
-    std::size_t write = sorted_positions.front();
-    std::size_t next_victim = 0;
-    for (std::size_t read = write; read < values_.size(); ++read) {
-      if (next_victim < sorted_positions.size() &&
-          read == sorted_positions[next_victim]) {
-        AIDX_DCHECK(read < values_.size());
-        ++next_victim;
-        continue;
-      }
-      values_[write++] = values_[read];
-    }
-    values_.resize(write);
+    EraseSortedPositions(&values_, sorted_positions);
   }
 
   /// Unchecked element access (hot paths); bounds are the caller's contract.

@@ -67,17 +67,6 @@ void Table::CommitAppendedRow(row_id_t rid) {
   row_ids_.push_back(rid);
 }
 
-Status Table::EraseRow(std::size_t pos) {
-  if (pos >= num_rows()) {
-    return Status::OutOfRange("row " + std::to_string(pos) + " out of range; table '" +
-                              name_ + "' has " + std::to_string(num_rows()) + " rows");
-  }
-  EnsureRowIds();
-  for (auto& [_, col] : columns_) col->EraseRow(pos);
-  row_ids_.erase(row_ids_.begin() + static_cast<std::ptrdiff_t>(pos));
-  return Status::OK();
-}
-
 Status Table::EraseRows(std::span<const std::size_t> sorted_positions) {
   if (sorted_positions.empty()) return Status::OK();
   for (std::size_t i = 0; i < sorted_positions.size(); ++i) {
@@ -93,17 +82,7 @@ Status Table::EraseRows(std::span<const std::size_t> sorted_positions) {
   }
   EnsureRowIds();
   for (auto& [_, col] : columns_) col->EraseRows(sorted_positions);
-  std::size_t write = sorted_positions.front();
-  std::size_t next_victim = 0;
-  for (std::size_t read = write; read < row_ids_.size(); ++read) {
-    if (next_victim < sorted_positions.size() &&
-        read == sorted_positions[next_victim]) {
-      ++next_victim;
-      continue;
-    }
-    row_ids_[write++] = row_ids_[read];
-  }
-  row_ids_.resize(write);
+  EraseSortedPositions(&row_ids_, sorted_positions);
   return Status::OK();
 }
 

@@ -72,7 +72,9 @@ class Table {
 
   /// Erases the row at `pos` from every column (order-preserving) and
   /// retires its id.
-  Status EraseRow(std::size_t pos);
+  Status EraseRow(std::size_t pos) {
+    return EraseRows(std::span<const std::size_t>(&pos, 1));
+  }
 
   /// Erases the rows at `sorted_positions` (strictly ascending) from every
   /// column in one compaction pass each, retiring their ids — the bulk

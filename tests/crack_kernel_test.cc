@@ -14,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "../bench/crack_two_pass.h"
 #include "core/crack_ops.h"
 #include "core/cracker_column.h"
 #include "exec/access_path.h"

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 #include <vector>
 
 #include "index/scan.h"
@@ -181,6 +182,8 @@ struct ConfigParam {
   std::size_t stochastic_threshold;
   std::int64_t domain;  // small => heavy duplicates
   const char* name;
+
+  friend void PrintTo(const ConfigParam& p, std::ostream* os) { *os << p.name; }
 };
 
 class CrackerColumnConfigTest : public ::testing::TestWithParam<ConfigParam> {};

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 #include <vector>
 
 #include "exec/access_path.h"
@@ -31,6 +32,10 @@ struct StrategyCase {
   StrategyConfig config;
   std::uint64_t data_seed = 51;
   std::uint64_t query_seed = 52;
+
+  friend void PrintTo(const StrategyCase& c, std::ostream* os) {
+    *os << c.config.DisplayName() << " seeds " << c.data_seed << " " << c.query_seed;
+  }
 };
 
 class AccessPathStrategyTest : public ::testing::TestWithParam<StrategyCase> {};
@@ -57,9 +62,6 @@ TEST_P(AccessPathStrategyTest, AgreesWithScanOracle) {
   }
 }
 
-// Static storage keeps the padding inside each config zero-filled: the
-// parameter is printed byte-wise into the test name, and padding taken
-// from the stack would make the name change from one listing to the next.
 const StrategyCase kStrategyCases[] = {
     {StrategyConfig::FullScan()},
     {StrategyConfig::FullSort()},
@@ -107,14 +109,20 @@ TEST(DatabaseTest, EndToEndCountAcrossStrategies) {
        {StrategyConfig::FullScan(), StrategyConfig::Crack(),
         StrategyConfig::AdaptiveMerge(512),
         StrategyConfig::Hybrid(OrganizeMode::kCrack, OrganizeMode::kSort, 512)}) {
-    auto count = db.Count("orders", "amount", p, config);
+    auto count = db.Count({.table = "orders",
+                           .column = "amount",
+                           .predicate = p,
+                           .strategy = config});
     ASSERT_TRUE(count.ok()) << config.DisplayName();
     EXPECT_EQ(*count, expect) << config.DisplayName();
   }
   // One cached path per strategy.
   EXPECT_EQ(db.num_cached_paths(), 4u);
   // Repeat queries hit the cached adaptive structure.
-  ASSERT_TRUE(db.Count("orders", "amount", p, StrategyConfig::Crack()).ok());
+  ASSERT_TRUE(db.Count({.table = "orders",
+                        .column = "amount",
+                        .predicate = p,
+                        .strategy = StrategyConfig::Crack()}).ok());
   EXPECT_EQ(db.num_cached_paths(), 4u);
 }
 
@@ -124,7 +132,10 @@ TEST(DatabaseTest, SumMatchesOracle) {
   const auto values = RandomValues(2000, 500, 54);
   ASSERT_TRUE(db.AddColumn("t", "v", std::vector<std::int64_t>(values)).ok());
   const auto p = Pred::Between(100, 400);
-  auto sum = db.Sum("t", "v", p, StrategyConfig::Crack());
+  auto sum = db.Sum({.table = "t",
+                     .column = "v",
+                     .predicate = p,
+                     .strategy = StrategyConfig::Crack()});
   ASSERT_TRUE(sum.ok());
   EXPECT_DOUBLE_EQ(*sum, static_cast<double>(ScanSum<std::int64_t>(values, p)));
 }
@@ -145,7 +156,10 @@ TEST(DatabaseTest, SelectProjectViaSideways) {
   ASSERT_TRUE(db.AddColumn("lineitem", "qty", std::move(qty)).ok());
 
   const auto p = Pred::Between(100, 200);
-  auto res = db.SelectProject("lineitem", "shipdate", p, {"price", "qty"});
+  auto res = db.SelectProject({.table = "lineitem",
+                               .column = "shipdate",
+                               .predicate = p,
+                               .tails = {"price", "qty"}});
   ASSERT_TRUE(res.ok());
   EXPECT_EQ(res->num_rows, ScanCount<std::int64_t>(keys, p));
   for (std::size_t i = 0; i < res->num_rows; ++i) {
@@ -162,13 +176,22 @@ TEST(DatabaseTest, ErrorPaths) {
   EXPECT_TRUE(db.AddColumn("ghost", "v", {1}).IsNotFound());
   ASSERT_TRUE(db.AddColumn("t", "v", {1, 2, 3}).ok());
   EXPECT_TRUE(db.AddColumn("t", "v", {1, 2, 3}).IsAlreadyExists());
-  EXPECT_TRUE(db.Count("ghost", "v", Pred::Between(1, 2), StrategyConfig::Crack())
+  EXPECT_TRUE(db.Count({.table = "ghost",
+                        .column = "v",
+                        .predicate = Pred::Between(1, 2),
+                        .strategy = StrategyConfig::Crack()})
                   .status()
                   .IsNotFound());
-  EXPECT_TRUE(db.Count("t", "ghost", Pred::Between(1, 2), StrategyConfig::Crack())
+  EXPECT_TRUE(db.Count({.table = "t",
+                        .column = "ghost",
+                        .predicate = Pred::Between(1, 2),
+                        .strategy = StrategyConfig::Crack()})
                   .status()
                   .IsNotFound());
-  EXPECT_TRUE(db.SelectProject("t", "v", Pred::Between(1, 2), {"ghost"})
+  EXPECT_TRUE(db.SelectProject({.table = "t",
+                                .column = "v",
+                                .predicate = Pred::Between(1, 2),
+                                .tails = {"ghost"}})
                   .status()
                   .IsNotFound());
 }
@@ -177,12 +200,18 @@ TEST(DatabaseTest, ResetAdaptiveStateDropsCaches) {
   Database db;
   ASSERT_TRUE(db.CreateTable("t").ok());
   ASSERT_TRUE(db.AddColumn("t", "v", RandomValues(500, 100, 56)).ok());
-  ASSERT_TRUE(db.Count("t", "v", Pred::Between(1, 50), StrategyConfig::Crack()).ok());
+  ASSERT_TRUE(db.Count({.table = "t",
+                        .column = "v",
+                        .predicate = Pred::Between(1, 50),
+                        .strategy = StrategyConfig::Crack()}).ok());
   EXPECT_EQ(db.num_cached_paths(), 1u);
   db.ResetAdaptiveState();
   EXPECT_EQ(db.num_cached_paths(), 0u);
   // Still answers after reset (fresh adaptive state).
-  auto count = db.Count("t", "v", Pred::Between(1, 50), StrategyConfig::Crack());
+  auto count = db.Count({.table = "t",
+                         .column = "v",
+                         .predicate = Pred::Between(1, 50),
+                         .strategy = StrategyConfig::Crack()});
   ASSERT_TRUE(count.ok());
 }
 
@@ -195,17 +224,32 @@ TEST(DatabaseTest, StructuralCacheKeyDistinguishesKnobs) {
   ASSERT_TRUE(db.CreateTable("t").ok());
   ASSERT_TRUE(db.AddColumn("t", "v", RandomValues(4000, 1000, 57)).ok());
   const auto p = Pred::Between(100, 500);
-  ASSERT_TRUE(db.Count("t", "v", p, StrategyConfig::AdaptiveMerge(512)).ok());
-  ASSERT_TRUE(db.Count("t", "v", p, StrategyConfig::AdaptiveMerge(2048)).ok());
+  ASSERT_TRUE(db.Count({.table = "t",
+                        .column = "v",
+                        .predicate = p,
+                        .strategy = StrategyConfig::AdaptiveMerge(512)}).ok());
+  ASSERT_TRUE(db.Count({.table = "t",
+                        .column = "v",
+                        .predicate = p,
+                        .strategy = StrategyConfig::AdaptiveMerge(2048)}).ok());
   EXPECT_EQ(db.num_cached_paths(), 2u);
   // Same for crack configs differing only in merge policy.
   StrategyConfig mci = StrategyConfig::Crack();
   mci.merge_policy = MergePolicy::kComplete;
-  ASSERT_TRUE(db.Count("t", "v", p, StrategyConfig::Crack()).ok());
-  ASSERT_TRUE(db.Count("t", "v", p, mci).ok());
+  ASSERT_TRUE(db.Count({.table = "t",
+                        .column = "v",
+                        .predicate = p,
+                        .strategy = StrategyConfig::Crack()}).ok());
+  ASSERT_TRUE(db.Count({.table = "t",
+                        .column = "v",
+                        .predicate = p,
+                        .strategy = mci}).ok());
   EXPECT_EQ(db.num_cached_paths(), 4u);
   // Identical configs still share one structure.
-  ASSERT_TRUE(db.Count("t", "v", p, StrategyConfig::AdaptiveMerge(512)).ok());
+  ASSERT_TRUE(db.Count({.table = "t",
+                        .column = "v",
+                        .predicate = p,
+                        .strategy = StrategyConfig::AdaptiveMerge(512)}).ok());
   EXPECT_EQ(db.num_cached_paths(), 4u);
 }
 
@@ -216,7 +260,10 @@ TEST(DatabaseTest, CacheAndDisplayNameDistinguishKernelVariants) {
   ASSERT_TRUE(db.CreateTable("t").ok());
   ASSERT_TRUE(db.AddColumn("t", "v", RandomValues(4000, 1000, 60)).ok());
   const auto p = Pred::Between(100, 500);
-  const auto expect = db.Count("t", "v", p, StrategyConfig::FullScan());
+  const auto expect = db.Count({.table = "t",
+                                .column = "v",
+                                .predicate = p,
+                                .strategy = StrategyConfig::FullScan()});
   ASSERT_TRUE(expect.ok());
   std::size_t paths = db.num_cached_paths();
   for (const CrackKernel kernel :
@@ -224,7 +271,10 @@ TEST(DatabaseTest, CacheAndDisplayNameDistinguishKernelVariants) {
         CrackKernel::kPredicatedUnrolled}) {
     StrategyConfig config = StrategyConfig::Crack();
     config.crack_kernel = kernel;
-    auto count = db.Count("t", "v", p, config);
+    auto count = db.Count({.table = "t",
+                           .column = "v",
+                           .predicate = p,
+                           .strategy = config});
     ASSERT_TRUE(count.ok()) << config.DisplayName();
     EXPECT_EQ(*count, *expect) << config.DisplayName();
     EXPECT_EQ(db.num_cached_paths(), ++paths)
@@ -255,12 +305,15 @@ TEST(DatabaseTest, InsertAndDeleteKeepEveryCachedPathConsistent) {
   const auto p = Pred::Between(200, 600);
   // Warm every path, then write through the facade.
   for (const auto& config : configs) {
-    ASSERT_TRUE(db.Count("t", "v", p, config).ok());
+    ASSERT_TRUE(db.Count({.table = "t",
+                          .column = "v",
+                          .predicate = p,
+                          .strategy = config}).ok());
   }
   Rng rng(59);
   for (int i = 0; i < 50; ++i) {
     const auto v = static_cast<std::int64_t>(rng.NextBounded(1000));
-    ASSERT_TRUE(db.Insert("t", "v", v).ok());
+    ASSERT_TRUE(db.Insert("t", {v}).ok());
     values.push_back(v);
   }
   for (int i = 0; i < 20; ++i) {
@@ -272,12 +325,18 @@ TEST(DatabaseTest, InsertAndDeleteKeepEveryCachedPathConsistent) {
   }
   const std::size_t expect = ScanCount<std::int64_t>(values, p);
   for (const auto& config : configs) {
-    auto count = db.Count("t", "v", p, config);
+    auto count = db.Count({.table = "t",
+                           .column = "v",
+                           .predicate = p,
+                           .strategy = config});
     ASSERT_TRUE(count.ok()) << config.DisplayName();
     EXPECT_EQ(*count, expect) << config.DisplayName();
   }
   // A path created only now (fresh strategy) sees the mutated base.
-  auto fresh = db.Count("t", "v", p, StrategyConfig::AdaptiveMerge(512));
+  auto fresh = db.Count({.table = "t",
+                         .column = "v",
+                         .predicate = p,
+                         .strategy = StrategyConfig::AdaptiveMerge(512)});
   ASSERT_TRUE(fresh.ok());
   EXPECT_EQ(*fresh, expect);
   // The catalog's base column mirrors the live multiset.
@@ -290,11 +349,17 @@ TEST(DatabaseTest, DeleteOfAbsentValueIsANoOp) {
   Database db;
   ASSERT_TRUE(db.CreateTable("t").ok());
   ASSERT_TRUE(db.AddColumn("t", "v", {1, 2, 3}).ok());
-  ASSERT_TRUE(db.Count("t", "v", Pred::All(), StrategyConfig::Crack()).ok());
+  ASSERT_TRUE(db.Count({.table = "t",
+                        .column = "v",
+                        .predicate = Pred::All(),
+                        .strategy = StrategyConfig::Crack()}).ok());
   auto deleted = db.Delete("t", "v", 99);
   ASSERT_TRUE(deleted.ok());
   EXPECT_FALSE(*deleted);
-  auto count = db.Count("t", "v", Pred::All(), StrategyConfig::Crack());
+  auto count = db.Count({.table = "t",
+                         .column = "v",
+                         .predicate = Pred::All(),
+                         .strategy = StrategyConfig::Crack()});
   ASSERT_TRUE(count.ok());
   EXPECT_EQ(*count, 3u);
   EXPECT_TRUE(db.Delete("ghost", "v", 1).status().IsNotFound());
@@ -306,11 +371,17 @@ TEST(DatabaseTest, InsertBatchMatchesScalarInserts) {
   auto values = RandomValues(500, 100, 60);
   ASSERT_TRUE(db.AddColumn("t", "v", std::vector<std::int64_t>(values)).ok());
   const auto p = Pred::Between(10, 90);
-  ASSERT_TRUE(db.Count("t", "v", p, StrategyConfig::Crack()).ok());
+  ASSERT_TRUE(db.Count({.table = "t",
+                        .column = "v",
+                        .predicate = p,
+                        .strategy = StrategyConfig::Crack()}).ok());
   const std::vector<std::int64_t> batch = {5, 50, 95, 50};
-  ASSERT_TRUE(db.InsertBatch("t", "v", batch).ok());
+  ASSERT_TRUE(db.InsertBatch("t", batch).ok());
   values.insert(values.end(), batch.begin(), batch.end());
-  auto count = db.Count("t", "v", p, StrategyConfig::Crack());
+  auto count = db.Count({.table = "t",
+                         .column = "v",
+                         .predicate = p,
+                         .strategy = StrategyConfig::Crack()});
   ASSERT_TRUE(count.ok());
   EXPECT_EQ(*count, ScanCount<std::int64_t>(values, p));
 }
@@ -324,12 +395,18 @@ TEST(DatabaseTest, SidewaysMaintainedIncrementallyAcrossWrites) {
   ASSERT_TRUE(db.AddColumn("t", "k", {10, 20, 30}).ok());
   ASSERT_TRUE(db.AddColumn("t", "a", {1, 2, 3}).ok());
   const auto p = Pred::Between(10, 30);
-  auto before = db.SelectProject("t", "k", p, {"a"});
+  auto before = db.SelectProject({.table = "t",
+                                  .column = "k",
+                                  .predicate = p,
+                                  .tails = {"a"}});
   ASSERT_TRUE(before.ok());
   EXPECT_EQ(before->num_rows, 3u);
   // Row-atomic writes: one value per column, column_names() order (k, a).
   ASSERT_TRUE(db.Insert("t", {25, 9}).ok());
-  auto after = db.SelectProject("t", "k", p, {"a"});
+  auto after = db.SelectProject({.table = "t",
+                                 .column = "k",
+                                 .predicate = p,
+                                 .tails = {"a"}});
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(after->num_rows, 4u);
   // The cracker (and its map) survived the write instead of rebuilding.
@@ -337,16 +414,14 @@ TEST(DatabaseTest, SidewaysMaintainedIncrementallyAcrossWrites) {
   ASSERT_TRUE(state.ok());
   EXPECT_EQ((*state)->stats().maps_created, 1u);
   EXPECT_EQ((*state)->stats().dml_inserts, 1u);
-  // Column-addressed writes on a multi-column table are rejected — they
-  // would desynchronize rows (the old footgun this API closed).
-  EXPECT_TRUE(db.Insert("t", "k", 15).IsInvalidArgument());
-  EXPECT_TRUE(db.InsertBatch("t", "k", std::vector<std::int64_t>{1, 2})
-                  .IsInvalidArgument());
   // Row-atomic delete removes the first row whose key column matches.
   auto deleted = db.Delete("t", "k", 25);
   ASSERT_TRUE(deleted.ok());
   EXPECT_TRUE(*deleted);
-  auto final_res = db.SelectProject("t", "k", p, {"a"});
+  auto final_res = db.SelectProject({.table = "t",
+                                     .column = "k",
+                                     .predicate = p,
+                                     .tails = {"a"}});
   ASSERT_TRUE(final_res.ok());
   EXPECT_EQ(final_res->num_rows, 3u);
 }

@@ -141,22 +141,32 @@ TEST_F(FaultScheduleTest, DeadlinePropagatesThroughTheDatabaseFacade) {
   // A generous deadline answers exactly.
   const auto pred = Pred::Between(200, 800);
   const QueryContext relaxed = QueryContext::WithTimeout(std::chrono::hours(1));
-  auto ok_count = db.Count("t", "v", Pred::HalfOpen(0, 500),
-                           StrategyConfig::Crack(), relaxed);
+  auto ok_count = db.Count({.table = "t",
+                            .column = "v",
+                            .predicate = Pred::HalfOpen(0, 500),
+                            .strategy = StrategyConfig::Crack(),
+                            .context = relaxed});
   ASSERT_TRUE(ok_count.ok()) << ok_count.status().ToString();
   EXPECT_EQ(*ok_count, ScanCount<std::int64_t>(values, Pred::HalfOpen(0, 500)));
 
   // Same two-gate construction as above, now through Database::Count.
   ASSERT_TRUE(Configure("crack.piece=delay(20000)").ok());
   const QueryContext tight = QueryContext::WithTimeout(std::chrono::milliseconds(5));
-  auto expired = db.Count("t", "v", pred, StrategyConfig::Crack(), tight);
+  auto expired = db.Count({.table = "t",
+                           .column = "v",
+                           .predicate = pred,
+                           .strategy = StrategyConfig::Crack(),
+                           .context = tight});
   ASSERT_FALSE(expired.ok());
   EXPECT_TRUE(expired.status().IsDeadlineExceeded())
       << expired.status().ToString();
 
   // The cached path survived the expiry and answers exactly afterwards.
   FailpointRegistry::Instance().DisarmAll();
-  auto after = db.Count("t", "v", pred, StrategyConfig::Crack());
+  auto after = db.Count({.table = "t",
+                         .column = "v",
+                         .predicate = pred,
+                         .strategy = StrategyConfig::Crack()});
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(*after, ScanCount<std::int64_t>(values, pred));
 }
@@ -280,18 +290,27 @@ TEST_F(FaultScheduleTest, DmlValidationFaultFailsCleanAndRowAtomically) {
   ASSERT_TRUE(db.CreateTable("t").ok());
   ASSERT_TRUE(db.AddColumn("t", "k", {10, 20, 30}).ok());
   ASSERT_TRUE(db.AddColumn("t", "a", {1, 2, 3}).ok());
-  ASSERT_TRUE(db.Count("t", "k", Pred::All(), StrategyConfig::Crack()).ok());
+  ASSERT_TRUE(db.Count({.table = "t",
+                        .column = "k",
+                        .predicate = Pred::All(),
+                        .strategy = StrategyConfig::Crack()}).ok());
 
   ASSERT_TRUE(Configure("engine.dml_validate=error(resource_exhausted)").ok());
   EXPECT_TRUE(db.Insert("t", {40, 4}).IsResourceExhausted());
   FailpointRegistry::Instance().DisarmAll();
 
   // The faulted insert left no partial row behind anywhere.
-  auto count = db.Count("t", "k", Pred::All(), StrategyConfig::Crack());
+  auto count = db.Count({.table = "t",
+                         .column = "k",
+                         .predicate = Pred::All(),
+                         .strategy = StrategyConfig::Crack()});
   ASSERT_TRUE(count.ok());
   EXPECT_EQ(*count, 3u);
   ASSERT_TRUE(db.Insert("t", {40, 4}).ok());
-  count = db.Count("t", "k", Pred::All(), StrategyConfig::Crack());
+  count = db.Count({.table = "t",
+                    .column = "k",
+                    .predicate = Pred::All(),
+                    .strategy = StrategyConfig::Crack()});
   ASSERT_TRUE(count.ok());
   EXPECT_EQ(*count, 4u);
 }
@@ -306,18 +325,27 @@ TEST_F(FaultScheduleTest, SidewaysSelectFaultLeavesTheCrackerUntouched) {
   ASSERT_TRUE(db.AddColumn("t", "a", std::move(payload)).ok());
 
   const auto pred = Pred::Between(100, 200);
-  auto before = db.SelectProject("t", "k", pred, {"a"});
+  auto before = db.SelectProject({.table = "t",
+                                  .column = "k",
+                                  .predicate = pred,
+                                  .tails = {"a"}});
   ASSERT_TRUE(before.ok());
   const auto queries_before = (*db.SidewaysState("t", "k"))->stats().num_queries;
 
   // The gate sits before any bookkeeping: the fault neither logs a query
   // nor touches a map.
   ASSERT_TRUE(Configure("sideways.select=error(resource_exhausted)").ok());
-  EXPECT_TRUE(db.SelectProject("t", "k", pred, {"a"}).status().IsResourceExhausted());
+  EXPECT_TRUE(db.SelectProject({.table = "t",
+                                .column = "k",
+                                .predicate = pred,
+                                .tails = {"a"}}).status().IsResourceExhausted());
   FailpointRegistry::Instance().DisarmAll();
   EXPECT_EQ((*db.SidewaysState("t", "k"))->stats().num_queries, queries_before);
 
-  auto after = db.SelectProject("t", "k", pred, {"a"});
+  auto after = db.SelectProject({.table = "t",
+                                 .column = "k",
+                                 .predicate = pred,
+                                 .tails = {"a"}});
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(after->num_rows, before->num_rows);
 }
@@ -331,7 +359,10 @@ TEST_F(FaultScheduleTest, AddColumnFaultLeavesTheTableUnchanged) {
   FailpointRegistry::Instance().DisarmAll();
   // Schema unchanged by the faulted attempt; the retry succeeds.
   ASSERT_TRUE(db.AddColumn("t", "w", {4, 5, 6}).ok());
-  auto count = db.Count("t", "w", Pred::All(), StrategyConfig::FullScan());
+  auto count = db.Count({.table = "t",
+                         .column = "w",
+                         .predicate = Pred::All(),
+                         .strategy = StrategyConfig::FullScan()});
   ASSERT_TRUE(count.ok());
   EXPECT_EQ(*count, 3u);
 }
@@ -368,7 +399,10 @@ TEST_F(FaultScheduleTest, BudgetPressureFallsBackToScanWithExactAnswers) {
 
   const auto pred = Pred::Between(100, 300);
   // Reference answer on an unlimited budget (sideways cracked path).
-  auto cracked = db.SelectProject("t", "k", pred, {"price", "qty"});
+  auto cracked = db.SelectProject({.table = "t",
+                                   .column = "k",
+                                   .predicate = pred,
+                                   .tails = {"price", "qty"}});
   ASSERT_TRUE(cracked.ok());
   const auto expect = SortedRows(*cracked);
 
@@ -388,7 +422,10 @@ TEST_F(FaultScheduleTest, BudgetPressureFallsBackToScanWithExactAnswers) {
   ASSERT_TRUE(tiny.AddColumn("t", "qty", std::move(qty2)).ok());
   tiny.SetMemoryBudget(1);
 
-  auto scanned = tiny.SelectProject("t", "k", pred, {"price", "qty"});
+  auto scanned = tiny.SelectProject({.table = "t",
+                                     .column = "k",
+                                     .predicate = pred,
+                                     .tails = {"price", "qty"}});
   ASSERT_TRUE(scanned.ok()) << scanned.status().ToString();
   EXPECT_EQ(SortedRows(*scanned), expect);
   EXPECT_GE(tiny.resource_governor().admission_denials(), 1u);
@@ -397,7 +434,10 @@ TEST_F(FaultScheduleTest, BudgetPressureFallsBackToScanWithExactAnswers) {
 
   // Raising the budget back restores the cracked path on the same db.
   tiny.SetMemoryBudget(ResourceGovernor::kUnlimited);
-  auto recovered = tiny.SelectProject("t", "k", pred, {"price", "qty"});
+  auto recovered = tiny.SelectProject({.table = "t",
+                                       .column = "k",
+                                       .predicate = pred,
+                                       .tails = {"price", "qty"}});
   ASSERT_TRUE(recovered.ok());
   EXPECT_EQ(SortedRows(*recovered), expect);
   EXPECT_GE((*tiny.SidewaysState("t", "k"))->num_live_maps(), 1u);
@@ -426,12 +466,21 @@ TEST_F(FaultScheduleTest, PressureShedsColdCrackersBeforeFallingBack) {
   // One map in each cracker on an unlimited budget, then squeeze so the
   // hot table's second map no longer fits next to the cold cracker.
   const auto pred = Pred::Between(100, 300);
-  ASSERT_TRUE(db.SelectProject("hot", "k", pred, {"a"}).ok());
-  ASSERT_TRUE(db.SelectProject("cold", "k", pred, {"a"}).ok());
+  ASSERT_TRUE(db.SelectProject({.table = "hot",
+                                .column = "k",
+                                .predicate = pred,
+                                .tails = {"a"}}).ok());
+  ASSERT_TRUE(db.SelectProject({.table = "cold",
+                                .column = "k",
+                                .predicate = pred,
+                                .tails = {"a"}}).ok());
   const std::size_t per_map = (*db.SidewaysState("hot", "k"))->per_map_bytes();
   db.SetMemoryBudget(db.resource_governor().used_bytes() + per_map / 2);
 
-  auto res = db.SelectProject("hot", "k", pred, {"b"});
+  auto res = db.SelectProject({.table = "hot",
+                               .column = "k",
+                               .predicate = pred,
+                               .tails = {"b"}});
   ASSERT_TRUE(res.ok()) << res.status().ToString();
   EXPECT_EQ(res->num_rows, ScanCount<std::int64_t>(keys, pred));
   EXPECT_GE(db.resource_governor().sheds(), 1u);
@@ -503,7 +552,7 @@ TEST_F(FaultScheduleTest, RandomizedScheduleKeepsEveryInvariant) {
       const std::uint64_t dice = rng.NextBounded(10);
       if (dice < 6) {
         const auto v = static_cast<std::int64_t>(rng.NextBounded(1000));
-        ASSERT_TRUE(db.Insert("t", "v", v).ok());
+        ASSERT_TRUE(db.Insert("t", {v}).ok());
         oracle.push_back(v);
       } else if (dice < 8 && !oracle.empty()) {
         const auto v = oracle[rng.NextBounded(oracle.size())];
@@ -519,7 +568,11 @@ TEST_F(FaultScheduleTest, RandomizedScheduleKeepsEveryInvariant) {
         const auto p = Pred::Between(lo, lo + 150);
         const QueryContext ctx =
             QueryContext::WithTimeout(std::chrono::seconds(30));
-        auto probe = db.Count("t", "v", p, StrategyConfig::Crack(), ctx);
+        auto probe = db.Count({.table = "t",
+                               .column = "v",
+                               .predicate = p,
+                               .strategy = StrategyConfig::Crack(),
+                               .context = ctx});
         if (probe.ok()) {
           ASSERT_EQ(*probe, ScanCount<std::int64_t>(oracle, p));
         }
@@ -530,15 +583,24 @@ TEST_F(FaultScheduleTest, RandomizedScheduleKeepsEveryInvariant) {
     const auto lo = static_cast<std::int64_t>(rng.NextBounded(900));
     const auto p = Pred::Between(lo, lo + 120);
     for (const auto& config : configs) {
-      auto live = db.Count("t", "v", Pred::All(), config);
+      auto live = db.Count({.table = "t",
+                            .column = "v",
+                            .predicate = Pred::All(),
+                            .strategy = config});
       ASSERT_TRUE(live.ok()) << config.DisplayName();
       ASSERT_EQ(*live, oracle.size()) << config.DisplayName() << " burst " << burst;
-      auto count = db.Count("t", "v", p, config);
+      auto count = db.Count({.table = "t",
+                             .column = "v",
+                             .predicate = p,
+                             .strategy = config});
       ASSERT_TRUE(count.ok()) << config.DisplayName();
       ASSERT_EQ(*count, ScanCount<std::int64_t>(oracle, p))
           << config.DisplayName() << " burst " << burst;
     }
-    auto checksum = db.Sum("t", "v", Pred::All(), StrategyConfig::Crack());
+    auto checksum = db.Sum({.table = "t",
+                            .column = "v",
+                            .predicate = Pred::All(),
+                            .strategy = StrategyConfig::Crack()});
     ASSERT_TRUE(checksum.ok());
     ASSERT_DOUBLE_EQ(*checksum,
                      static_cast<double>(ScanSum<std::int64_t>(oracle, Pred::All())))
@@ -566,7 +628,10 @@ TEST_F(FaultScheduleTest, SidewaysClonesStayAlignedUnderRippleDelays) {
   for (int round = 0; round < 10; ++round) {
     const auto lo = static_cast<std::int64_t>(rng.NextBounded(250));
     const auto pred = Pred::Between(lo, lo + 60);
-    auto res = db.SelectProject("t", "k", pred, {"a"});
+    auto res = db.SelectProject({.table = "t",
+                                 .column = "k",
+                                 .predicate = pred,
+                                 .tails = {"a"}});
     ASSERT_TRUE(res.ok()) << res.status().ToString();
     ASSERT_EQ(res->num_rows, ScanCount<std::int64_t>(oracle_keys, pred));
     // Alignment invariant: the projected payload is derived from the key,
@@ -584,7 +649,10 @@ TEST_F(FaultScheduleTest, SidewaysClonesStayAlignedUnderRippleDelays) {
   FailpointRegistry::Instance().DisarmAll();
   // Stripe growth kept adapting through the faults: the final projection
   // over everything is exact.
-  auto all = db.SelectProject("t", "k", Pred::All(), {"a"});
+  auto all = db.SelectProject({.table = "t",
+                               .column = "k",
+                               .predicate = Pred::All(),
+                               .tails = {"a"}});
   ASSERT_TRUE(all.ok());
   EXPECT_EQ(all->num_rows, oracle_keys.size());
 }

@@ -12,6 +12,7 @@
 #include "exec/serialized_path.h"
 #include "index/scan.h"
 #include "sideways/sideways.h"
+#include "storage/table.h"
 #include "util/rng.h"
 #include "workload/data_generator.h"
 #include "workload/query_generator.h"
@@ -135,8 +136,11 @@ TEST(SidewaysMultiSelectTest, SelectCountWhereMatchesRowOracle) {
   const std::size_t n = 4000;
   const auto head = GenerateData({.n = n, .domain = 1000, .seed = 92});
   const auto tail = GenerateData({.n = n, .domain = 1000, .seed = 93});
-  SidewaysCracker<std::int64_t> cracker(head);
-  ASSERT_TRUE(cracker.AddTailColumn("b", tail).ok());
+  Table table("t");
+  ASSERT_TRUE(table.AddColumn<std::int64_t>("a", head).ok());
+  ASSERT_TRUE(table.AddColumn<std::int64_t>("b", tail).ok());
+  SidewaysCracker<std::int64_t> cracker(&table, "a");
+  ASSERT_TRUE(cracker.AddTailColumn("b").ok());
   Rng rng(94);
   for (int q = 0; q < 100; ++q) {
     const auto a = static_cast<std::int64_t>(rng.NextBounded(1000));
@@ -155,8 +159,10 @@ TEST(SidewaysMultiSelectTest, SelectCountWhereMatchesRowOracle) {
 }
 
 TEST(SidewaysMultiSelectTest, UnknownTailRejected) {
-  const auto head = GenerateData({.n = 100, .domain = 10, .seed = 95});
-  SidewaysCracker<std::int64_t> cracker(head);
+  Table table("t");
+  ASSERT_TRUE(
+      table.AddColumn("a", GenerateData({.n = 100, .domain = 10, .seed = 95})).ok());
+  SidewaysCracker<std::int64_t> cracker(&table, "a");
   EXPECT_TRUE(cracker.SelectCountWhere(Pred::Between(1, 5), "nope", Pred::All())
                   .status()
                   .IsNotFound());

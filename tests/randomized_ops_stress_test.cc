@@ -293,7 +293,10 @@ TEST_P(RandomizedOpsStress, MultiColumnRowOracle) {
             kDmlConfigs[rng.NextBounded(std::size(kDmlConfigs))];
         std::size_t expect = 0;
         for (const auto& row : oracle) expect += p.Matches(row[col]) ? 1 : 0;
-        auto count = db.Count("t", kDmlColumns[col], p, config);
+        auto count = db.Count({.table = "t",
+                               .column = kDmlColumns[col],
+                               .predicate = p,
+                               .strategy = config});
         ASSERT_TRUE(count.ok()) << "seed " << seed << " op " << op;
         ASSERT_EQ(*count, expect)
             << "seed " << seed << " op " << op << " " << config.DisplayName()
@@ -368,7 +371,10 @@ TEST_P(RandomizedOpsStress, MultiColumnMutexSerializedInterleavings) {
           const StrategyConfig& config =
               kDmlConfigs[thread_rng.NextBounded(std::size(kDmlConfigs))];
           std::lock_guard<std::mutex> lock(db_mutex);
-          auto count = db.Count("t", kDmlColumns[col], p, config);
+          auto count = db.Count({.table = "t",
+                                 .column = kDmlColumns[col],
+                                 .predicate = p,
+                                 .strategy = config});
           if (!count.ok() || *count < floor) failures.fetch_add(1);
         }
       }
@@ -383,12 +389,18 @@ TEST_P(RandomizedOpsStress, MultiColumnMutexSerializedInterleavings) {
   }
   std::sort(expect.begin(), expect.end());
   // Materialize all three columns row-aligned through sideways maps.
-  auto r = db.SelectProject("t", "a", Pred::All(), {"b", "c"});
+  auto r = db.SelectProject({.table = "t",
+                             .column = "a",
+                             .predicate = Pred::All(),
+                             .tails = {"b", "c"}});
   ASSERT_TRUE(r.ok()) << "seed " << seed;
   ASSERT_EQ(r->num_rows, expect.size()) << "seed " << seed;
   // SelectProject does not return the head column; check it via Count and
   // compare the projected (b, c) pairs as bags.
-  auto head_count = db.Count("t", "a", Pred::All(), kDmlConfigs[0]);
+  auto head_count = db.Count({.table = "t",
+                              .column = "a",
+                              .predicate = Pred::All(),
+                              .strategy = kDmlConfigs[0]});
   ASSERT_TRUE(head_count.ok());
   ASSERT_EQ(*head_count, expect.size()) << "seed " << seed;
   std::vector<std::array<std::int64_t, 2>> got_pairs(r->num_rows);

@@ -6,10 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "sideways/cracker_map.h"
+#include "storage/table.h"
 #include "util/rng.h"
 
 namespace aidx {
@@ -26,6 +30,25 @@ std::vector<std::int64_t> RandomValues(std::size_t n, std::int64_t domain,
   for (auto& x : v) x = static_cast<std::int64_t>(rng.NextBounded(domain));
   return v;
 }
+
+/// A table of `columns` and a cracker headed by the first one, with every
+/// other column registered as a tail. The cracker borrows the table.
+struct CrackerOverTable {
+  explicit CrackerOverTable(
+      std::vector<std::pair<std::string, std::vector<std::int64_t>>> columns,
+      Cracker::Options options = {}) {
+    for (auto& [name, values] : columns) {
+      AIDX_CHECK_OK(table.AddColumn<std::int64_t>(name, std::move(values)));
+    }
+    cracker = std::make_unique<Cracker>(&table, columns.front().first, options);
+    for (std::size_t i = 1; i < columns.size(); ++i) {
+      AIDX_CHECK_OK(cracker->AddTailColumn(columns[i].first));
+    }
+  }
+
+  Table table{"t"};
+  std::unique_ptr<Cracker> cracker;
+};
 
 TEST(CrackerMapTest, TailTravelsWithHead) {
   // head = key, tail = key * 1000 so consistency is directly checkable.
@@ -105,16 +128,16 @@ class SidewaysTest : public ::testing::Test {
       c_[i] = head_[i] * 2;
       d_[i] = -head_[i];
     }
-    cracker_ = std::make_unique<Cracker>(head_, opts_);
-    ASSERT_TRUE(cracker_->AddTailColumn("b", b_).ok());
-    ASSERT_TRUE(cracker_->AddTailColumn("c", c_).ok());
-    ASSERT_TRUE(cracker_->AddTailColumn("d", d_).ok());
+    fx_ = std::make_unique<CrackerOverTable>(
+        std::vector<std::pair<std::string, std::vector<std::int64_t>>>{
+            {"a", head_}, {"b", b_}, {"c", c_}, {"d", d_}});
+    cracker_ = fx_->cracker.get();
   }
 
   static constexpr std::size_t kN = 3000;
-  Cracker::Options opts_{};
   std::vector<std::int64_t> head_, b_, c_, d_;
-  std::unique_ptr<Cracker> cracker_;
+  std::unique_ptr<CrackerOverTable> fx_;
+  Cracker* cracker_ = nullptr;
 };
 
 TEST_F(SidewaysTest, SingleColumnProjection) {
@@ -207,9 +230,14 @@ TEST_F(SidewaysTest, EmptyProjectionListRejected) {
 }
 
 TEST_F(SidewaysTest, MismatchedTailLengthRejected) {
+  // A tail must be a column of the cracker's table, and the table refuses a
+  // column whose length disagrees with its rows.
   const std::vector<std::int64_t> short_tail(10, 0);
-  EXPECT_TRUE(cracker_->AddTailColumn("short", short_tail).IsInvalidArgument());
-  EXPECT_TRUE(cracker_->AddTailColumn("b", b_).IsAlreadyExists());
+  EXPECT_TRUE(
+      fx_->table.AddColumn<std::int64_t>("short", short_tail).IsInvalidArgument());
+  EXPECT_TRUE(cracker_->AddTailColumn("short").IsNotFound());
+  EXPECT_TRUE(cracker_->AddTailColumn("b").IsAlreadyExists());
+  EXPECT_TRUE(cracker_->AddTailColumn("a").IsInvalidArgument());  // the head
 }
 
 TEST(SidewaysBudgetTest, EvictsLruUnderPressure) {
@@ -218,10 +246,9 @@ TEST(SidewaysBudgetTest, EvictsLruUnderPressure) {
   const auto t2 = RandomValues(1000, 100, 23);
   const auto t3 = RandomValues(1000, 100, 24);
   // Budget fits exactly two maps (each 1000 rows of head + tail + rid).
-  Cracker cracker(head, {.storage_budget_bytes = 2 * 1000 * Map::kBytesPerRow});
-  ASSERT_TRUE(cracker.AddTailColumn("t1", t1).ok());
-  ASSERT_TRUE(cracker.AddTailColumn("t2", t2).ok());
-  ASSERT_TRUE(cracker.AddTailColumn("t3", t3).ok());
+  CrackerOverTable fx({{"a", head}, {"t1", t1}, {"t2", t2}, {"t3", t3}},
+                      {.storage_budget_bytes = 2 * 1000 * Map::kBytesPerRow});
+  Cracker& cracker = *fx.cracker;
   ASSERT_TRUE(cracker.SelectProject(Pred::Between(10, 20), {"t1"}).ok());
   ASSERT_TRUE(cracker.SelectProject(Pred::Between(10, 20), {"t2"}).ok());
   EXPECT_EQ(cracker.num_live_maps(), 2u);
@@ -243,9 +270,9 @@ TEST(SidewaysBudgetTest, QueryWiderThanBudgetFails) {
   const auto head = RandomValues(1000, 100, 25);
   const auto t1 = RandomValues(1000, 100, 26);
   const auto t2 = RandomValues(1000, 100, 27);
-  Cracker cracker(head, {.storage_budget_bytes = 1000 * Map::kBytesPerRow});
-  ASSERT_TRUE(cracker.AddTailColumn("t1", t1).ok());
-  ASSERT_TRUE(cracker.AddTailColumn("t2", t2).ok());
+  CrackerOverTable fx({{"a", head}, {"t1", t1}, {"t2", t2}},
+                      {.storage_budget_bytes = 1000 * Map::kBytesPerRow});
+  Cracker& cracker = *fx.cracker;
   auto res = cracker.SelectProject(Pred::Between(10, 20), {"t1", "t2"});
   EXPECT_TRUE(res.status().IsResourceExhausted());
   // Single-map queries still work.
@@ -255,8 +282,8 @@ TEST(SidewaysBudgetTest, QueryWiderThanBudgetFails) {
 TEST(SidewaysBudgetTest, BudgetSmallerThanOneMapFails) {
   const auto head = RandomValues(100, 10, 28);
   const auto t1 = RandomValues(100, 10, 29);
-  Cracker cracker(head, {.storage_budget_bytes = 8});
-  ASSERT_TRUE(cracker.AddTailColumn("t1", t1).ok());
+  CrackerOverTable fx({{"a", head}, {"t1", t1}}, {.storage_budget_bytes = 8});
+  Cracker& cracker = *fx.cracker;
   EXPECT_TRUE(cracker.SelectProject(Pred::Between(1, 5), {"t1"})
                   .status()
                   .IsResourceExhausted());
@@ -266,9 +293,8 @@ TEST(SidewaysAlignmentTest, EagerAlignmentKeepsAllMapsCurrent) {
   const auto head = RandomValues(1000, 200, 31);
   const auto t1 = RandomValues(1000, 200, 32);
   const auto t2 = RandomValues(1000, 200, 33);
-  Cracker cracker(head, {.eager_alignment = true});
-  ASSERT_TRUE(cracker.AddTailColumn("t1", t1).ok());
-  ASSERT_TRUE(cracker.AddTailColumn("t2", t2).ok());
+  CrackerOverTable fx({{"a", head}, {"t1", t1}, {"t2", t2}}, {.eager_alignment = true});
+  Cracker& cracker = *fx.cracker;
   ASSERT_TRUE(cracker.SelectProject(Pred::Between(10, 50), {"t1"}).ok());
   ASSERT_TRUE(cracker.SelectProject(Pred::Between(60, 90), {"t2"}).ok());
   // Under eager alignment both maps have applied the full tape, so a mixed
@@ -288,9 +314,8 @@ TEST(SidewaysAlignmentTest, InterleavedProjectionSetsStayConsistent) {
     b[i] = head[i] * 10;
     c[i] = head[i] * 100;
   }
-  Cracker cracker(head, {});
-  ASSERT_TRUE(cracker.AddTailColumn("b", b).ok());
-  ASSERT_TRUE(cracker.AddTailColumn("c", c).ok());
+  CrackerOverTable fx({{"a", head}, {"b", b}, {"c", c}});
+  Cracker& cracker = *fx.cracker;
   Rng rng(35);
   for (int q = 0; q < 120; ++q) {
     const auto lo = static_cast<std::int64_t>(rng.NextBounded(400));

@@ -454,14 +454,5 @@ TEST(SidewaysDmlTest, IncrementalEqualsRebuildFromScratch) {
   EXPECT_TRUE(incremental.Validate());
 }
 
-// DML entry points are table-backed-only; the span-mode constructor keeps
-// its historical borrowing semantics and must refuse them loudly.
-TEST(SidewaysDmlDeathTest, SpanModeRejectsDml) {
-  const auto head = RandomValues(100, 51);
-  SidewaysCracker<std::int64_t> cracker{std::span<const std::int64_t>(head)};
-  EXPECT_DEATH(cracker.ApplyInsert(0, 1, {}), "span-mode");
-  EXPECT_DEATH(cracker.ApplyDelete(0, 1), "span-mode");
-}
-
 }  // namespace
 }  // namespace aidx

@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -108,11 +109,13 @@ struct DmlCase {
   StrategyConfig config;
   std::uint64_t rows_seed = 97;
   std::uint64_t ops_seed = 101;
+
+  friend void PrintTo(const DmlCase& c, std::ostream* os) {
+    *os << c.config.DisplayName() << " " << MergePolicyName(c.config.merge_policy)
+        << " seeds " << c.rows_seed << " " << c.ops_seed;
+  }
 };
 
-// Static storage keeps the padding inside each config zero-filled: the
-// parameter is printed byte-wise into the test name, and padding taken
-// from the stack would make the name change from one listing to the next.
 const DmlCase kDmlCases[] = {
     {StrategyConfig::FullScan()},
     {StrategyConfig::FullSort()},
@@ -190,7 +193,10 @@ TEST_P(TableDmlDifferentialTest, MixedWorkloadMatchesRowOracle) {
       case 3: {  // range count through the strategy's path, random column
         const std::size_t col = rng.NextBounded(3);
         const Pred p = RandomPredicate(&rng);
-        auto count = db.Count("t", kColumns[col], p, config);
+        auto count = db.Count({.table = "t",
+                               .column = kColumns[col],
+                               .predicate = p,
+                               .strategy = config});
         ASSERT_TRUE(count.ok()) << "op " << op;
         ASSERT_EQ(*count, OracleCount(oracle, col, p))
             << config.DisplayName() << " op " << op << " col " << kColumns[col]
@@ -200,7 +206,10 @@ TEST_P(TableDmlDifferentialTest, MixedWorkloadMatchesRowOracle) {
       case 4: {  // sum
         const std::size_t col = rng.NextBounded(3);
         const Pred p = RandomPredicate(&rng);
-        auto sum = db.Sum("t", kColumns[col], p, config);
+        auto sum = db.Sum({.table = "t",
+                           .column = kColumns[col],
+                           .predicate = p,
+                           .strategy = config});
         ASSERT_TRUE(sum.ok()) << "op " << op;
         ASSERT_DOUBLE_EQ(*sum, OracleSum(oracle, col, p))
             << config.DisplayName() << " op " << op << " col " << kColumns[col];
@@ -208,7 +217,10 @@ TEST_P(TableDmlDifferentialTest, MixedWorkloadMatchesRowOracle) {
       }
       default: {  // select-project through sideways maps
         const Pred p = RandomPredicate(&rng);
-        auto r = db.SelectProject("t", "a", p, {"b", "c"});
+        auto r = db.SelectProject({.table = "t",
+                                   .column = "a",
+                                   .predicate = p,
+                                   .tails = {"b", "c"}});
         ASSERT_TRUE(r.ok()) << "op " << op;
         ASSERT_EQ(SortedPairs(*r), OracleProject(oracle, p))
             << config.DisplayName() << " op " << op << " " << p.ToString();
@@ -218,7 +230,10 @@ TEST_P(TableDmlDifferentialTest, MixedWorkloadMatchesRowOracle) {
   }
   // Full-table materialization: every column agrees with the oracle bag.
   for (std::size_t col = 0; col < 3; ++col) {
-    auto count = db.Count("t", kColumns[col], Pred::All(), config);
+    auto count = db.Count({.table = "t",
+                           .column = kColumns[col],
+                           .predicate = Pred::All(),
+                           .strategy = config});
     ASSERT_TRUE(count.ok());
     EXPECT_EQ(*count, oracle.size()) << kColumns[col];
   }
@@ -237,26 +252,12 @@ TEST(TableDmlContractTest, RowWidthIsValidatedBeforeAnyMutation) {
   EXPECT_TRUE(
       db.InsertBatch("t", std::vector<std::int64_t>{1, 2, 3, 4})
           .IsInvalidArgument());
-  auto count = db.Count("t", "a", Pred::All(), StrategyConfig::FullScan());
+  auto count = db.Count({.table = "t",
+                         .column = "a",
+                         .predicate = Pred::All(),
+                         .strategy = StrategyConfig::FullScan()});
   ASSERT_TRUE(count.ok());
   EXPECT_EQ(*count, 100u);  // nothing applied
-}
-
-TEST(TableDmlContractTest, ColumnAddressedDmlRejectedOnMultiColumnTables) {
-  Database db;
-  BuildTable(&db, RandomRows(50, 8));
-  EXPECT_TRUE(db.Insert("t", "a", 1).IsInvalidArgument());
-  EXPECT_TRUE(db.InsertBatch("t", "a", std::vector<std::int64_t>{1, 2})
-                  .IsInvalidArgument());
-  // Single-column tables keep the historical surface.
-  ASSERT_TRUE(db.CreateTable("narrow").ok());
-  ASSERT_TRUE(db.AddColumn("narrow", "v", {1, 2, 3}).ok());
-  EXPECT_TRUE(db.Insert("narrow", "v", 4).ok());
-  EXPECT_TRUE(
-      db.InsertBatch("narrow", "v", std::vector<std::int64_t>{5, 6}).ok());
-  auto count = db.Count("narrow", "v", Pred::All(), StrategyConfig::Crack());
-  ASSERT_TRUE(count.ok());
-  EXPECT_EQ(*count, 6u);
 }
 
 // The partial-failure contract, witnessed by fault injection: a column
@@ -268,10 +269,19 @@ TEST(TableDmlContractTest, FailedDmlLeavesNoTornRows) {
   BuildTable(&db, oracle);
   // Warm paths and sideways maps so the fault would hit cached structures.
   const Pred warm = Pred::Between(100, 400);
-  ASSERT_TRUE(db.Count("t", "b", warm, StrategyConfig::Crack()).ok());
-  ASSERT_TRUE(db.SelectProject("t", "a", warm, {"b", "c"}).ok());
+  ASSERT_TRUE(db.Count({.table = "t",
+                        .column = "b",
+                        .predicate = warm,
+                        .strategy = StrategyConfig::Crack()}).ok());
+  ASSERT_TRUE(db.SelectProject({.table = "t",
+                                .column = "a",
+                                .predicate = warm,
+                                .tails = {"b", "c"}}).ok());
   const auto snapshot = [&](std::size_t col) {
-    auto sum = db.Sum("t", kColumns[col], Pred::All(), StrategyConfig::Crack());
+    auto sum = db.Sum({.table = "t",
+                       .column = kColumns[col],
+                       .predicate = Pred::All(),
+                       .strategy = StrategyConfig::Crack()});
     AIDX_CHECK_OK(sum.status());
     return *sum;
   };
@@ -299,7 +309,10 @@ TEST(TableDmlContractTest, FailedDmlLeavesNoTornRows) {
 
   // No torn rows: row count, per-column sums, sideways log, and query
   // results are exactly what they were before the faulting calls.
-  auto count = db.Count("t", "a", Pred::All(), StrategyConfig::Crack());
+  auto count = db.Count({.table = "t",
+                         .column = "a",
+                         .predicate = Pred::All(),
+                         .strategy = StrategyConfig::Crack()});
   ASSERT_TRUE(count.ok());
   EXPECT_EQ(*count, oracle.size());
   for (std::size_t col = 0; col < 3; ++col) {
@@ -308,12 +321,18 @@ TEST(TableDmlContractTest, FailedDmlLeavesNoTornRows) {
   state = db.SidewaysState("t", "a");
   ASSERT_TRUE(state.ok());
   EXPECT_EQ((*state)->stats().dml_inserts, dml_before);
-  auto r = db.SelectProject("t", "a", warm, {"b", "c"});
+  auto r = db.SelectProject({.table = "t",
+                             .column = "a",
+                             .predicate = warm,
+                             .tails = {"b", "c"}});
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(SortedPairs(*r), OracleProject(oracle, warm));
   // With the failpoint disarmed the same row applies cleanly.
   EXPECT_TRUE(db.Insert("t", {1, 2, 3}).ok());
-  count = db.Count("t", "a", Pred::All(), StrategyConfig::Crack());
+  count = db.Count({.table = "t",
+                    .column = "a",
+                    .predicate = Pred::All(),
+                    .strategy = StrategyConfig::Crack()});
   ASSERT_TRUE(count.ok());
   EXPECT_EQ(*count, oracle.size() + 1);
 }
@@ -333,7 +352,10 @@ TEST(SidewaysSurvivalTest, MapsMaintainedIncrementallyAcrossWriteBursts) {
   Rng rng(19);
   // Warm both maps; remember the cracked state.
   for (int q = 0; q < 8; ++q) {
-    ASSERT_TRUE(db.SelectProject("t", "a", RandomPredicate(&rng), {"b", "c"}).ok());
+    ASSERT_TRUE(db.SelectProject({.table = "t",
+                                  .column = "a",
+                                  .predicate = RandomPredicate(&rng),
+                                  .tails = {"b", "c"}}).ok());
   }
   auto state = db.SidewaysState("t", "a");
   ASSERT_TRUE(state.ok());
@@ -372,8 +394,14 @@ TEST(SidewaysSurvivalTest, MapsMaintainedIncrementallyAcrossWriteBursts) {
     BuildTable(&rebuilt, oracle);
     for (int q = 0; q < 4; ++q) {
       const Pred p = RandomPredicate(&rng);
-      auto inc = db.SelectProject("t", "a", p, {"b", "c"});
-      auto fresh = rebuilt.SelectProject("t", "a", p, {"b", "c"});
+      auto inc = db.SelectProject({.table = "t",
+                                   .column = "a",
+                                   .predicate = p,
+                                   .tails = {"b", "c"}});
+      auto fresh = rebuilt.SelectProject({.table = "t",
+                                          .column = "a",
+                                          .predicate = p,
+                                          .tails = {"b", "c"}});
       ASSERT_TRUE(inc.ok()) << "batch " << batch;
       ASSERT_TRUE(fresh.ok()) << "batch " << batch;
       ASSERT_EQ(inc->num_rows, fresh->num_rows) << "batch " << batch;

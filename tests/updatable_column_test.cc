@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <map>
+#include <ostream>
 #include <vector>
 
 #include "index/scan.h"
@@ -128,11 +129,10 @@ struct PolicyParam {
   MergePolicy policy;
   std::size_t budget;
   const char* name;
+
+  friend void PrintTo(const PolicyParam& p, std::ostream* os) { *os << p.name; }
 };
 
-// Static storage, so the padding after `policy` is zero-filled: the
-// parameter is printed byte-wise into the test name, and padding taken
-// from the stack would make the name change from one listing to the next.
 constexpr PolicyParam kPolicyParams[] = {
     {MergePolicy::kRipple, 0, "MRI"},
     {MergePolicy::kComplete, 0, "MCI"},
