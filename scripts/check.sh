@@ -15,7 +15,8 @@
 # AddressSanitizer + UndefinedBehaviorSanitizer (separate build-asan/
 # tree) — ripple merges, delta buffers, segment appends, and the
 # row-atomic table-DML suites (table_dml_test, sideways_update_test) are
-# exactly where memory bugs hide. Also a CI job.
+# exactly where memory bugs hide. It is also the one build without
+# NDEBUG, so every AIDX_DCHECK runs there. Also a CI job.
 #
 # scripts/check.sh --bench-smoke builds bench_e12_crack_kernels,
 # bench_e11_parallel_scaling, bench_e4_updates, and bench_e13_sharded
@@ -106,6 +107,7 @@ if [[ "${1:-}" == "--asan" ]]; then
   shift
   cmake -B build-asan -S . \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+    -DCMAKE_CXX_FLAGS_RELWITHDEBINFO="-O2 -g" \
     -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -fno-omit-frame-pointer" \
     -DAIDX_BUILD_BENCHMARKS=OFF \
     -DAIDX_BUILD_EXAMPLES=OFF \

@@ -4,26 +4,25 @@
 //
 // The column holds a cracked copy of the base data; every Select physically
 // reorganizes at most the pieces its bounds fall into and registers the new
-// cuts in the cracker index. Construction performs the base-column copy, so
-// callers that model "first query pays the copy" (all benches here) simply
-// construct lazily on first use.
+// cuts in the cracker index (the walk itself is core/crack_walk.h, shared
+// with sideways maps and the partitioned column). Construction performs the
+// base-column copy, so callers that model "first query pays the copy" (all
+// benches here) simply construct lazily on first use.
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
 #include <numeric>
 #include <span>
 #include <utility>
 #include <vector>
 
-#include "core/crack_ops.h"
+#include "core/crack_walk.h"
 #include "core/cracker_index.h"
 #include "core/cut.h"
 #include "index/scan.h"
 #include "storage/predicate.h"
 #include "storage/types.h"
-#include "util/failpoint.h"
 #include "util/logging.h"
 #include "util/macros.h"
 #include "util/query_context.h"
@@ -34,42 +33,6 @@ namespace aidx {
 
 template <ColumnValue T>
 class SegmentOrganizer;  // core/organizer.h; friend of CrackerColumn
-
-/// Tuning knobs for a cracker column.
-struct CrackerColumnOptions {
-  /// Maintain a row-id array in tandem so results can reconstruct tuples.
-  bool with_row_ids = true;
-  /// Pieces of at most this many values are not cracked further; their
-  /// qualifying subset is filtered by scanning (returned as edge ranges).
-  /// 0 reproduces the original always-crack behaviour.
-  std::size_t min_piece_size = 0;
-  /// Stochastic cracking: when a piece larger than this would be cracked,
-  /// first split it at a data-driven random pivot. 0 disables.
-  std::size_t stochastic_threshold = 0;
-  std::uint64_t stochastic_seed = 0x5DEECE66DULL;
-  /// Partitioning kernel used by every crack this column performs (see
-  /// core/crack_ops.h; tiny pieces always fall back to the branchy sweep).
-  /// kAuto resolves to the host-calibrated kernel at the dispatch point.
-  CrackKernel kernel = CrackKernel::kAuto;
-};
-
-/// Result of a cracked select. `core` positions all qualify; `edges` (at
-/// most two, produced only when min_piece_size > 0) still require predicate
-/// filtering.
-struct CrackSelect {
-  PositionRange core;
-  std::array<PositionRange, 2> edges{};
-  int num_edges = 0;
-};
-
-/// Counters describing the adaptation work a column has performed.
-struct CrackerStats {
-  std::size_t num_selects = 0;
-  std::size_t num_crack_in_two = 0;
-  std::size_t num_crack_in_three = 0;
-  std::size_t num_stochastic_cracks = 0;
-  std::size_t values_touched = 0;  // elements visited by crack passes
-};
 
 template <ColumnValue T>
 class CrackerColumn {
@@ -169,7 +132,7 @@ class CrackerColumn {
   /// effect (the adaptive-indexing move). O(piece sizes touched).
   CrackSelect Select(const RangePredicate<T>& pred) {
     Status ignored;  // no context: the piece gate cannot fire errors
-    return SelectImpl(pred, nullptr, &ignored);
+    return SelectLatched(pred, NoPieceLatch{}, nullptr, &ignored);
   }
 
   /// Deadline/cancellation-aware Select: the context is checked once per
@@ -178,9 +141,24 @@ class CrackerColumn {
   /// kept (incremental investment, never rolled back).
   Result<CrackSelect> Select(const RangePredicate<T>& pred, const QueryContext& ctx) {
     Status abort;
-    CrackSelect out = SelectImpl(pred, &ctx, &abort);
+    CrackSelect out = SelectLatched(pred, NoPieceLatch{}, &ctx, &abort);
     if (!abort.ok()) return abort;
     return out;
+  }
+
+  /// The crack walk (core/crack_walk.h) under a piece-latch policy, for a
+  /// caller that shares this column between threads and serializes the
+  /// walk's piece, index, pivot and stats accesses through `latch` (the
+  /// partitioned column's shared path, docs/CONCURRENCY.md §4). `ctx` may
+  /// be null; on a gate failure `*abort` is set as in Select(pred, ctx).
+  template <typename Latch>
+  CrackSelect SelectLatched(const RangePredicate<T>& pred, Latch latch,
+                            const QueryContext* ctx, Status* abort) {
+    return CrackWalk<T, row_id_t, Latch>{
+        values_,
+        options_.with_row_ids ? std::span<row_id_t>(row_ids_) : std::span<row_id_t>(),
+        index_, options_, &rng_, stats_, std::move(latch), ctx, abort}
+        .Select(pred);
   }
 
   /// Count matching rows (cracks as a side effect).
@@ -209,6 +187,25 @@ class CrackerColumn {
     return SumFrom(sel, pred);
   }
 
+  /// Count of a resolved select: the core, plus each edge's matches.
+  std::size_t CountFrom(const CrackSelect& sel, const RangePredicate<T>& pred) const {
+    std::size_t count = sel.core.size();
+    for (int i = 0; i < sel.num_edges; ++i) {
+      count += ScanCount<T>(ValuesIn(sel.edges[i]), pred);
+    }
+    return count;
+  }
+
+  /// Sum of a resolved select: the core range in one kernel pass, each
+  /// edge piece through the masked kernel.
+  SumAcc<T> SumFrom(const CrackSelect& sel, const RangePredicate<T>& pred) const {
+    SumAcc<T> sum = SumValues<T>(ValuesIn(sel.core));
+    for (int i = 0; i < sel.num_edges; ++i) {
+      sum += SumValues<T>(ValuesIn(sel.edges[i]), pred);
+    }
+    return sum;
+  }
+
   /// Appends matching values to `out` in storage order.
   void MaterializeValues(const CrackSelect& sel, const RangePredicate<T>& pred,
                          std::vector<T>* out) const {
@@ -234,56 +231,6 @@ class CrackerColumn {
     }
   }
 
-  // -- Parallel-layer primitives (striped piece latching) ------------------
-  //
-  // The partitioned column's piece-latch protocol (docs/CONCURRENCY.md §4)
-  // drives cracking through these instead of Select so that the physical
-  // permutation of one piece and the index mutation that publishes it can
-  // be protected by different latches. They deliberately touch neither the
-  // cracker index nor the stats: the caller owns exclusive access to the
-  // piece's position range while permuting, serializes RegisterCut against
-  // every other index access, and accounts the work itself.
-  // src/parallel/partitioned_cracker_column.h is the only intended caller.
-
-  /// Physically partitions [piece.begin, piece.end) around `cut` with the
-  /// column's kernel and returns the absolute split position. Registers
-  /// nothing: pair with RegisterCut.
-  std::size_t CrackPieceAt(const PieceInfo<T>& piece, const Cut<T>& cut) {
-    (void)failpoints::crack_piece.Inject();  // delay-only: no Status path here
-    return piece.begin +
-           CrackInTwo<T>(MutableValuesIn({piece.begin, piece.end}),
-                         MutableRowIdsIn({piece.begin, piece.end}), cut,
-                         options_.kernel);
-  }
-
-  /// Three-way variant: partitions the piece around both cuts at once and
-  /// returns piece-relative split offsets (same contract as CrackInThree).
-  ThreeWaySplit CrackPieceInThreeAt(const PieceInfo<T>& piece,
-                                    const Cut<T>& lo_cut, const Cut<T>& hi_cut) {
-    (void)failpoints::crack_piece.Inject();  // delay-only: no Status path here
-    return CrackInThree<T>(MutableValuesIn({piece.begin, piece.end}),
-                           MutableRowIdsIn({piece.begin, piece.end}), lo_cut,
-                           hi_cut, options_.kernel);
-  }
-
-  /// Publishes a cut realized through CrackPieceAt/CrackPieceInThreeAt.
-  void RegisterCut(const Cut<T>& cut, std::size_t position) {
-    index_.AddCut(cut, position);
-  }
-
-  /// Occurrences of `value` inside [range.begin, range.end). The striped
-  /// write path's delete probe counts live occurrences across the resolved
-  /// core and edge pieces with this, under shared stripe latches only — it
-  /// reads, never permutes.
-  std::size_t CountEqualIn(PositionRange range, T value) const {
-    std::size_t hits = 0;
-    for (std::size_t i = range.begin; i < range.end; ++i) {
-      hits += values_[i] == value ? 1 : 0;
-    }
-    return hits;
-  }
-  // ------------------------------------------------------------------------
-
   std::span<const T> values() const { return values_; }
   std::span<const row_id_t> row_ids() const { return row_ids_; }
   std::size_t size() const { return values_.size(); }
@@ -293,19 +240,7 @@ class CrackerColumn {
 
   /// Full invariant sweep: every piece's values satisfy its bound cuts and
   /// the index itself validates. O(n); tests only.
-  bool ValidatePieces() const {
-    if (!index_.Validate()) return false;
-    if (index_.column_size() != values_.size()) return false;
-    bool ok = true;
-    index_.VisitPieces([&](const PieceInfo<T>& piece) {
-      for (std::size_t i = piece.begin; i < piece.end && ok; ++i) {
-        const T v = values_[i];
-        if (piece.lower && piece.lower->Below(v)) ok = false;
-        if (piece.upper && !piece.upper->Below(v)) ok = false;
-      }
-    });
-    return ok;
-  }
+  bool ValidatePieces() const { return index_.ValidateOver(values_); }
 
  protected:
   // The update pipeline (update/updatable_column.h) and the segment
@@ -317,208 +252,10 @@ class CrackerColumn {
   std::vector<T>& mutable_values() { return values_; }
   std::vector<row_id_t>& mutable_row_ids() { return row_ids_; }
   CrackerIndex<T>& mutable_index() { return index_; }
-  CrackerStats& mutable_stats() { return stats_; }
 
  private:
   std::span<const T> ValuesIn(PositionRange r) const {
     return std::span<const T>(values_).subspan(r.begin, r.end - r.begin);
-  }
-  std::span<T> MutableValuesIn(PositionRange r) {
-    return std::span<T>(values_).subspan(r.begin, r.end - r.begin);
-  }
-  std::span<row_id_t> MutableRowIdsIn(PositionRange r) {
-    if (!options_.with_row_ids) return {};
-    return std::span<row_id_t>(row_ids_).subspan(r.begin, r.end - r.begin);
-  }
-
-  bool PieceBelowThreshold(const PieceInfo<T>& piece) const {
-    return options_.min_piece_size > 0 &&
-           piece.end - piece.begin <= options_.min_piece_size;
-  }
-
-  /// Piece-granularity robustness gate, evaluated immediately before each
-  /// physical crack: deadline/cancellation first (one relaxed load; a
-  /// clock read only when a deadline is set), then the crack.piece
-  /// failpoint. Injected errors surface only when a context is present —
-  /// ctx-free callers cannot propagate Status, so for them the failpoint
-  /// is delay-only.
-  Status PieceGate(const QueryContext* ctx) {
-    if (ctx != nullptr) AIDX_RETURN_NOT_OK(ctx->Check());
-    Status injected = failpoints::crack_piece.Inject();
-    if (AIDX_PREDICT_FALSE(!injected.ok()) && ctx != nullptr) return injected;
-    return Status::OK();
-  }
-
-  /// Shared body of both Select overloads. On a gate failure `*abort` is
-  /// set and the walk stops before the next physical crack; the partial
-  /// CrackSelect returned is meaningless to the caller, but every crack
-  /// already registered stays — the index remains ValidatePieces-clean.
-  CrackSelect SelectImpl(const RangePredicate<T>& pred, const QueryContext* ctx,
-                         Status* abort) {
-    ++stats_.num_selects;
-    CrackSelect out;
-    if (pred.DefinitelyEmpty()) return out;
-
-    const PredicateCuts<T> cuts = CutsForPredicate(pred);
-    if (cuts.has_lower && cuts.has_upper) {
-      // Both bounds: maybe a single crack-in-three when both cuts land in
-      // one piece and neither is realized yet.
-      const CutLookup<T> lo = index_.Lookup(cuts.lower);
-      const CutLookup<T> hi = index_.Lookup(cuts.upper);
-      // Oversized pieces skip this path so stochastic pre-cracking (which
-      // lives in ResolveCut) can subdivide them per bound.
-      const bool too_big_for_three =
-          options_.stochastic_threshold != 0 &&
-          lo.piece.end - lo.piece.begin > options_.stochastic_threshold;
-      if (!lo.exact && !hi.exact && lo.piece.begin == hi.piece.begin &&
-          lo.piece.end == hi.piece.end && !too_big_for_three &&
-          !PieceBelowThreshold(lo.piece)) {
-        ResolveBothInPiece(cuts.lower, cuts.upper, lo.piece, &out, ctx, abort);
-        return out;
-      }
-    }
-    std::size_t begin = 0;
-    std::size_t end = values_.size();
-    if (cuts.has_lower) {
-      begin = ResolveCut(cuts.lower, /*is_lower=*/true, &out, ctx, abort);
-      if (AIDX_PREDICT_FALSE(!abort->ok())) return out;
-    }
-    if (cuts.has_upper) {
-      end = ResolveCut(cuts.upper, /*is_lower=*/false, &out, ctx, abort);
-      if (AIDX_PREDICT_FALSE(!abort->ok())) return out;
-    }
-    if (end < begin) end = begin;
-    out.core = {begin, end};
-    DedupeEdges(&out);
-    return out;
-  }
-
-  std::size_t CountFrom(const CrackSelect& sel, const RangePredicate<T>& pred) const {
-    std::size_t count = sel.core.size();
-    for (int i = 0; i < sel.num_edges; ++i) {
-      count += ScanCount<T>(ValuesIn(sel.edges[i]), pred);
-    }
-    return count;
-  }
-
-  /// The core range in one kernel pass, each edge piece through the masked
-  /// kernel.
-  SumAcc<T> SumFrom(const CrackSelect& sel, const RangePredicate<T>& pred) const {
-    SumAcc<T> sum = SumValues<T>(ValuesIn(sel.core));
-    for (int i = 0; i < sel.num_edges; ++i) {
-      sum += SumValues<T>(ValuesIn(sel.edges[i]), pred);
-    }
-    return sum;
-  }
-
-  /// Realizes `cut` (cracking if needed); returns its position. When the
-  /// enclosing piece is below the crack threshold, records the piece as an
-  /// edge instead and returns the conservative core boundary.
-  std::size_t ResolveCut(const Cut<T>& cut, bool is_lower, CrackSelect* out,
-                         const QueryContext* ctx, Status* abort) {
-    CutLookup<T> look = index_.Lookup(cut);
-    if (look.exact) return look.position;
-
-    if (PieceBelowThreshold(look.piece)) {
-      AddEdge(out, {look.piece.begin, look.piece.end});
-      // Core excludes the whole undecided piece.
-      return is_lower ? look.piece.end : look.piece.begin;
-    }
-
-    PieceInfo<T> piece = look.piece;
-    MaybeStochasticPreCrack(cut, &piece, ctx, abort);
-    if (AIDX_PREDICT_FALSE(!abort->ok())) {
-      return is_lower ? piece.end : piece.begin;
-    }
-    if (Status gate = PieceGate(ctx); AIDX_PREDICT_FALSE(!gate.ok())) {
-      *abort = std::move(gate);
-      return is_lower ? piece.end : piece.begin;
-    }
-
-    const std::size_t split =
-        piece.begin + CrackInTwo<T>(MutableValuesIn({piece.begin, piece.end}),
-                                    MutableRowIdsIn({piece.begin, piece.end}), cut,
-                                    options_.kernel);
-    ++stats_.num_crack_in_two;
-    stats_.values_touched += piece.end - piece.begin;
-    index_.AddCut(cut, split);
-    return split;
-  }
-
-  /// Crack-in-three fast path: both cuts in one unrealized piece.
-  void ResolveBothInPiece(const Cut<T>& lo_cut, const Cut<T>& hi_cut,
-                          const PieceInfo<T>& piece, CrackSelect* out,
-                          const QueryContext* ctx, Status* abort) {
-    if (lo_cut == hi_cut) {
-      // Degenerate (e.g. a < x <= a): realize one cut, empty core.
-      const std::size_t pos = ResolveCut(lo_cut, /*is_lower=*/true, out, ctx, abort);
-      out->core = {pos, pos};
-      return;
-    }
-    if (Status gate = PieceGate(ctx); AIDX_PREDICT_FALSE(!gate.ok())) {
-      *abort = std::move(gate);
-      return;
-    }
-    const ThreeWaySplit split =
-        CrackInThree<T>(MutableValuesIn({piece.begin, piece.end}),
-                        MutableRowIdsIn({piece.begin, piece.end}), lo_cut, hi_cut,
-                        options_.kernel);
-    ++stats_.num_crack_in_three;
-    stats_.values_touched +=
-        CrackInThreeValuesTouched(piece.end - piece.begin);
-    const std::size_t lower_pos = piece.begin + split.lower_end;
-    const std::size_t upper_pos = piece.begin + split.middle_end;
-    index_.AddCut(lo_cut, lower_pos);
-    index_.AddCut(hi_cut, upper_pos);
-    out->core = {lower_pos, upper_pos};
-  }
-
-  /// Stochastic cracking: repeatedly split oversized pieces at a random
-  /// data-driven pivot before the exact crack, so no query leaves a huge
-  /// unorganized piece behind (fixes sequential-pattern degeneration).
-  void MaybeStochasticPreCrack(const Cut<T>& target, PieceInfo<T>* piece,
-                               const QueryContext* ctx, Status* abort) {
-    if (options_.stochastic_threshold == 0) return;
-    while (piece->end - piece->begin > options_.stochastic_threshold) {
-      if (Status gate = PieceGate(ctx); AIDX_PREDICT_FALSE(!gate.ok())) {
-        *abort = std::move(gate);
-        return;
-      }
-      const std::size_t span_size = piece->end - piece->begin;
-      const T pivot =
-          values_[piece->begin + rng_.NextBounded(span_size)];
-      const Cut<T> random_cut{pivot, CutKind::kLess};
-      if (index_.Lookup(random_cut).exact || random_cut == target) break;
-      const std::size_t split = piece->begin +
-          CrackInTwo<T>(MutableValuesIn({piece->begin, piece->end}),
-                        MutableRowIdsIn({piece->begin, piece->end}), random_cut,
-                        options_.kernel);
-      ++stats_.num_stochastic_cracks;
-      stats_.values_touched += span_size;
-      index_.AddCut(random_cut, split);
-      // All-duplicates (or extreme-pivot) pieces make no progress; stop.
-      const bool no_progress = split == piece->begin || split == piece->end;
-      // Continue inside the half that still contains the target cut.
-      if (random_cut < target) {
-        piece->begin = split;
-        piece->lower = random_cut;
-      } else {
-        piece->end = split;
-        piece->upper = random_cut;
-      }
-      if (no_progress) break;
-    }
-  }
-
-  void AddEdge(CrackSelect* out, PositionRange edge) {
-    if (edge.empty()) return;
-    AIDX_CHECK(out->num_edges < 2);
-    out->edges[static_cast<std::size_t>(out->num_edges)] = edge;
-    ++out->num_edges;
-  }
-
-  void DedupeEdges(CrackSelect* out) {
-    if (out->num_edges == 2 && out->edges[0] == out->edges[1]) out->num_edges = 1;
   }
 
   CrackerColumnOptions options_;

@@ -24,6 +24,7 @@
 
 #include <cstddef>
 #include <optional>
+#include <span>
 
 #include "core/cut.h"
 #include "index/avl_tree.h"
@@ -208,6 +209,21 @@ class CrackerIndex {
     VisitCuts([&](const Cut<T>&, const std::size_t& pos) {
       if (pos < prev || pos > column_size_) ok = false;
       prev = pos;
+    });
+    return ok;
+  }
+
+  /// Validate(), plus the array-side invariant: the index covers exactly
+  /// `values`, and each piece's values respect its bound cuts. O(n); tests
+  /// only.
+  bool ValidateOver(std::span<const T> values) const {
+    if (!Validate() || column_size_ != values.size()) return false;
+    bool ok = true;
+    VisitPieces([&](const PieceInfo<T>& piece) {
+      for (std::size_t i = piece.begin; i < piece.end && ok; ++i) {
+        if (piece.lower && piece.lower->Below(values[i])) ok = false;
+        if (piece.upper && !piece.upper->Below(values[i])) ok = false;
+      }
     });
     return ok;
   }

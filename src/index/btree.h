@@ -200,7 +200,7 @@ class BPlusTree {
   /// ascending key order.
   template <typename Fn>
   void VisitRuns(const RangePredicate<T>& pred, Fn&& fn) const {
-    if (root_ == nullptr) return;
+    if (root_ == nullptr || pred.DefinitelyEmpty()) return;
     // Descend to the first candidate leaf.
     const Leaf* leaf = nullptr;
     std::size_t at = 0;

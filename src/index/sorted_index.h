@@ -49,6 +49,7 @@ class FullSortIndex {
   /// Positions (into the *sorted* array) matching the predicate; always one
   /// contiguous range because the data is fully ordered.
   PositionRange SelectRange(const RangePredicate<T>& pred) const {
+    if (pred.DefinitelyEmpty()) return {};
     std::size_t lo = 0;
     std::size_t hi = values_.size();
     switch (pred.low_kind) {

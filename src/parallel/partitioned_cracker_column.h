@@ -12,12 +12,13 @@
 //    structure actually reorganized — individual pieces, coordinated
 //    through a short-duration latch on the cracker index.
 //
-// The latch protocol is the Graefe-style piece protocol. Each partition
-// carries a table of reader-writer stripe latches over *position blocks*
-// (a piece's stripe set is the hash of every block its position range
-// overlaps; the active stripe count grows with realized cuts), a
-// reader-writer `structural` latch, and a reader-writer latch on the
-// cracker index. A select takes shared latches on what it only reads and
+// The latch protocol is the Graefe-style piece protocol, wrapped as a
+// latch policy around each partition's own crack walk (core/crack_walk.h).
+// Each partition carries a table of reader-writer stripe latches over
+// *position blocks* (a piece's stripe set is the hash of every block its
+// position range overlaps; the active stripe count grows with realized
+// cuts), a reader-writer `structural` latch, and a reader-writer latch on
+// the cracker index. A select takes shared latches on what it only reads and
 // exclusive stripe latches on the (<= 2, plus stochastic pre-cracks)
 // pieces it cracks, so two selects into the same partition overlap
 // whenever they crack disjoint pieces. The full protocol, its acquisition
@@ -67,9 +68,11 @@
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <shared_mutex>
 #include <span>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "core/cut.h"
@@ -344,18 +347,7 @@ class PartitionedCrackerColumn {
   /// Rows matching `pred` across all partitions (cracks as a side effect).
   /// Thread-safe.
   std::size_t Count(const RangePredicate<T>& pred) {
-    if (pred.DefinitelyEmpty()) return 0;
-    const auto [first, last] = OverlapRange(pred);
-    if (first == last) {  // common narrow-predicate case: no fan-out state
-      return CountShard(*shards_[first], pred);
-    }
-    std::vector<std::size_t> partial(last - first + 1, 0);
-    ForEachOverlapping(first, last, [&](std::size_t p, std::size_t slot) {
-      partial[slot] = CountShard(*shards_[p], pred);
-    });
-    std::size_t total = 0;
-    for (const std::size_t c : partial) total += c;
-    return total;
+    return FanOut(pred, nullptr, &PartitionedCrackerColumn::CountShard).value();
   }
 
   /// SUM of matching values across all partitions (cracks as a side
@@ -366,63 +358,24 @@ class PartitionedCrackerColumn {
 
   /// Sum before its one rounding step (SumAcc, index/scan.h). Thread-safe.
   SumAcc<T> SumPartial(const RangePredicate<T>& pred) {
-    if (pred.DefinitelyEmpty()) return {};
-    const auto [first, last] = OverlapRange(pred);
-    if (first == last) return SumShard(*shards_[first], pred);
-    std::vector<SumAcc<T>> partial(last - first + 1);
-    ForEachOverlapping(first, last, [&](std::size_t p, std::size_t slot) {
-      partial[slot] = SumShard(*shards_[p], pred);
-    });
-    return AddPartials(partial);
+    return FanOut(pred, nullptr, &PartitionedCrackerColumn::SumShard).value();
   }
 
   /// Deadline/cancellation-aware Count: the context gates each shard of
-  /// the fan-out, so an expiring query stops investing after the shard it
-  /// is in. Cracks already realized in visited shards are kept — they are
+  /// the fan-out and, inside a shard, every piece-level crack of the walk
+  /// (docs/ROBUSTNESS.md). Cracks already realized are kept — they are
   /// ordinary incremental indexing investment, and the column stays
   /// ValidatePieces-clean. Thread-safe.
   Result<std::size_t> Count(const RangePredicate<T>& pred,
                             const QueryContext& ctx) {
-    AIDX_RETURN_NOT_OK(ctx.Check());
-    if (pred.DefinitelyEmpty()) return std::size_t{0};
-    const auto [first, last] = OverlapRange(pred);
-    if (first == last) return CountShard(*shards_[first], pred);
-    std::atomic<bool> expired{false};
-    std::vector<std::size_t> partial(last - first + 1, 0);
-    ForEachOverlapping(first, last, [&](std::size_t p, std::size_t slot) {
-      if (expired.load(std::memory_order_relaxed)) return;
-      if (!ctx.Check().ok()) {
-        expired.store(true, std::memory_order_relaxed);
-        return;
-      }
-      partial[slot] = CountShard(*shards_[p], pred);
-    });
-    AIDX_RETURN_NOT_OK(ctx.Check());
-    std::size_t total = 0;
-    for (const std::size_t c : partial) total += c;
-    return total;
+    return FanOut(pred, &ctx, &PartitionedCrackerColumn::CountShard);
   }
 
-  /// Deadline/cancellation-aware Sum; same per-shard gating as the Count
-  /// overload. Thread-safe.
+  /// Deadline/cancellation-aware Sum; same gating as the Count overload.
+  /// Thread-safe.
   Result<SumAcc<T>> SumPartial(const RangePredicate<T>& pred,
                                const QueryContext& ctx) {
-    AIDX_RETURN_NOT_OK(ctx.Check());
-    if (pred.DefinitelyEmpty()) return SumAcc<T>{};
-    const auto [first, last] = OverlapRange(pred);
-    if (first == last) return SumShard(*shards_[first], pred);
-    std::atomic<bool> expired{false};
-    std::vector<SumAcc<T>> partial(last - first + 1);
-    ForEachOverlapping(first, last, [&](std::size_t p, std::size_t slot) {
-      if (expired.load(std::memory_order_relaxed)) return;
-      if (!ctx.Check().ok()) {
-        expired.store(true, std::memory_order_relaxed);
-        return;
-      }
-      partial[slot] = SumShard(*shards_[p], pred);
-    });
-    AIDX_RETURN_NOT_OK(ctx.Check());
-    return AddPartials(partial);
+    return FanOut(pred, &ctx, &PartitionedCrackerColumn::SumShard);
   }
 
   /// Appends matching values to `out`, grouped by ascending partition
@@ -480,9 +433,9 @@ class PartitionedCrackerColumn {
     return out;
   }
 
-  /// Sum of all partitions' CrackerStats, including the work performed by
-  /// the striped fast path. Thread-safe (whole-partition exclusion per
-  /// shard).
+  /// Sum of all partitions' CrackerStats (the striped fast path bumps the
+  /// same counters as the coarse path). Thread-safe (whole-partition
+  /// exclusion per shard).
   CrackerStats AggregatedStats() const {
     CrackerStats total;
     for (const auto& shard : shards_) {
@@ -494,14 +447,6 @@ class PartitionedCrackerColumn {
         total.num_stochastic_cracks += s.num_stochastic_cracks;
         total.values_touched += s.values_touched;
       });
-      const StripedShardStats& f = shard->striped_stats;
-      total.num_selects += f.num_selects.load(std::memory_order_relaxed);
-      total.num_crack_in_two += f.num_crack_in_two.load(std::memory_order_relaxed);
-      total.num_crack_in_three +=
-          f.num_crack_in_three.load(std::memory_order_relaxed);
-      total.num_stochastic_cracks +=
-          f.num_stochastic_cracks.load(std::memory_order_relaxed);
-      total.values_touched += f.values_touched.load(std::memory_order_relaxed);
     }
     return total;
   }
@@ -820,16 +765,6 @@ class PartitionedCrackerColumn {
     std::vector<StripedPendingTuple> deletes;
   };
 
-  /// Fast-path work counters. Relaxed atomics: bumped under
-  /// shared latches, aggregated into CrackerStats by AggregatedStats.
-  struct StripedShardStats {
-    std::atomic<std::size_t> num_selects{0};
-    std::atomic<std::size_t> num_crack_in_two{0};
-    std::atomic<std::size_t> num_crack_in_three{0};
-    std::atomic<std::size_t> num_stochastic_cracks{0};
-    std::atomic<std::size_t> values_touched{0};
-  };
-
   struct Shard {
     Shard(std::vector<T> values, std::vector<row_id_t> row_ids,
           const CrackerColumnOptions& opts, const PartitionedCrackerOptions& parent,
@@ -839,10 +774,6 @@ class PartitionedCrackerColumn {
           write_buckets(stripes.size()),
           active_stripes(std::min(kInitialActiveStripes, stripes.size())),
           index(self_index),
-          // Same seed as the inner column's stochastic rng: single-threaded
-          // pure-query runs then pick the same pivots as a twin driven
-          // through Select(), which pins the differential stat-parity tests.
-          rng(opts.stochastic_seed),
           column(std::move(values), std::move(row_ids),
                  typename UpdatableCrackerColumn<T>::Options{
                      .policy = parent.merge_policy,
@@ -868,7 +799,6 @@ class PartitionedCrackerColumn {
     // cuts.
     mutable std::shared_mutex index_latch;
     mutable std::mutex rng_latch;  // stochastic pivots on the fast path
-    StripedShardStats striped_stats;
 
     // -- Striped write path --------------------------------------------------
     mutable std::vector<WriteBucket> write_buckets;
@@ -911,13 +841,12 @@ class PartitionedCrackerColumn {
     // happens under structural exclusive, when no thread can hold a stripe
     // latch, so the block -> stripe mapping never changes under a holder.
     std::size_t active_stripes;
-    // Relaxed mirror of the index's cut count, bumped at striped-path cut
-    // registration and re-synced on every exclusive hold; lets the shared
+    // Relaxed mirror of the index's cut count, stored at every shared-path
+    // cut registration and re-synced on every exclusive hold; lets the shared
     // path decide cheaply whether growth is worth attempting.
     std::atomic<std::size_t> realized_cuts{0};
 
     const std::size_t index;  // own partition number (for merge requests)
-    Rng rng;
     UpdatableCrackerColumn<T> column;
   };
 
@@ -1011,22 +940,12 @@ class PartitionedCrackerColumn {
     bool exclusive_;
   };
 
-  /// A resolved striped select: core positions plus up to two sub-threshold
-  /// edge pieces still requiring predicate filtering (CrackSelect's shape,
-  /// shard-local).
-  struct StripedRange {
-    std::size_t begin = 0;
-    std::size_t end = 0;
-    std::array<PositionRange, 2> edges{};
-    int num_edges = 0;
-  };
-
   /// Blocks hash into the *active* stripe prefix, not the full table. The
   /// active count only changes under `structural` exclusive — when nobody
   /// holds a stripe latch — so every latch set acquired under one
   /// `structural` shared hold uses one consistent mapping (callers hold
   /// `structural` whenever they call this).
-  std::size_t StripeOf(const Shard& shard, std::size_t block) const {
+  static std::size_t StripeOf(const Shard& shard, std::size_t block) {
     return static_cast<std::size_t>((block * 0x9E3779B97F4A7C15ULL) %
                                     shard.active_stripes);
   }
@@ -1034,8 +953,8 @@ class PartitionedCrackerColumn {
   /// Stripe mask covering the position range [begin, end): the hash of
   /// every overlapped block, or all active stripes when the range spans at
   /// least one block per stripe.
-  std::uint64_t StripeMask(const Shard& shard, std::size_t begin,
-                           std::size_t end) const {
+  static std::uint64_t StripeMask(const Shard& shard, std::size_t begin,
+                                  std::size_t end) {
     if (begin >= end) return 0;
     const std::size_t n = shard.active_stripes;
     const std::size_t first = begin >> kStripeBlockShift;
@@ -1049,6 +968,86 @@ class PartitionedCrackerColumn {
     }
     return mask;
   }
+
+  /// Shared stripe mask over what a resolved select reads: its edge pieces,
+  /// and its core when `with_core`. A core bounded by realized cuts needs
+  /// no stripes for membership alone — concurrent cracks never move those
+  /// cuts while `structural` is held shared.
+  static std::uint64_t SelectMask(const Shard& shard, const CrackSelect& sel,
+                                  bool with_core) {
+    std::uint64_t mask =
+        with_core ? StripeMask(shard, sel.core.begin, sel.core.end) : 0;
+    for (int i = 0; i < sel.num_edges; ++i) {
+      mask |= StripeMask(shard, sel.edges[i].begin, sel.edges[i].end);
+    }
+    return mask;
+  }
+
+  /// The crack walk's piece-latch policy on the shared path (core/
+  /// crack_walk.h, docs/CONCURRENCY.md §4). The walker holds `structural`
+  /// shared, so positions cannot shift. Index lookups take `index_latch`
+  /// shared. A claimed piece holds its exclusive stripes; the walk then
+  /// re-validates the piece and retries on a mismatch, and registers its
+  /// cuts under `index_latch` exclusive. An empty piece is covered by no
+  /// stripe, so its claim is one exclusive `index_latch` hold that both
+  /// validates and registers. Pivots are drawn under `rng_latch`, and the
+  /// inner column's stats are bumped with relaxed atomic_refs (the coarse
+  /// path bumps them plainly, but only under `structural` exclusive).
+  class StripedLatch {
+   public:
+    static constexpr bool kRevalidates = true;
+
+    explicit StripedLatch(Shard& shard) : shard_(&shard) {}
+
+    class Claim {
+     public:
+      Claim(StripedLatch& latch, const PieceInfo<T>& piece)
+          : shard_(*latch.shard_),
+            stripes_(&shard_.stripes, StripeMask(shard_, piece.begin, piece.end),
+                     /*exclusive=*/true),
+            index_(shard_.index_latch, std::defer_lock) {
+        if (piece.begin == piece.end) index_.lock();
+      }
+
+      template <typename Fn>
+      auto Read(Fn&& fn) const {
+        if (index_.owns_lock()) return fn();
+        const std::shared_lock<std::shared_mutex> il(shard_.index_latch);
+        return fn();
+      }
+
+      template <typename Fn>
+      void Publish(Fn&& fn) {
+        std::unique_lock<std::shared_mutex> il(shard_.index_latch,
+                                               std::defer_lock);
+        if (!index_.owns_lock()) il.lock();
+        fn();
+        shard_.realized_cuts.store(shard_.column.index().num_cuts(),
+                                   std::memory_order_relaxed);
+      }
+
+     private:
+      Shard& shard_;
+      StripeLockSet stripes_;
+      std::unique_lock<std::shared_mutex> index_;
+    };
+
+    template <typename Fn>
+    auto Read(Fn&& fn) const {
+      const std::shared_lock<std::shared_mutex> il(shard_->index_latch);
+      return fn();
+    }
+    std::size_t Pivot(Rng& rng, std::size_t n) const {
+      const std::lock_guard<std::mutex> rl(shard_->rng_latch);
+      return rng.NextBounded(n);
+    }
+    static void Add(std::size_t& counter, std::size_t n) {
+      std::atomic_ref<std::size_t>(counter).fetch_add(n, std::memory_order_relaxed);
+    }
+
+   private:
+    Shard* shard_;
+  };
 
   /// Runs fn under whole-partition exclusion (`structural` exclusive).
   /// Stats aggregation, validation, and the raw Select path use this.
@@ -1138,16 +1137,17 @@ class PartitionedCrackerColumn {
   ///    first drains the write buckets so the inner column's policy merge
   ///    sees every buffered update.
   ///
-  /// All three callables must return the same type; Materialize callers
-  /// return a dummy value. After a shared-path read, opportunistically
-  /// grows the active stripe count when realized cuts have outrun it.
+  /// `fast` and `overlay` return a value, `coarse` a Result of it;
+  /// Materialize callers return a dummy value. `ctx` (may be null) gates
+  /// every crack of the walk on either path; on expiry the walk's Status is
+  /// returned. After a shared-path read, opportunistically grows the active
+  /// stripe count when realized cuts have outrun it.
   template <typename FastFn, typename OverlayFn, typename CoarseFn>
   auto StripedReadOrCoarse(Shard& shard, const RangePredicate<T>& pred,
-                           bool core_needs_values, FastFn&& fast,
-                           OverlayFn&& overlay, CoarseFn&& coarse) {
-    using Result = decltype(coarse());
-    Result result{};
-    bool answered = false;
+                           const QueryContext* ctx, bool core_needs_values,
+                           FastFn&& fast, OverlayFn&& overlay, CoarseFn&& coarse)
+      -> decltype(coarse()) {
+    std::optional<std::invoke_result_t<FastFn&, const CrackSelect&>> answer;
     bool grow_hint = false;
     {
       const std::shared_lock<std::shared_mutex> structural(shard.structural);
@@ -1169,21 +1169,20 @@ class PartitionedCrackerColumn {
         } else {
           shard.fast_reads.fetch_add(1, std::memory_order_relaxed);
         }
-        const StripedRange r = StripedResolve(shard, pred);
-        std::uint64_t mask =
-            core_needs_values ? StripeMask(shard, r.begin, r.end) : 0;
-        for (int i = 0; i < r.num_edges; ++i) {
-          mask |= StripeMask(shard, r.edges[i].begin, r.edges[i].end);
-        }
-        const StripeLockSet lock(&shard.stripes, mask, /*exclusive=*/false);
-        result = overlaps ? overlay(r, pending) : fast(r);
-        answered = true;
+        Status abort;
+        const CrackSelect sel =
+            shard.column.SelectLatched(pred, StripedLatch(shard), ctx, &abort);
+        if (AIDX_PREDICT_FALSE(!abort.ok())) return abort;
+        const StripeLockSet lock(&shard.stripes,
+                                 SelectMask(shard, sel, core_needs_values),
+                                 /*exclusive=*/false);
+        answer = overlaps ? overlay(sel, pending) : fast(sel);
         grow_hint = StripeGrowthDue(shard);
       }
     }
-    if (answered) {
+    if (answer.has_value()) {
       if (grow_hint) TryGrowStripes(shard);
-      return result;
+      return std::move(*answer);
     }
     const std::unique_lock<std::shared_mutex> structural(shard.structural);
     shard.coarse_reads.fetch_add(1, std::memory_order_relaxed);
@@ -1192,69 +1191,96 @@ class PartitionedCrackerColumn {
     return coarse();
   }
 
-  std::size_t CountShard(Shard& shard, const RangePredicate<T>& pred) {
-    const auto fast = [&](const StripedRange& r) {
-      std::size_t count = r.end - r.begin;
-      for (int i = 0; i < r.num_edges; ++i) {
-        count += ScanCount<T>(ShardValuesIn(shard, r.edges[i]), pred);
-      }
-      return count;
+  Result<std::size_t> CountShard(Shard& shard, const RangePredicate<T>& pred,
+                                 const QueryContext* ctx) {
+    const auto fast = [&](const CrackSelect& sel) {
+      return shard.column.CountFrom(sel, pred);
     };
     return StripedReadOrCoarse(
-        shard, pred, /*core_needs_values=*/false, fast,
-        [&](const StripedRange& r, const PendingOverlay& pending) {
+        shard, pred, ctx, /*core_needs_values=*/false, fast,
+        [&](const CrackSelect& sel, const PendingOverlay& pending) {
           // Every matching pending delete claims one live matching tuple
           // that is still counted (in the array or as a pending insert),
           // so the subtraction never underflows.
-          return fast(r) + pending.inserts.size() - pending.deletes.size();
+          return fast(sel) + pending.inserts.size() - pending.deletes.size();
         },
-        [&] { return shard.column.Count(pred); });
+        [&]() -> Result<std::size_t> {
+          if (ctx != nullptr) return shard.column.Count(pred, *ctx);
+          return shard.column.Count(pred);
+        });
   }
 
   /// One partition's unrounded sum; partitions combine in SumAcc and the
   /// caller rounds once.
-  SumAcc<T> SumShard(Shard& shard, const RangePredicate<T>& pred) {
-    const auto fast = [&](const StripedRange& r) {
-      SumAcc<T> sum = SumValues<T>(ShardValuesIn(shard, {r.begin, r.end}));
-      for (int i = 0; i < r.num_edges; ++i) {
-        sum += SumValues<T>(ShardValuesIn(shard, r.edges[i]), pred);
-      }
-      return sum;
+  Result<SumAcc<T>> SumShard(Shard& shard, const RangePredicate<T>& pred,
+                             const QueryContext* ctx) {
+    const auto fast = [&](const CrackSelect& sel) {
+      return shard.column.SumFrom(sel, pred);
     };
     return StripedReadOrCoarse(
-        shard, pred, /*core_needs_values=*/true, fast,
-        [&](const StripedRange& r, const PendingOverlay& pending) {
+        shard, pred, ctx, /*core_needs_values=*/true, fast,
+        [&](const CrackSelect& sel, const PendingOverlay& pending) {
           const SumAcc<T> sum = SumEach<T>(
               pending.inserts.size(), [&](std::size_t i) { return pending.inserts[i].value; },
-              fast(r));
+              fast(sel));
           return SubtractValues<T>(pending.deletes, sum);
         },
-        [&] { return shard.column.SumPartial(pred); });
+        [&]() -> Result<SumAcc<T>> {
+          if (ctx != nullptr) return shard.column.SumPartial(pred, *ctx);
+          return shard.column.SumPartial(pred);
+        });
   }
 
-  static SumAcc<T> AddPartials(std::span<const SumAcc<T>> partials) {
-    SumAcc<T> total{};
-    for (const SumAcc<T>& s : partials) total += s;
+  /// Count and SumPartial share this fan-out: `shard_fn` (CountShard or
+  /// SumShard) answers one partition. With a context, each partition is
+  /// gated before it starts, and partitions not yet started when one
+  /// fails are skipped.
+  template <typename V>
+  Result<V> FanOut(const RangePredicate<T>& pred, const QueryContext* ctx,
+                   Result<V> (PartitionedCrackerColumn::*shard_fn)(
+                       Shard&, const RangePredicate<T>&, const QueryContext*)) {
+    if (ctx != nullptr) AIDX_RETURN_NOT_OK(ctx->Check());
+    if (pred.DefinitelyEmpty()) return V{};
+    const auto [first, last] = OverlapRange(pred);
+    if (first == last) {  // common narrow-predicate case: no fan-out state
+      return (this->*shard_fn)(*shards_[first], pred, ctx);
+    }
+    std::vector<V> partial(last - first + 1);
+    std::mutex failure_mu;
+    Status failure;  // the first partition failure, under failure_mu
+    std::atomic<bool> failed{false};
+    ForEachOverlapping(first, last, [&](std::size_t p, std::size_t slot) {
+      if (failed.load(std::memory_order_relaxed)) return;
+      Status status = ctx != nullptr ? ctx->Check() : Status::OK();
+      if (status.ok()) {
+        Result<V> answer = (this->*shard_fn)(*shards_[p], pred, ctx);
+        if (answer.ok()) {
+          partial[slot] = std::move(answer).value();
+          return;
+        }
+        status = answer.status();
+      }
+      const std::lock_guard<std::mutex> lock(failure_mu);
+      if (failure.ok()) failure = std::move(status);
+      failed.store(true, std::memory_order_relaxed);
+    });
+    AIDX_RETURN_NOT_OK(failure);
+    V total{};
+    for (const V& v : partial) total += v;
     return total;
   }
 
   void MaterializeShardValues(Shard& shard, const RangePredicate<T>& pred,
                               std::vector<T>* out) {
-    const auto fast = [&](const StripedRange& r) {
-      const std::span<const T> values = shard.column.values();
-      out->insert(out->end(),
-                  values.begin() + static_cast<std::ptrdiff_t>(r.begin),
-                  values.begin() + static_cast<std::ptrdiff_t>(r.end));
-      for (int i = 0; i < r.num_edges; ++i) {
-        ScanValues<T>(ShardValuesIn(shard, r.edges[i]), pred, out);
-      }
+    const auto fast = [&](const CrackSelect& sel) {
+      shard.column.MaterializeValues(sel, pred, out);
       return true;  // Materialize results travel via `out`
     };
     StripedReadOrCoarse(
-        shard, pred, /*core_needs_values=*/true, fast,
-        [&](const StripedRange& r, const PendingOverlay& pending) {
+        shard, pred, /*ctx=*/nullptr, /*core_needs_values=*/true, fast,
+        [&](const CrackSelect& sel, const PendingOverlay& pending) {
           const std::size_t start = out->size();
-          fast(r);
+          fast(sel);
           for (const StripedPendingTuple& t : pending.inserts) {
             out->push_back(t.value);
           }
@@ -1271,32 +1297,21 @@ class PartitionedCrackerColumn {
           }
           return true;
         },
-        [&] {
+        [&]() -> Result<bool> {
           shard.column.MergePendingFor(pred);
-          const CrackSelect sel = shard.column.Select(pred);
-          shard.column.MaterializeValues(sel, pred, out);
-          return true;
+          return fast(shard.column.Select(pred));
         });
   }
 
   void MaterializeShardRowIds(Shard& shard, const RangePredicate<T>& pred,
                               std::vector<row_id_t>* out) {
+    const auto fast = [&](const CrackSelect& sel) {
+      shard.column.MaterializeRowIds(sel, pred, out);
+      return true;
+    };
     StripedReadOrCoarse(
-        shard, pred, /*core_needs_values=*/true,
-        [&](const StripedRange& r) {
-          const std::span<const T> values = shard.column.values();
-          const std::span<const row_id_t> rids = shard.column.row_ids();
-          out->insert(out->end(),
-                      rids.begin() + static_cast<std::ptrdiff_t>(r.begin),
-                      rids.begin() + static_cast<std::ptrdiff_t>(r.end));
-          for (int i = 0; i < r.num_edges; ++i) {
-            for (std::size_t p = r.edges[i].begin; p < r.edges[i].end; ++p) {
-              if (pred.Matches(values[p])) out->push_back(rids[p]);
-            }
-          }
-          return true;
-        },
-        [&](const StripedRange& r, const PendingOverlay& pending) {
+        shard, pred, /*ctx=*/nullptr, /*core_needs_values=*/true, fast,
+        [&](const CrackSelect& sel, const PendingOverlay& pending) {
           // Row ids force value-aware claiming: walk the array, letting
           // each matching pending delete swallow one tuple of its value
           // (an arbitrary occurrence — multiset semantics), then append
@@ -1314,12 +1329,12 @@ class PartitionedCrackerColumn {
             }
             return false;
           };
-          for (std::size_t p = r.begin; p < r.end; ++p) {
+          for (std::size_t p = sel.core.begin; p < sel.core.end; ++p) {
             if (!deletes.empty() && claims(values[p])) continue;
             out->push_back(rids[p]);
           }
-          for (int i = 0; i < r.num_edges; ++i) {
-            for (std::size_t p = r.edges[i].begin; p < r.edges[i].end; ++p) {
+          for (int i = 0; i < sel.num_edges; ++i) {
+            for (std::size_t p = sel.edges[i].begin; p < sel.edges[i].end; ++p) {
               if (!pred.Matches(values[p])) continue;
               if (!deletes.empty() && claims(values[p])) continue;
               out->push_back(rids[p]);
@@ -1331,276 +1346,17 @@ class PartitionedCrackerColumn {
           }
           return true;
         },
-        [&] {
+        [&]() -> Result<bool> {
           shard.column.MergePendingFor(pred);
-          const CrackSelect sel = shard.column.Select(pred);
-          shard.column.MaterializeRowIds(sel, pred, out);
-          return true;
+          return fast(shard.column.Select(pred));
         });
   }
-
-  std::span<const T> ShardValuesIn(const Shard& shard, PositionRange r) const {
-    return shard.column.values().subspan(r.begin, r.end - r.begin);
-  }
-
-  // -- The striped fast path (docs/CONCURRENCY.md §4) ----------------------
-  // Caller holds `structural` shared and has established that no pending
-  // update needs merging for this predicate. Mirrors CrackerColumn::Select
-  // decision-for-decision (crack-in-three fast path, stochastic pre-cracks,
-  // sub-threshold edges) so that single-threaded runs produce bit-identical
-  // piece structures and stats to the inner column's own Select.
-
-  StripedRange StripedResolve(Shard& shard, const RangePredicate<T>& pred) {
-    shard.striped_stats.num_selects.fetch_add(1, std::memory_order_relaxed);
-    StripedRange out;
-    const PredicateCuts<T> cuts = CutsForPredicate(pred);
-    if (cuts.has_lower && cuts.has_upper && !(cuts.lower == cuts.upper) &&
-        StripedTryCrackInThree(shard, cuts.lower, cuts.upper, &out)) {
-      return out;
-    }
-    std::size_t begin = 0;
-    std::size_t end = shard.column.size();  // stable: structural held shared
-    if (cuts.has_lower) {
-      begin = StripedResolveCut(shard, cuts.lower, /*is_lower=*/true, &out);
-    }
-    if (cuts.has_upper) {
-      end = StripedResolveCut(shard, cuts.upper, /*is_lower=*/false, &out);
-    }
-    if (end < begin) end = begin;
-    out.begin = begin;
-    out.end = end;
-    if (out.num_edges == 2 && out.edges[0] == out.edges[1]) out.num_edges = 1;
-    return out;
-  }
-
-  /// Crack-in-three fast path: both cuts unrealized in one crackable piece.
-  /// Attempted once — if another thread races the piece between the lookup
-  /// and the stripe acquisition, fall back to one-cut-at-a-time resolution
-  /// (which handles every state). Returns true when it resolved the core.
-  bool StripedTryCrackInThree(Shard& shard, const Cut<T>& lo_cut,
-                              const Cut<T>& hi_cut, StripedRange* out) {
-    const CrackerColumnOptions& copts = shard.column.options();
-    PieceInfo<T> piece;
-    {
-      const std::shared_lock<std::shared_mutex> il(shard.index_latch);
-      const CutLookup<T> lo = shard.column.index().Lookup(lo_cut);
-      const CutLookup<T> hi = shard.column.index().Lookup(hi_cut);
-      // Oversized pieces skip this path so stochastic pre-cracking can
-      // subdivide them per bound; sub-threshold pieces become edges.
-      const bool too_big_for_three =
-          copts.stochastic_threshold != 0 &&
-          lo.piece.end - lo.piece.begin > copts.stochastic_threshold;
-      const bool below_threshold =
-          copts.min_piece_size > 0 &&
-          lo.piece.end - lo.piece.begin <= copts.min_piece_size;
-      if (lo.exact || hi.exact || lo.piece.begin != hi.piece.begin ||
-          lo.piece.end != hi.piece.end || too_big_for_three ||
-          below_threshold) {
-        return false;
-      }
-      piece = lo.piece;
-    }
-    if (piece.begin == piece.end) {
-      // Empty piece: both cuts realize at its boundary without moving any
-      // values — still one crack-in-three, exactly like the coarse
-      // ResolveBothInPiece (single-threaded stat parity depends on it).
-      // No stripe covers an empty range, so validation and registration
-      // share one exclusive index hold.
-      const std::unique_lock<std::shared_mutex> il(shard.index_latch);
-      const CutLookup<T> lo = shard.column.index().Lookup(lo_cut);
-      const CutLookup<T> hi = shard.column.index().Lookup(hi_cut);
-      if (lo.exact || hi.exact || lo.piece.begin != piece.begin ||
-          lo.piece.end != piece.end || hi.piece.begin != piece.begin ||
-          hi.piece.end != piece.end) {
-        return false;
-      }
-      shard.column.RegisterCut(lo_cut, piece.begin);
-      shard.column.RegisterCut(hi_cut, piece.begin);
-      shard.realized_cuts.fetch_add(2, std::memory_order_relaxed);
-      shard.striped_stats.num_crack_in_three.fetch_add(
-          1, std::memory_order_relaxed);
-      shard.striped_stats.values_touched.fetch_add(
-          CrackInThreeValuesTouched(0), std::memory_order_relaxed);
-      out->begin = piece.begin;
-      out->end = piece.begin;
-      return true;
-    }
-    const StripeLockSet lock(&shard.stripes,
-                             StripeMask(shard, piece.begin, piece.end),
-                             /*exclusive=*/true);
-    {
-      // Re-validate under the stripes: a racing thread may have cracked the
-      // piece (or realized either cut) in the window. Positions cannot
-      // shift while `structural` is held shared, so boundary equality
-      // identifies the piece.
-      const std::shared_lock<std::shared_mutex> il(shard.index_latch);
-      const CutLookup<T> lo = shard.column.index().Lookup(lo_cut);
-      const CutLookup<T> hi = shard.column.index().Lookup(hi_cut);
-      if (lo.exact || hi.exact || lo.piece.begin != piece.begin ||
-          lo.piece.end != piece.end || hi.piece.begin != piece.begin ||
-          hi.piece.end != piece.end) {
-        return false;
-      }
-    }
-    const ThreeWaySplit split =
-        shard.column.CrackPieceInThreeAt(piece, lo_cut, hi_cut);
-    const std::size_t lower_pos = piece.begin + split.lower_end;
-    const std::size_t upper_pos = piece.begin + split.middle_end;
-    {
-      const std::unique_lock<std::shared_mutex> il(shard.index_latch);
-      shard.column.RegisterCut(lo_cut, lower_pos);
-      shard.column.RegisterCut(hi_cut, upper_pos);
-    }
-    shard.realized_cuts.fetch_add(2, std::memory_order_relaxed);
-    shard.striped_stats.num_crack_in_three.fetch_add(1,
-                                                     std::memory_order_relaxed);
-    shard.striped_stats.values_touched.fetch_add(
-        CrackInThreeValuesTouched(piece.end - piece.begin),
-        std::memory_order_relaxed);
-    out->begin = lower_pos;
-    out->end = upper_pos;
-    return true;
-  }
-
-  /// Realizes `cut`, cracking its enclosing piece under that piece's
-  /// exclusive stripes; returns the cut position. Sub-threshold pieces are
-  /// recorded as edges instead (coarse-path semantics). The
-  /// lookup -> latch -> re-validate loop terminates because a mismatch can
-  /// only mean the piece was subdivided: the candidate piece strictly
-  /// shrinks every retry.
-  std::size_t StripedResolveCut(Shard& shard, const Cut<T>& cut, bool is_lower,
-                                StripedRange* out) {
-    const CrackerColumnOptions& copts = shard.column.options();
-    for (;;) {
-      PieceInfo<T> piece;
-      {
-        const std::shared_lock<std::shared_mutex> il(shard.index_latch);
-        const CutLookup<T> look = shard.column.index().Lookup(cut);
-        if (look.exact) return look.position;
-        piece = look.piece;
-      }
-      if (copts.min_piece_size > 0 &&
-          piece.end - piece.begin <= copts.min_piece_size) {
-        // Sub-threshold pieces are never cracked (by anyone): record the
-        // whole piece as an edge to filter and exclude it from the core.
-        AddStripedEdge(out, {piece.begin, piece.end});
-        return is_lower ? piece.end : piece.begin;
-      }
-      if (piece.begin == piece.end) {
-        // Empty piece: the cut realizes at its boundary without moving any
-        // values. No stripe covers an empty range, so the validation and
-        // the registration must share one exclusive index hold.
-        const std::unique_lock<std::shared_mutex> il(shard.index_latch);
-        const CutLookup<T> look = shard.column.index().Lookup(cut);
-        if (look.exact) return look.position;
-        if (look.piece.begin != piece.begin || look.piece.end != piece.end) {
-          continue;
-        }
-        shard.column.RegisterCut(cut, piece.begin);
-        shard.realized_cuts.fetch_add(1, std::memory_order_relaxed);
-        shard.striped_stats.num_crack_in_two.fetch_add(
-            1, std::memory_order_relaxed);
-        return piece.begin;
-      }
-      const StripeLockSet lock(&shard.stripes,
-                               StripeMask(shard, piece.begin, piece.end),
-                               /*exclusive=*/true);
-      {
-        const std::shared_lock<std::shared_mutex> il(shard.index_latch);
-        const CutLookup<T> look = shard.column.index().Lookup(cut);
-        if (look.exact) return look.position;
-        if (look.piece.begin != piece.begin || look.piece.end != piece.end) {
-          continue;  // subdivided meanwhile: retry against the smaller piece
-        }
-      }
-      // The piece is validated and exclusively held: no other thread can
-      // permute it or register a cut inside it until the stripes drop.
-      MaybeStochasticPreCrackStriped(shard, cut, &piece);
-      const std::size_t split = shard.column.CrackPieceAt(piece, cut);
-      {
-        const std::unique_lock<std::shared_mutex> il(shard.index_latch);
-        shard.column.RegisterCut(cut, split);
-      }
-      shard.realized_cuts.fetch_add(1, std::memory_order_relaxed);
-      shard.striped_stats.num_crack_in_two.fetch_add(1,
-                                                     std::memory_order_relaxed);
-      shard.striped_stats.values_touched.fetch_add(piece.end - piece.begin,
-                                                   std::memory_order_relaxed);
-      return split;
-    }
-  }
-
-  /// Stochastic pre-cracks under the striped protocol: subdivides an
-  /// oversized piece at random data-driven pivots before the exact crack.
-  /// The caller's exclusive stripes cover the original piece and therefore
-  /// every sub-piece this loop carves, so each RegisterCut is safe under
-  /// the same ownership argument as the exact crack. Narrows `piece` to the
-  /// half still containing the target cut.
-  void MaybeStochasticPreCrackStriped(Shard& shard, const Cut<T>& target,
-                                      PieceInfo<T>* piece) {
-    const CrackerColumnOptions& copts = shard.column.options();
-    if (copts.stochastic_threshold == 0) return;
-    while (piece->end - piece->begin > copts.stochastic_threshold) {
-      const std::size_t span_size = piece->end - piece->begin;
-      std::size_t offset;
-      {
-        const std::lock_guard<std::mutex> rl(shard.rng_latch);
-        offset = shard.rng.NextBounded(span_size);
-      }
-      const T pivot = shard.column.values()[piece->begin + offset];
-      const Cut<T> random_cut{pivot, CutKind::kLess};
-      bool stop = false;
-      {
-        const std::shared_lock<std::shared_mutex> il(shard.index_latch);
-        stop = shard.column.index().Lookup(random_cut).exact ||
-               random_cut == target;
-      }
-      if (stop) break;
-      const std::size_t split = shard.column.CrackPieceAt(*piece, random_cut);
-      {
-        const std::unique_lock<std::shared_mutex> il(shard.index_latch);
-        shard.column.RegisterCut(random_cut, split);
-      }
-      shard.realized_cuts.fetch_add(1, std::memory_order_relaxed);
-      shard.striped_stats.num_stochastic_cracks.fetch_add(
-          1, std::memory_order_relaxed);
-      shard.striped_stats.values_touched.fetch_add(span_size,
-                                                   std::memory_order_relaxed);
-      // All-duplicates (or extreme-pivot) pieces make no progress; stop.
-      const bool no_progress = split == piece->begin || split == piece->end;
-      if (random_cut < target) {
-        piece->begin = split;
-        piece->lower = random_cut;
-      } else {
-        piece->end = split;
-        piece->upper = random_cut;
-      }
-      if (no_progress) break;
-    }
-  }
-
-  static void AddStripedEdge(StripedRange* out, PositionRange edge) {
-    if (edge.empty()) return;
-    AIDX_CHECK(out->num_edges < 2);
-    out->edges[static_cast<std::size_t>(out->num_edges)] = edge;
-    ++out->num_edges;
-  }
-  // ------------------------------------------------------------------------
 
   // -- The striped write path (docs/CONCURRENCY.md §4) ---------------------
 
   WriteBucket& BucketFor(const Shard& shard, T value) const {
     return shard.write_buckets[std::hash<T>{}(value) %
                                shard.write_buckets.size()];
-  }
-
-  void AppendBucketInsert(Shard& shard, T value, row_id_t rid) {
-    WriteBucket& bucket = BucketFor(shard, value);
-    const std::lock_guard<std::mutex> bl(bucket.mu);
-    bucket.inserts.push_back({value, rid});
-    WidenBufferedBounds(shard, value);
-    shard.buffered_writes.fetch_add(1, std::memory_order_acq_rel);
-    shard.striped_inserts_queued.fetch_add(1, std::memory_order_relaxed);
   }
 
   /// Buffers an insert under the owning piece's exclusive stripes, with
@@ -1611,20 +1367,19 @@ class PartitionedCrackerColumn {
   /// mask latched here still covers it exclusively. Caller holds
   /// `structural` shared.
   void StripedEnqueueInsertLocked(Shard& shard, T value, row_id_t rid) {
-    PieceInfo<T> piece;
-    {
-      const std::shared_lock<std::shared_mutex> il(shard.index_latch);
-      piece = shard.column.index().PieceForValue(value);
-    }
-    const std::uint64_t mask = StripeMask(shard, piece.begin, piece.end);
-    if (mask == 0) {
-      // Empty piece: no stripe covers it and no crack can subdivide it,
-      // so the bucket mutex alone orders the append.
-      AppendBucketInsert(shard, value, rid);
-      return;
-    }
-    const StripeLockSet lock(&shard.stripes, mask, /*exclusive=*/true);
-    AppendBucketInsert(shard, value, rid);
+    const PieceInfo<T> piece = StripedLatch(shard).Read(
+        [&] { return shard.column.index().PieceForValue(value); });
+    // An empty piece maps to no stripe, and no crack can subdivide it: the
+    // bucket mutex alone orders that append.
+    const StripeLockSet lock(&shard.stripes,
+                             StripeMask(shard, piece.begin, piece.end),
+                             /*exclusive=*/true);
+    WriteBucket& bucket = BucketFor(shard, value);
+    const std::lock_guard<std::mutex> bl(bucket.mu);
+    bucket.inserts.push_back({value, rid});
+    WidenBufferedBounds(shard, value);
+    shard.buffered_writes.fetch_add(1, std::memory_order_acq_rel);
+    shard.striped_inserts_queued.fetch_add(1, std::memory_order_relaxed);
   }
 
   /// Buffers a delete of one live tuple equal to `value`, or cancels a
@@ -1643,18 +1398,15 @@ class PartitionedCrackerColumn {
       if (CancelBucketInsertLocked(shard, bucket, value)) return true;
     }
     const auto point = RangePredicate<T>::Between(value, value);
-    const StripedRange r = StripedResolve(shard, point);
+    Status ignored;  // no context: the piece gate cannot fire errors
+    const CrackSelect sel =
+        shard.column.SelectLatched(point, StripedLatch(shard), nullptr, &ignored);
     std::size_t live = 0;
     {
-      std::uint64_t mask = StripeMask(shard, r.begin, r.end);
-      for (int i = 0; i < r.num_edges; ++i) {
-        mask |= StripeMask(shard, r.edges[i].begin, r.edges[i].end);
-      }
-      const StripeLockSet lock(&shard.stripes, mask, /*exclusive=*/false);
-      live = r.end - r.begin;  // the point core holds only `value` tuples
-      for (int i = 0; i < r.num_edges; ++i) {
-        live += shard.column.CountEqualIn(r.edges[i], value);
-      }
+      const StripeLockSet lock(&shard.stripes,
+                               SelectMask(shard, sel, /*with_core=*/false),
+                               /*exclusive=*/false);
+      live = shard.column.CountFrom(sel, point);
     }
     std::size_t pending_ins = 0;
     std::size_t pending_del = 0;

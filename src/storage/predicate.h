@@ -5,9 +5,11 @@
 // query class all the surveyed cracking work evaluates.
 #pragma once
 
+#include <cmath>
 #include <limits>
 #include <sstream>
 #include <string>
+#include <type_traits>
 
 #include "storage/types.h"
 
@@ -56,6 +58,9 @@ struct RangePredicate {
   static RangePredicate All() { return {}; }
 
   bool Matches(T v) const {
+    if constexpr (std::is_floating_point_v<T>) {
+      if (HasNanBound()) return false;
+    }
     switch (low_kind) {
       case BoundKind::kInclusive:
         if (v < low) return false;
@@ -82,6 +87,9 @@ struct RangePredicate {
   /// True when no value can satisfy the predicate (conservative syntactic
   /// check; used for early-outs, not required for correctness).
   bool DefinitelyEmpty() const {
+    if constexpr (std::is_floating_point_v<T>) {
+      if (HasNanBound()) return true;
+    }
     if (low_kind == BoundKind::kUnbounded || high_kind == BoundKind::kUnbounded) {
       return false;
     }
@@ -90,6 +98,13 @@ struct RangePredicate {
       return low_kind == BoundKind::kExclusive || high_kind == BoundKind::kExclusive;
     }
     return false;
+  }
+
+  /// A NaN bound orders against no value, so it matches none (and as a
+  /// cut it would fall outside the cracker index's total order).
+  bool HasNanBound() const {
+    return (low_kind != BoundKind::kUnbounded && std::isnan(low)) ||
+           (high_kind != BoundKind::kUnbounded && std::isnan(high));
   }
 
   std::string ToString() const {

@@ -25,11 +25,11 @@
 // surface uses. Row ids are optional; value-addressed updates work without
 // them, rid-addressed deletes require them.
 //
-// The ripple mechanism extends to tandem pairs: sideways cracker maps
-// (sideways/cracker_map.h) apply the same RippleInsert/RippleDelete moves
-// with the projected tail value and rid riding as the kernel payload,
-// which is what keeps maps maintainable under row-atomic DML instead of
-// being dropped on every write.
+// The ripple cascade itself lives once, in core/crack_walk.h, generic over
+// the tandem payload: sideways cracker maps (sideways/cracker_map.h) run
+// the same moves with the projected tail value and rid riding along, which
+// is what keeps maps maintainable under row-atomic DML instead of being
+// dropped on every write. This column keeps only its victim search.
 #pragma once
 
 #include <algorithm>
@@ -122,14 +122,11 @@ class UpdatableCrackerColumn : public CrackerColumn<T> {
   /// ids; use DeleteValue on columns built without them.
   bool Delete(T value, row_id_t rid) {
     AIDX_CHECK(this->options().with_row_ids) << "rid deletes need row ids";
-    for (std::size_t i = 0; i < pending_inserts_.size(); ++i) {
-      if (pending_inserts_[i].rid == rid) {
-        AIDX_DCHECK(pending_inserts_[i].value == value);
-        pending_inserts_[i] = pending_inserts_.back();
-        pending_inserts_.pop_back();
-        ++stats_.deletes_cancelled;
-        return true;
-      }
+    if (CancelPendingInsert([&](const PendingTuple& t) {
+          AIDX_DCHECK(t.rid != rid || t.value == value);
+          return t.rid == rid;
+        })) {
+      return true;
     }
     for (const PendingTuple& d : pending_deletes_) {
       if (d.rid == rid) return false;
@@ -145,13 +142,8 @@ class UpdatableCrackerColumn : public CrackerColumn<T> {
   /// a side effect — a delete is a query here too) before queueing.
   /// Returns false when no live tuple carries the value.
   bool DeleteValue(T value) {
-    for (std::size_t i = 0; i < pending_inserts_.size(); ++i) {
-      if (pending_inserts_[i].value == value) {
-        pending_inserts_[i] = pending_inserts_.back();
-        pending_inserts_.pop_back();
-        ++stats_.deletes_cancelled;
-        return true;
-      }
+    if (CancelPendingInsert([&](const PendingTuple& t) { return t.value == value; })) {
+      return true;
     }
     const auto point = RangePredicate<T>::Between(value, value);
     const CrackSelect sel = CrackerColumn<T>::Select(point);
@@ -279,15 +271,9 @@ class UpdatableCrackerColumn : public CrackerColumn<T> {
   /// array), otherwise queues the delete without re-counting it. The outer
   /// buffer verified a live occurrence at enqueue time.
   void AdoptPendingDeleteValue(T value) {
-    for (std::size_t i = 0; i < pending_inserts_.size(); ++i) {
-      if (pending_inserts_[i].value == value) {
-        pending_inserts_[i] = pending_inserts_.back();
-        pending_inserts_.pop_back();
-        ++stats_.deletes_cancelled;
-        return;
-      }
+    if (!CancelPendingInsert([&](const PendingTuple& t) { return t.value == value; })) {
+      pending_deletes_.push_back({value, kPendingNoRid});
     }
-    pending_deletes_.push_back({value, kPendingNoRid});
   }
 
   /// Merges up to `max_tuples` pending updates (oldest-first, deletes
@@ -323,6 +309,20 @@ class UpdatableCrackerColumn : public CrackerColumn<T> {
     T value;
     row_id_t rid;
   };
+
+  /// Swap-removes the first pending insert `is_victim` accepts, counting
+  /// the delete that claimed it as cancelled; false when none qualifies.
+  template <typename Fn>
+  bool CancelPendingInsert(Fn&& is_victim) {
+    for (std::size_t i = 0; i < pending_inserts_.size(); ++i) {
+      if (!is_victim(pending_inserts_[i])) continue;
+      pending_inserts_[i] = pending_inserts_.back();
+      pending_inserts_.pop_back();
+      ++stats_.deletes_cancelled;
+      return true;
+    }
+    return false;
+  }
 
   void MergeForQuery(const RangePredicate<T>& pred) {
     if (pending_inserts_.empty() && pending_deletes_.empty()) return;
@@ -373,42 +373,15 @@ class UpdatableCrackerColumn : public CrackerColumn<T> {
     }
   }
 
-  /// Inserts (value, rid) into its piece by cascading one element per
-  /// downstream piece boundary into the slot freed by its right neighbour.
-  void RippleInsert(T value, row_id_t rid) {
-    auto& values = this->mutable_values();
-    auto& rids = this->mutable_row_ids();
-    const bool with_rids = this->options().with_row_ids;
-    auto& index = this->mutable_index();
-    const std::size_t old_size = values.size();
-    const PieceInfo<T> piece = index.PieceForValue(value);
+  std::vector<row_id_t>* TandemRowIds() {
+    return this->options().with_row_ids ? &this->mutable_row_ids() : nullptr;
+  }
 
-    // Boundary positions of every piece to the right of the target piece.
-    std::vector<std::size_t> boundaries;
-    if (piece.upper.has_value()) {
-      index.VisitCutsFrom(*piece.upper, [&](const Cut<T>&, std::size_t& pos) {
-        boundaries.push_back(pos);
-      });
-    }
-    values.push_back(value);  // placeholder; overwritten unless no cascade
-    if (with_rids) rids.push_back(rid);
-    std::size_t hole = old_size;
-    for (auto it = boundaries.rbegin(); it != boundaries.rend(); ++it) {
-      const std::size_t b = *it;
-      if (hole != b) {
-        values[hole] = values[b];
-        if (with_rids) rids[hole] = rids[b];
-        ++stats_.ripple_element_moves;
-      }
-      hole = b;
-    }
-    values[hole] = value;
-    if (with_rids) rids[hole] = rid;
-    if (piece.upper.has_value()) {
-      index.VisitCutsFrom(*piece.upper,
-                          [](const Cut<T>&, std::size_t& pos) { ++pos; });
-    }
-    index.set_column_size(old_size + 1);
+  /// Inserts (value, rid) into its piece by the ripple cascade
+  /// (core/crack_walk.h).
+  void RippleInsert(T value, row_id_t rid) {
+    stats_.ripple_element_moves += aidx::RippleInsert(
+        this->mutable_values(), TandemRowIds(), this->mutable_index(), value, rid);
   }
 
   /// True when some pending rid-addressed delete targets row id `rid`
@@ -421,20 +394,16 @@ class UpdatableCrackerColumn : public CrackerColumn<T> {
   }
 
   /// Removes the tuple (value, rid) — or, when rid is kPendingNoRid, an
-  /// arbitrary tuple equal to `value` — by cascading the last element of
-  /// each downstream piece into the hole, shrinking the array by one.
+  /// arbitrary tuple equal to `value` — by the ripple cascade. Only the
+  /// victim search is the column's own.
   void RippleDelete(T value, row_id_t rid) {
-    auto& values = this->mutable_values();
-    auto& rids = this->mutable_row_ids();
+    const std::span<const T> values = this->values();
+    const std::span<const row_id_t> rids = this->row_ids();
     const bool with_rids = this->options().with_row_ids;
-    auto& index = this->mutable_index();
-    const std::size_t old_size = values.size();
-    const PieceInfo<T> piece = index.PieceForValue(value);
-
+    const PieceInfo<T> piece = this->index().PieceForValue(value);
     // Locate the victim inside its piece. Value-addressed deletes skip
     // tuples claimed by a still-pending rid-addressed delete so the two
     // forms never race for the same physical tuple.
-    std::size_t pos = piece.end;
     for (std::size_t i = piece.begin; i < piece.end; ++i) {
       if (rid != kPendingNoRid) {
         if (rids[i] != rid) continue;
@@ -443,41 +412,11 @@ class UpdatableCrackerColumn : public CrackerColumn<T> {
         if (values[i] != value) continue;
         if (with_rids && RidPendingDelete(rids[i])) continue;
       }
-      pos = i;
-      break;
+      stats_.ripple_element_moves += aidx::RippleDelete(
+          this->mutable_values(), TandemRowIds(), this->mutable_index(), piece, i);
+      return;
     }
-    if (pos == piece.end) return;  // unknown tuple: drop silently (see tests)
-
-    std::vector<std::size_t> boundaries;
-    if (piece.upper.has_value()) {
-      index.VisitCutsFrom(*piece.upper, [&](const Cut<T>&, std::size_t& pos_ref) {
-        boundaries.push_back(pos_ref);
-      });
-    }
-    // Close the hole with the target piece's last element, then cascade:
-    // each downstream piece donates its last element to the position freed
-    // on its left, shifting the piece left by one.
-    std::size_t hole = pos;
-    const auto move_last = [&](std::size_t end) {
-      if (hole != end - 1) {
-        values[hole] = values[end - 1];
-        if (with_rids) rids[hole] = rids[end - 1];
-        ++stats_.ripple_element_moves;
-      }
-      hole = end - 1;
-    };
-    move_last(boundaries.empty() ? old_size : boundaries.front());
-    for (std::size_t j = 0; j < boundaries.size(); ++j) {
-      move_last(j + 1 < boundaries.size() ? boundaries[j + 1] : old_size);
-    }
-    AIDX_DCHECK(hole == old_size - 1);
-    values.pop_back();
-    if (with_rids) rids.pop_back();
-    if (piece.upper.has_value()) {
-      index.VisitCutsFrom(*piece.upper,
-                          [](const Cut<T>&, std::size_t& pos_ref) { --pos_ref; });
-    }
-    index.set_column_size(old_size - 1);
+    // Unknown tuple: dropped silently (see tests).
   }
 
   Options options_;

@@ -108,6 +108,48 @@ TEST_F(FaultScheduleTest, CancelledMidCrackKeepsPartialInvestment) {
   EXPECT_TRUE(col.ValidatePieces());
 }
 
+// The same pin inside one partition of the parallel column: its walk
+// gates every piece-level crack on the context, exactly as the single
+// column does, on the shared path (no pending updates here).
+TEST_F(FaultScheduleTest, PartitionedCancelledMidCrackKeepsPartialInvestment) {
+  const auto base = RandomValues(4000, 1000, 109);
+  PartitionedCrackerColumn<std::int64_t> col(base, {.num_partitions = 1});
+  (void)col.Count(Pred::HalfOpen(0, 500));
+  const std::size_t cuts_before = col.partition(0).index().num_cuts();
+
+  auto token = std::make_shared<CancellationToken>();
+  FailpointPolicy policy;
+  policy.mode = FailpointMode::kCallback;
+  policy.handler = [token](std::string_view) {
+    token->Cancel();
+    return Status::OK();
+  };
+  failpoints::crack_piece.Arm(policy);
+  QueryContext ctx = QueryContext::Background();
+  ctx.SetToken(token);
+
+  const auto pred = Pred::Between(200, 800);
+  const auto result = col.Count(pred, ctx);
+  ASSERT_FALSE(result.ok());
+  EXPECT_TRUE(result.status().IsCancelled()) << result.status().ToString();
+  EXPECT_EQ(col.partition(0).index().num_cuts(), cuts_before + 1);
+  EXPECT_TRUE(col.ValidatePieces());
+
+  // An injected piece error surfaces through the context-carrying forms
+  // instead of being swallowed, and leaves the column clean.
+  failpoints::crack_piece.Disarm();
+  ASSERT_TRUE(Configure("crack.piece=error").ok());
+  const QueryContext background = QueryContext::Background();
+  const auto failed = col.SumPartial(Pred::Between(600, 900), background);
+  EXPECT_FALSE(failed.ok());
+  EXPECT_FALSE(col.Count(Pred::Between(50, 150), background).ok());
+  EXPECT_TRUE(col.ValidatePieces());
+
+  FailpointRegistry::Instance().DisarmAll();
+  EXPECT_EQ(col.Count(pred), ScanCount<std::int64_t>(base, pred));
+  EXPECT_TRUE(col.ValidatePieces());
+}
+
 TEST_F(FaultScheduleTest, DeadlineExpiryMidCrackIsCleanAndKept) {
   const auto base = RandomValues(4000, 1000, 103);
   CrackerColumn<std::int64_t> col(base);

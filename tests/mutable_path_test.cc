@@ -299,5 +299,34 @@ TEST(MutablePathTest, DatabaseInt64SumIsExactAtTheExtremes) {
   }
 }
 
+// A NaN bound orders against no value, so it matches nothing — on every
+// strategy, before and after the path has cracked. A crack path must not
+// turn it into a cut: NaN has no place in the cracker index's total order.
+TEST(MutablePathTest, NanBoundMatchesNothingOnEveryStrategy) {
+  using P = RangePredicate<double>;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<double> base(2000);
+  Rng rng(67);
+  for (double& v : base) v = ValueDomain<double>::Make(rng.NextBounded(800));
+  const std::vector<P> nan_preds = {
+      P::Between(nan, nan), P::Between(1.0, nan), P::Between(nan, 50.0),
+      P::HalfOpen(nan, nan), P::AtLeast(nan),     P::LessThan(nan),
+      P{nan, BoundKind::kExclusive, nan, BoundKind::kExclusive}};
+  const P warm = P::Between(20.0, 90.0);
+  for (const StrategyConfig& config : AllStrategies()) {
+    auto path = MakeAccessPath<double>(base, config);
+    for (int round = 0; round < 2; ++round) {
+      for (const P& pred : nan_preds) {
+        EXPECT_TRUE(pred.DefinitelyEmpty()) << pred.ToString();
+        EXPECT_EQ(ScanCount<double>(base, pred), 0u) << pred.ToString();
+        EXPECT_EQ(path->Count(pred), 0u) << config.DisplayName() << " " << pred.ToString();
+        EXPECT_EQ(path->Sum(pred), 0.0L) << config.DisplayName() << " " << pred.ToString();
+      }
+      // Crack the path between rounds; its answers stay exact.
+      ASSERT_EQ(path->Count(warm), ScanCount<double>(base, warm)) << config.DisplayName();
+    }
+  }
+}
+
 }  // namespace
 }  // namespace aidx

@@ -22,12 +22,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <limits>
 #include <thread>
 #include <vector>
 
 #include "exec/access_path.h"
 #include "index/scan.h"
 #include "parallel/partitioned_cracker_column.h"
+#include "sideways/cracker_map.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -438,6 +440,65 @@ TEST(StripedLatchTest, EmptyAndDegenerateColumns) {
   EXPECT_EQ(col.Count(Pred::Between(42, 42)), 2000u);
   EXPECT_EQ(col.Count(Pred::LessThan(42)), 0u);
   EXPECT_TRUE(col.ValidatePieces());
+
+  // One table of edge inputs through every caller of the crack walk — the
+  // single column, the parallel column at 1 and 4 partitions, and a
+  // sideways map — each with min-piece edges and stochastic pre-cracks on
+  // and off, checked against a scan and the structural validators. Every
+  // predicate runs twice, so the second pass meets a cracked array.
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  std::vector<std::int64_t> extremes = RandomValues(3000, 1000, 93);
+  for (const std::int64_t v : {kMin, kMin + 1, kMin, kMax - 1, kMax, kMax}) {
+    extremes.push_back(v);
+  }
+  const std::vector<std::vector<std::int64_t>> columns = {{}, dupes, extremes};
+  const std::vector<Pred> preds = {
+      Pred::All(), Pred::Between(kMin, kMax), Pred::Between(kMin, kMin),
+      Pred::Between(kMax, kMax), Pred::HalfOpen(kMin, kMax), Pred::AtLeast(kMin),
+      Pred::AtMost(kMax), Pred::GreaterThan(kMin), Pred::LessThan(kMax),
+      Pred::GreaterThan(kMax), Pred::LessThan(kMin),
+      Pred{kMin, BoundKind::kExclusive, kMax, BoundKind::kExclusive},
+      Pred::Between(42, 42), Pred::HalfOpen(41, 43), Pred::LessThan(42),
+      Pred::GreaterThan(42), Pred::Between(10, 5), Pred::Between(kMax, kMin),
+      Pred::HalfOpen(42, 42), Pred{42, BoundKind::kExclusive, 42, BoundKind::kInclusive},
+      Pred::Between(100, 600)};
+  std::vector<CrackerColumnOptions> shapes(3);
+  shapes[1].min_piece_size = 16;
+  shapes[2].stochastic_threshold = 64;
+  for (const std::vector<std::int64_t>& base : columns) {
+    for (const CrackerColumnOptions& shape : shapes) {
+      CrackerColumn<std::int64_t> single(base, shape);
+      PartitionedCrackerOptions one = StripedOptions(1);
+      one.column_options = shape;
+      PartitionedCrackerOptions four = StripedOptions(4);
+      four.column_options = shape;
+      Column narrow(base, one);
+      Column wide(base, four);
+      CrackerMap<std::int64_t> map(base, base);
+      for (int pass = 0; pass < 2; ++pass) {
+        for (const Pred& p : preds) {
+          const std::size_t count = ScanCount<std::int64_t>(base, p);
+          const long double sum = ScanSum<std::int64_t>(base, p);
+          ASSERT_EQ(single.Count(p), count) << p.ToString();
+          ASSERT_EQ(single.Sum(p), sum) << p.ToString();
+          ASSERT_EQ(narrow.Count(p), count) << p.ToString();
+          ASSERT_EQ(narrow.Sum(p), sum) << p.ToString();
+          ASSERT_EQ(wide.Count(p), count) << p.ToString();
+          ASSERT_EQ(wide.Sum(p), sum) << p.ToString();
+          const PositionRange r = map.Select(p);
+          ASSERT_EQ(r.size(), count) << p.ToString();
+          for (std::size_t i = r.begin; i < r.end; ++i) {
+            ASSERT_TRUE(p.Matches(map.tail_at(i))) << p.ToString();
+          }
+          ASSERT_TRUE(single.ValidatePieces()) << p.ToString();
+          ASSERT_TRUE(narrow.ValidatePieces()) << p.ToString();
+          ASSERT_TRUE(wide.ValidatePieces()) << p.ToString();
+          ASSERT_TRUE(map.Validate()) << p.ToString();
+        }
+      }
+    }
+  }
 }
 
 // The latch knob is part of the strategy identity: distinct display names
