@@ -36,12 +36,11 @@ bool IntervalIntersects(bool lo_bounded, std::int64_t lo, bool hi_bounded,
 
 }  // namespace
 
-ShardRouter::ShardRouter(std::size_t num_shards, std::size_t vnodes_per_shard)
+ShardRouter::ShardRouter(std::size_t num_shards)
     : num_shards_(num_shards == 0 ? 1 : num_shards) {
-  if (vnodes_per_shard == 0) vnodes_per_shard = 1;
-  ring_.reserve(num_shards_ * vnodes_per_shard);
+  ring_.reserve(num_shards_ * kVnodesPerShard);
   for (std::size_t s = 0; s < num_shards_; ++s) {
-    for (std::size_t r = 0; r < vnodes_per_shard; ++r) {
+    for (std::size_t r = 0; r < kVnodesPerShard; ++r) {
       const std::uint64_t point =
           Mix64((static_cast<std::uint64_t>(s) << 32) | static_cast<std::uint64_t>(r));
       ring_.emplace_back(point, static_cast<std::uint32_t>(s));

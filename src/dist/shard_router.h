@@ -62,7 +62,7 @@ struct RoutingOverride {
 
 class ShardRouter {
  public:
-  explicit ShardRouter(std::size_t num_shards, std::size_t vnodes_per_shard = 64);
+  explicit ShardRouter(std::size_t num_shards);
 
   std::size_t num_shards() const { return num_shards_; }
 
@@ -105,6 +105,9 @@ class ShardRouter {
   /// Boundary-interval owner under kRange routing.
   static std::size_t RangeShardOf(const std::vector<std::int64_t>& boundaries,
                                   std::int64_t key);
+
+  /// Consistent-hash ring resolution: virtual nodes per shard.
+  static constexpr std::size_t kVnodesPerShard = 64;
 
   std::size_t num_shards_;
   /// Sorted (hash point, shard) pairs — the consistent-hash ring shared by

@@ -56,8 +56,7 @@ constexpr int kEvacuateRetries = 64;
 }  // namespace
 
 ShardedDatabase::ShardedDatabase(const ShardedDatabaseOptions& options)
-    : router_(options.num_shards == 0 ? 1 : options.num_shards,
-              options.vnodes_per_shard),
+    : router_(options.num_shards == 0 ? 1 : options.num_shards),
       scatter_pool_(options.scatter_pool) {
   const std::size_t n = router_.num_shards();
   DatabaseOptions node = options.node_options;
@@ -440,7 +439,7 @@ std::vector<ShardStats> ShardedDatabase::Stats() const {
     stats.cracked_pieces = db.cracked_pieces;
     stats.pending_update_bytes = db.pending_update_bytes;
     stats.crack = db.crack;
-    stats.under_pressure = gov.UnderPressure();
+    stats.under_pressure = db.under_pressure;
     stats.admission_denials = gov.admission_denials();
     stats.sheds = gov.sheds();
     out.push_back(stats);

@@ -85,8 +85,6 @@ struct ShardedDatabaseOptions {
   DatabaseOptions node_options;
   /// Borrowed; may be null (every scatter then runs inline on the caller).
   ThreadPool* scatter_pool = nullptr;
-  /// Consistent-hash ring resolution (vnodes per shard).
-  std::size_t vnodes_per_shard = 64;
 };
 
 /// Per-shard health gauges (Stats()); one entry per shard, in shard order.
@@ -98,7 +96,8 @@ struct ShardStats {
   std::size_t pending_update_bytes = 0;
   /// Cumulative crack work (num_crack_in_two etc.) on this node.
   CrackerStats crack;
-  /// Degradation gauges from the node's resource governor (PR 9).
+  /// Degradation gauges: the node's fresh budget verdict
+  /// (DatabaseStats::under_pressure) and its governor's counters.
   bool under_pressure = false;
   std::size_t admission_denials = 0;
   std::size_t sheds = 0;

@@ -30,6 +30,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/adaptive_merging.h"
@@ -346,31 +347,33 @@ class ScanPath final : public AccessPath<T> {
   row_id_t next_rid_;
 };
 
-// Inserts gather in a delta buffer that the next query sorts and folds
-// into the sorted array with one inplace_merge pass; deletes cancel a
-// buffered insert or erase from the sorted array directly.
-template <ColumnValue T>
-class FullSortPath final : public AccessPath<T> {
+// The sort and B+-tree strategies share one write path. Inserts gather in
+// a delta buffer that the next query sorts and folds into the index with
+// one InsertSortedBatch (FullSortIndex: one inplace_merge pass; BPlusTree:
+// an amortized sorted insert); deletes cancel a buffered insert or erase
+// from the index directly.
+template <ColumnValue T, typename Index>
+class DeltaBufferPath final : public AccessPath<T> {
  public:
-  explicit FullSortPath(std::span<const T> base)
+  explicit DeltaBufferPath(std::span<const T> base)
       : base_(base), next_rid_(static_cast<row_id_t>(base.size())) {}
-  std::string name() const override { return "sort"; }
+  std::string name() const override { return kIsBTree ? "btree" : "sort"; }
   std::size_t Count(const RangePredicate<T>& pred) override {
     MergeDelta();
-    return Index().CountRange(pred);
+    return Materialized().CountRange(pred);
   }
   SumAcc<T> SumPartial(const RangePredicate<T>& pred) override {
     MergeDelta();
-    return Index().SumRangePartial(pred);
+    return Materialized().SumRangePartial(pred);
   }
   row_id_t Insert(T value) override {
-    Index();  // materialize while the base span is still valid
+    Materialized();  // build while the base span is still valid
     delta_.push_back(value);
     ++stats_.inserts_queued;
     return next_rid_++;
   }
   bool Delete(T value) override {
-    FullSortIndex<T>& index = Index();
+    Index& index = Materialized();
     for (std::size_t i = 0; i < delta_.size(); ++i) {
       if (delta_[i] == value) {
         delta_[i] = delta_.back();
@@ -390,84 +393,29 @@ class FullSortPath final : public AccessPath<T> {
   }
 
  private:
-  FullSortIndex<T>& Index() {
-    if (!index_) index_.emplace(base_);
+  static constexpr bool kIsBTree = std::is_same_v<Index, BPlusTree<T>>;
+
+  Index& Materialized() {
+    if (!index_) {
+      if constexpr (kIsBTree) {
+        index_.emplace();
+        FullSortIndex<T> sorted(base_);  // sort, then bulk-load
+        index_->BulkLoadSorted(sorted.values());
+      } else {
+        index_.emplace(base_);
+      }
+    }
     return *index_;
   }
   void MergeDelta() {
     if (delta_.empty()) return;
     std::sort(delta_.begin(), delta_.end());
-    Index().MergeSortedDelta(delta_);
+    Materialized().InsertSortedBatch(delta_);
     stats_.inserts_merged += delta_.size();
     delta_.clear();
   }
   std::span<const T> base_;
-  std::optional<FullSortIndex<T>> index_;
-  std::vector<T> delta_;  // unsorted until the merging query
-  UpdateStats stats_;
-  row_id_t next_rid_;
-};
-
-// Same delta-buffer scheme as FullSortPath; the merging query bulk-inserts
-// the sorted delta, and deletes erase from leaves without rebalancing.
-template <ColumnValue T>
-class BTreePath final : public AccessPath<T> {
- public:
-  explicit BTreePath(std::span<const T> base)
-      : base_(base), next_rid_(static_cast<row_id_t>(base.size())) {}
-  std::string name() const override { return "btree"; }
-  std::size_t Count(const RangePredicate<T>& pred) override {
-    MergeDelta();
-    return Tree().CountRange(pred);
-  }
-  SumAcc<T> SumPartial(const RangePredicate<T>& pred) override {
-    MergeDelta();
-    return Tree().SumRangePartial(pred);
-  }
-  row_id_t Insert(T value) override {
-    Tree();  // materialize while the base span is still valid
-    delta_.push_back(value);
-    ++stats_.inserts_queued;
-    return next_rid_++;
-  }
-  bool Delete(T value) override {
-    BPlusTree<T>& tree = Tree();
-    for (std::size_t i = 0; i < delta_.size(); ++i) {
-      if (delta_[i] == value) {
-        delta_[i] = delta_.back();
-        delta_.pop_back();
-        ++stats_.deletes_cancelled;
-        return true;
-      }
-    }
-    if (!tree.EraseOne(value)) return false;
-    ++stats_.deletes_queued;
-    ++stats_.deletes_merged;
-    return true;
-  }
-  UpdateStats update_stats() const override { return stats_; }
-  std::size_t approx_pending_bytes() const override {
-    return delta_.size() * sizeof(T);
-  }
-
- private:
-  BPlusTree<T>& Tree() {
-    if (!tree_) {
-      tree_.emplace();
-      FullSortIndex<T> sorted(base_);  // sort, then bulk-load
-      tree_->BulkLoadSorted(sorted.values());
-    }
-    return *tree_;
-  }
-  void MergeDelta() {
-    if (delta_.empty()) return;
-    std::sort(delta_.begin(), delta_.end());
-    Tree().InsertSortedBatch(delta_);
-    stats_.inserts_merged += delta_.size();
-    delta_.clear();
-  }
-  std::span<const T> base_;
-  std::optional<BPlusTree<T>> tree_;
+  std::optional<Index> index_;
   std::vector<T> delta_;  // unsorted until the merging query
   UpdateStats stats_;
   row_id_t next_rid_;
@@ -759,9 +707,10 @@ std::unique_ptr<AccessPath<T>> MakeAccessPath(std::span<const T> base,
     case StrategyKind::kFullScan:
       return std::make_unique<internal::ScanPath<T>>(base);
     case StrategyKind::kFullSort:
-      return std::make_unique<internal::FullSortPath<T>>(base);
+      return std::make_unique<
+          internal::DeltaBufferPath<T, FullSortIndex<T>>>(base);
     case StrategyKind::kBPlusTree:
-      return std::make_unique<internal::BTreePath<T>>(base);
+      return std::make_unique<internal::DeltaBufferPath<T, BPlusTree<T>>>(base);
     case StrategyKind::kCrack:
     case StrategyKind::kStochasticCrack:
       return std::make_unique<internal::CrackPath<T>>(base, config);

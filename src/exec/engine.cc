@@ -299,10 +299,7 @@ Result<std::size_t> Database::Count(const QueryRequest& req) {
   AIDX_ASSIGN_OR_RETURN(AccessPath<std::int64_t> * path,
                         PathFor(req.table, req.column, req.strategy));
   if (!req.context.has_value()) return path->Count(req.predicate);
-  AIDX_ASSIGN_OR_RETURN(const std::size_t count,
-                        path->Count(req.predicate, *req.context));
-  SyncResourceGauges();
-  return count;
+  return path->Count(req.predicate, *req.context);
 }
 
 Result<double> Database::Sum(const QueryRequest& req) {
@@ -314,10 +311,7 @@ Result<SumAcc<std::int64_t>> Database::SumPartial(const QueryRequest& req) {
   AIDX_ASSIGN_OR_RETURN(AccessPath<std::int64_t> * path,
                         PathFor(req.table, req.column, req.strategy));
   if (!req.context.has_value()) return path->SumPartial(req.predicate);
-  AIDX_ASSIGN_OR_RETURN(const SumAcc<std::int64_t> sum,
-                        path->SumPartial(req.predicate, *req.context));
-  SyncResourceGauges();
-  return sum;
+  return path->SumPartial(req.predicate, *req.context);
 }
 
 Result<SidewaysCracker<std::int64_t>*> Database::SidewaysFor(std::string_view table,
@@ -422,17 +416,21 @@ void Database::ShedSidewaysExcept(const std::string& keep) {
   }
 }
 
+std::size_t Database::SidewaysBytes() const {
+  std::size_t bytes = 0;
+  for (const auto& [key, cracker] : sideways_) bytes += cracker->MemoryUsageBytes();
+  return bytes;
+}
+
+std::size_t Database::PendingBytes() const {
+  std::size_t bytes = 0;
+  for (const auto& [key, path] : paths_) bytes += path->approx_pending_bytes();
+  return bytes;
+}
+
 void Database::SyncResourceGauges() {
-  std::size_t sideways_bytes = 0;
-  for (const auto& [key, cracker] : sideways_) {
-    sideways_bytes += cracker->MemoryUsageBytes();
-  }
-  governor_->SetUsage(ResourceComponent::kSidewaysMaps, sideways_bytes);
-  std::size_t pending_bytes = 0;
-  for (const auto& [key, path] : paths_) {
-    pending_bytes += path->approx_pending_bytes();
-  }
-  governor_->SetUsage(ResourceComponent::kPendingUpdates, pending_bytes);
+  governor_->SetUsage(ResourceComponent::kSidewaysMaps, SidewaysBytes());
+  governor_->SetUsage(ResourceComponent::kPendingUpdates, PendingBytes());
 }
 
 Result<const SidewaysCracker<std::int64_t>*> Database::SidewaysState(
@@ -463,9 +461,13 @@ DatabaseStats Database::Stats() const {
   }
   out.cached_paths = paths_.size();
   out.cached_sideways = sideways_.size();
+  out.pending_update_bytes = PendingBytes();
+  // Fresh totals, not the governor's gauges: those are synced only by
+  // SelectProject's admission, and any DML since then has moved them.
+  out.under_pressure =
+      governor_->OverBudget(SidewaysBytes() + out.pending_update_bytes);
   for (const auto& [key, path] : paths_) {
     out.cracked_pieces += path->num_cracked_pieces();
-    out.pending_update_bytes += path->approx_pending_bytes();
     const CrackerStats s = path->crack_stats();
     out.crack.num_selects += s.num_selects;
     out.crack.num_crack_in_two += s.num_crack_in_two;

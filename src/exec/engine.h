@@ -152,6 +152,9 @@ struct DatabaseStats {
   std::size_t cracked_pieces = 0;       // summed over cached paths
   std::size_t pending_update_bytes = 0; // approx, summed over cached paths
   CrackerStats crack;                   // summed crack-work counters
+  /// Sideways-map plus pending-update bytes over the memory budget,
+  /// computed fresh (not from the governor's last gauge sync).
+  bool under_pressure = false;
 };
 
 /// One cached path's carried index investment over a key range: the
@@ -330,6 +333,10 @@ class Database {
   /// Pressure reaction: drops every cached sideways cracker except `keep`
   /// (maps are pure acceleration state and rebuild on demand).
   void ShedSidewaysExcept(const std::string& keep);
+  /// Current bytes of the governed components: cached sideways maps, and
+  /// deferred updates over every cached path.
+  std::size_t SidewaysBytes() const;
+  std::size_t PendingBytes() const;
   /// Refreshes the governor's gauges from the live structures.
   void SyncResourceGauges();
   /// Scan-plus-crack-later projection: answers σ_pred(head) ⋉ tails by

@@ -77,9 +77,10 @@ class FullSortIndex {
   }
 
   /// Folds an ascending-sorted batch into the index (one inplace_merge
-  /// pass) — the delta-merge step of the sorted write path. Only supported
-  /// without row ids (fresh tuples have no base offset to carry).
-  void MergeSortedDelta(std::span<const T> sorted_delta) {
+  /// pass) — the delta-merge step of the sorted write path, which calls
+  /// BPlusTree's method of the same name for the btree strategy. Only
+  /// supported without row ids (fresh tuples have no base offset to carry).
+  void InsertSortedBatch(std::span<const T> sorted_delta) {
     AIDX_CHECK(row_ids_.empty()) << "delta merge unsupported with row ids";
     AIDX_DCHECK(std::is_sorted(sorted_delta.begin(), sorted_delta.end()));
     const auto mid = static_cast<std::ptrdiff_t>(values_.size());

@@ -32,7 +32,6 @@
 // dropped on every write. This column keeps only its victim search.
 #pragma once
 
-#include <algorithm>
 #include <limits>
 #include <span>
 #include <utility>
@@ -220,25 +219,6 @@ class UpdatableCrackerColumn : public CrackerColumn<T> {
   /// positions reflect every update the predicate must observe.
   void MergePendingFor(const RangePredicate<T>& pred) { MergeForQuery(pred); }
 
-  /// True when the predicate's *answer* depends on a pending update — i.e.
-  /// when some pending tuple matches the predicate. The striped piece-latch
-  /// fast path (docs/CONCURRENCY.md §4) uses this as its slow-path gate.
-  /// Deliberately policy-independent: kComplete and kGradual merge beyond
-  /// the predicate's range *when a merge happens*, but a query whose range
-  /// overlaps no pending key is exact without any merge, so it must not pay
-  /// the coarse path under any policy. Caller-synchronized, like every
-  /// other method.
-  bool NeedsMergeFor(const RangePredicate<T>& pred) const {
-    if (pending_inserts_.empty() && pending_deletes_.empty()) return false;
-    const auto matches = [&](const PendingTuple& t) {
-      return pred.Matches(t.value);
-    };
-    return std::any_of(pending_inserts_.begin(), pending_inserts_.end(),
-                       matches) ||
-           std::any_of(pending_deletes_.begin(), pending_deletes_.end(),
-                       matches);
-  }
-
   bool has_pending() const {
     return !pending_inserts_.empty() || !pending_deletes_.empty();
   }
@@ -277,9 +257,9 @@ class UpdatableCrackerColumn : public CrackerColumn<T> {
   }
 
   /// Merges up to `max_tuples` pending updates (oldest-first, deletes
-  /// before inserts) regardless of any predicate — the chunk primitive the
-  /// background-merge mode machine runs between latch releases so readers
-  /// never wait behind one long exclusive hold.
+  /// before inserts) regardless of any predicate — the chunk primitive a
+  /// background merge runs between latch releases so readers never wait
+  /// behind one long exclusive hold.
   void MergePendingBudget(std::size_t max_tuples) {
     if (max_tuples == 0) return;
     MergeMatching([](const PendingTuple&) { return false; }, max_tuples);

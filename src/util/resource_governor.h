@@ -70,8 +70,12 @@ class ResourceGovernor {
     return total;
   }
 
-  bool UnderPressure() const {
-    return !unlimited() && used_bytes() > options_.soft_budget_bytes;
+  bool UnderPressure() const { return OverBudget(used_bytes()); }
+
+  /// True when `bytes` of usage would exceed the budget — UnderPressure
+  /// over a total the caller computed fresh instead of the last gauges.
+  bool OverBudget(std::size_t bytes) const {
+    return !unlimited() && bytes > options_.soft_budget_bytes;
   }
 
   /// Admission check: would `incoming_bytes` more fit under the budget?

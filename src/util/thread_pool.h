@@ -48,10 +48,11 @@ class ThreadPool {
 
   /// Stops accepting work, joins every worker, and destroys queued tasks
   /// that never started (their closures are destroyed, which releases any
-  /// RAII tickets they carry — see the merge mode machine). Idempotent;
-  /// the destructor calls it. After Shutdown, TrySubmit returns false,
-  /// num_threads() is 0, and ParallelFor degrades to an inline loop, so a
-  /// stopped pool can safely outlive the columns borrowing it.
+  /// RAII tickets they carry — see the partitioned column's background
+  /// merges). Idempotent; the destructor calls it. After Shutdown,
+  /// TrySubmit returns false, num_threads() is 0, and ParallelFor degrades
+  /// to an inline loop, so a stopped pool can safely outlive the columns
+  /// borrowing it.
   void Shutdown();
 
   std::size_t num_threads() const { return workers_.size(); }

@@ -9,6 +9,11 @@ namespace aidx {
 
 namespace {
 
+/// Median window used to smooth the per-query series (odd).
+constexpr std::size_t kSmoothingWindow = 11;
+/// Tail window for the steady-state estimate.
+constexpr std::size_t kTailWindow = 100;
+
 /// Median of series[i .. i+window) (window clamped to the series end).
 double WindowMedian(const std::vector<double>& series, std::size_t i,
                     std::size_t window) {
@@ -34,7 +39,7 @@ BenchmarkMetrics ComputeMetrics(const RunResult& run, double scan_seconds,
   m.first_query_overhead =
       scan_seconds > 0 ? m.first_query_seconds / scan_seconds : 0.0;
   m.total_seconds = run.total_seconds();
-  m.steady_state_seconds = run.tail_mean(options.tail_window);
+  m.steady_state_seconds = run.tail_mean(kTailWindow);
 
   const double threshold = options.convergence_factor * reference_seconds;
   const auto& series = run.per_query_seconds;
@@ -42,7 +47,7 @@ BenchmarkMetrics ComputeMetrics(const RunResult& run, double scan_seconds,
   // under the threshold: find the last window above threshold.
   std::ptrdiff_t last_above = -1;
   for (std::size_t i = 0; i < series.size(); i += 1) {
-    if (WindowMedian(series, i, options.smoothing_window) > threshold) {
+    if (WindowMedian(series, i, kSmoothingWindow) > threshold) {
       last_above = static_cast<std::ptrdiff_t>(i);
     }
   }

@@ -34,10 +34,6 @@ struct MetricsOptions {
   /// A query "runs at index speed" when its smoothed cost is at most
   /// factor × reference_seconds.
   double convergence_factor = 2.0;
-  /// Median window used for smoothing (odd).
-  std::size_t smoothing_window = 11;
-  /// Tail window for the steady-state estimate.
-  std::size_t tail_window = 100;
 };
 
 /// Computes the TPCTC metrics for one run.

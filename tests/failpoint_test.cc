@@ -2,7 +2,7 @@
 // delay, probabilistic, callback, max-hits auto-disarm), the registry's
 // spec grammar and pending-spec queue, QueryContext's deadline/cancel
 // contract, the ResourceGovernor's soft-budget arithmetic, and ThreadPool
-// shutdown semantics that the merge mode machine depends on.
+// shutdown semantics that background merging depends on.
 #include "util/failpoint.h"
 
 #include <gtest/gtest.h>

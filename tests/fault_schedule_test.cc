@@ -292,7 +292,7 @@ TEST_F(FaultScheduleTest, PersistentMergeFaultsDegradeToForegroundWithoutWriteLo
   EXPECT_EQ(col.Count(Pred::All()), base.size() + inserted);
   EXPECT_TRUE(col.ValidatePieces());
 
-  // Recovery: a coarse flush clears the degraded flag and the machine
+  // Recovery: a coarse flush clears the degraded flag and the shard
   // resumes background merging once the fault is gone.
   FailpointRegistry::Instance().DisarmAll();
   col.FlushPending();

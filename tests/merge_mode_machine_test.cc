@@ -1,21 +1,21 @@
-// Background-merge mode machine (docs/UPDATES.md) and the overlay read
-// path's routing guarantees:
+// Background merging (docs/UPDATES.md) and the overlay read path's
+// routing guarantees:
 //
-//  - transition legality: shards start Normal, a granted request moves the
-//    shard off Normal, a second request while off Normal is rejected, and
-//    the machine always returns to Normal once the merge drains;
+//  - the per-shard merge_in_flight flag: clear at construction, set by a
+//    granted request, a second request while it is set is rejected, and
+//    it clears once the merge drains;
 //  - requests degrade to "did not run" (false, no state change) without a
 //    pool or without pool workers;
 //  - quiescence: WaitForBackgroundMerges absorbs every write made before
 //    it, including sub-threshold leftovers no run was triggered for;
-//  - readers are never blocked while a shard is Merging: queries running
+//  - readers are never blocked while a shard merges: queries running
 //    concurrently with a chunked background merge stay exact throughout;
 //  - background merge is observationally identical to the foreground
 //    coarse flush — same answers, same empty pending stores;
 //  - destroying the column while merges are in flight (then the pool) is
 //    clean — the regression that motivated ThreadPool::TrySubmit and the
 //    ticket accounting;
-//  - the NeedsMergeFor fix: queries that overlap no pending key take the
+//  - overlap-only routing: queries that overlap no pending key take the
 //    shared fast path under EVERY merge policy — the read-path counters
 //    pin a 100% fast-path hit rate for disjoint traffic.
 //
@@ -65,13 +65,8 @@ TEST(MergeModeMachineTest, ShardsStartNormalAndNamesRoundTrip) {
   ThreadPool pool(1);
   Column col(base, MachineOptions(8), &pool);
   for (std::size_t p = 0; p < col.num_partitions(); ++p) {
-    EXPECT_EQ(col.shard_mode(p), ShardMergeMode::kNormal);
+    EXPECT_FALSE(col.merge_in_flight(p));
   }
-  EXPECT_STREQ(ShardMergeModeName(ShardMergeMode::kNormal), "normal");
-  EXPECT_STREQ(ShardMergeModeName(ShardMergeMode::kPrepareToMerge),
-               "prepare-to-merge");
-  EXPECT_STREQ(ShardMergeModeName(ShardMergeMode::kMerging), "merging");
-  EXPECT_STREQ(ShardMergeModeName(ShardMergeMode::kMerged), "merged");
 }
 
 TEST(MergeModeMachineTest, RequestsDegradeWithoutARunnableMachine) {
@@ -79,13 +74,13 @@ TEST(MergeModeMachineTest, RequestsDegradeWithoutARunnableMachine) {
   {
     Column no_pool(base, MachineOptions(8));  // no pool at all
     EXPECT_FALSE(no_pool.RequestBackgroundMerge(0));
-    EXPECT_EQ(no_pool.shard_mode(0), ShardMergeMode::kNormal);
+    EXPECT_FALSE(no_pool.merge_in_flight(0));
   }
   {
     ThreadPool empty_pool(0);  // a pool with no workers can never run tasks
     Column col(base, MachineOptions(8), &empty_pool);
     EXPECT_FALSE(col.RequestBackgroundMerge(0));
-    EXPECT_EQ(col.shard_mode(0), ShardMergeMode::kNormal);
+    EXPECT_FALSE(col.merge_in_flight(0));
   }
 }
 
@@ -94,7 +89,7 @@ TEST(MergeModeMachineTest, SecondRequestWhileOffNormalIsRejected) {
   ThreadPool pool(1);
   Column col(base, MachineOptions(/*threshold=*/0), &pool);
   // Park the pool's only worker so the granted merge cannot start: the
-  // shard deterministically sits in PrepareToMerge while we probe.
+  // shard's merge deterministically stays in flight while we probe.
   std::mutex mu;
   std::condition_variable cv;
   bool release = false;
@@ -103,9 +98,9 @@ TEST(MergeModeMachineTest, SecondRequestWhileOffNormalIsRejected) {
     cv.wait(lock, [&] { return release; });
   });
   ASSERT_TRUE(col.RequestBackgroundMerge(0));
-  EXPECT_EQ(col.shard_mode(0), ShardMergeMode::kPrepareToMerge);
+  EXPECT_TRUE(col.merge_in_flight(0));
   EXPECT_FALSE(col.RequestBackgroundMerge(0)) << "double request must lose";
-  // The other shard's machine is independent.
+  // The other shard's flag is independent.
   ASSERT_TRUE(col.RequestBackgroundMerge(1));
   {
     const std::lock_guard<std::mutex> lock(mu);
@@ -113,8 +108,8 @@ TEST(MergeModeMachineTest, SecondRequestWhileOffNormalIsRejected) {
   }
   cv.notify_all();
   col.WaitForBackgroundMerges();
-  EXPECT_EQ(col.shard_mode(0), ShardMergeMode::kNormal);
-  EXPECT_EQ(col.shard_mode(1), ShardMergeMode::kNormal);
+  EXPECT_FALSE(col.merge_in_flight(0));
+  EXPECT_FALSE(col.merge_in_flight(1));
 }
 
 TEST(MergeModeMachineTest, ThresholdCrossingTriggersAndDrains) {
@@ -124,9 +119,9 @@ TEST(MergeModeMachineTest, ThresholdCrossingTriggersAndDrains) {
   for (std::int64_t v = 0; v < 64; ++v) col.Insert(v % 1000);
   col.WaitForBackgroundMerges();
   // Everything buffered crossed a threshold eventually; after quiescence
-  // the machine is back at Normal with nothing pending anywhere.
+  // no merge is in flight and nothing is pending anywhere.
   for (std::size_t p = 0; p < col.num_partitions(); ++p) {
-    EXPECT_EQ(col.shard_mode(p), ShardMergeMode::kNormal);
+    EXPECT_FALSE(col.merge_in_flight(p));
   }
   EXPECT_EQ(col.pending_update_count(), 0u);
   EXPECT_EQ(col.Count(Pred::All()), base.size() + 64);
@@ -153,7 +148,7 @@ TEST(MergeModeMachineTest, WaitAbsorbsSubThresholdLeftovers) {
   col.WaitForBackgroundMerges();
   EXPECT_EQ(col.pending_update_count(), 0u);
   for (std::size_t p = 0; p < col.num_partitions(); ++p) {
-    EXPECT_EQ(col.shard_mode(p), ShardMergeMode::kNormal);
+    EXPECT_FALSE(col.merge_in_flight(p));
   }
   EXPECT_EQ(col.Count(Pred::All()), base.size() + kThreshold - 1);
   EXPECT_TRUE(col.ValidatePieces());
@@ -209,8 +204,8 @@ TEST(MergeModeMachineTest, ReadersStayLiveAndExactDuringMerge) {
     col.Insert(value);
     inserted.push_back(value);
   }
-  // Park the pool's only worker: both shards sit in PrepareToMerge until
-  // we release it, so "reads while the machine is off Normal" is a
+  // Park the pool's only worker: both shards' merges stay in flight until
+  // we release it, so "reads while a merge is in flight" is a
   // deterministic window, not a race against a fast merge.
   std::mutex mu;
   std::condition_variable cv;
@@ -234,7 +229,7 @@ TEST(MergeModeMachineTest, ReadersStayLiveAndExactDuringMerge) {
       for (;;) {
         bool merging = false;
         for (std::size_t p = 0; p < col.num_partitions(); ++p) {
-          merging |= col.shard_mode(p) != ShardMergeMode::kNormal;
+          merging |= col.merge_in_flight(p);
         }
         if (col.Count(Pred::All()) != expect) failures.fetch_add(1);
         if (!merging) break;
@@ -246,7 +241,7 @@ TEST(MergeModeMachineTest, ReadersStayLiveAndExactDuringMerge) {
     });
   }
   // Only open the merge itself once every reader had time to observe the
-  // off-Normal window.
+  // in-flight window.
   while (reads_during_merge.load() < 8) std::this_thread::yield();
   {
     const std::lock_guard<std::mutex> lock(mu);
@@ -292,21 +287,21 @@ TEST(MergeModeMachineTest, MoveTransfersAQuiescentMachine) {
   Column moved = std::move(col);  // waits out in-flight merges first
   EXPECT_EQ(moved.Count(Pred::All()), base.size() + 100);
   for (std::size_t p = 0; p < moved.num_partitions(); ++p) {
-    EXPECT_EQ(moved.shard_mode(p), ShardMergeMode::kNormal);
+    EXPECT_FALSE(moved.merge_in_flight(p));
   }
   EXPECT_TRUE(moved.ValidatePieces());
 }
 
-// The NeedsMergeFor fix (satellite: overlap-only merge decisions for every
-// policy): traffic disjoint from all pending keys must never leave the
-// shared fast path, so the coarse-read counter stays zero.
+// Overlap-only merge decisions for every policy: traffic disjoint from all
+// pending keys must never leave the shared fast path, so the coarse-read
+// counter stays zero.
 TEST(MergeModeMachineTest, DisjointQueriesKeepFullFastPathHitRate) {
   for (const MergePolicy policy :
        {MergePolicy::kRipple, MergePolicy::kComplete, MergePolicy::kGradual}) {
   for (const bool in_inner_stores : {false, true}) {
     // Pending tuples sit either in the write buckets, or in the internal
-    // per-shard stores — the exact spot where NeedsMergeFor used to
-    // short-circuit to "merge everything" under kComplete/kGradual.
+    // per-shard stores, where a policy-aware gate would short-circuit to
+    // "merge everything" under kComplete/kGradual.
     // Neither location may tax disjoint reads. Under kComplete any merge
     // folds every pending tuple, so drained tuples rest in its inner
     // stores only mid-background-merge, where reads take the overlay path.
@@ -347,8 +342,9 @@ TEST(MergeModeMachineTest, DisjointQueriesKeepFullFastPathHitRate) {
   }
 }
 
-// Overlapping queries with a runnable machine answer from the overlay (and
-// kick a background merge) instead of blocking on the exclusive fallback.
+// Overlapping queries with background merging enabled answer from the
+// overlay (and kick a background merge) instead of blocking on the
+// exclusive fallback.
 TEST(MergeModeMachineTest, OverlappingQueriesUseOverlayWhenPoolAvailable) {
   const auto base = RandomValues(8000, 1000, 43);
   ThreadPool pool(2);
@@ -375,9 +371,9 @@ TEST(MergeModeMachineTest, OverlappingQueriesUseOverlayWhenPoolAvailable) {
 
 // Regression: a merge closure that is queued but never started when the
 // pool shuts down must be DESTROYED, and destroying it must release the
-// merge ticket — the ticket's deleter repairs PrepareToMerge back to
-// Normal. Before the repair, the shard wedged off Normal forever and
-// every later merge request was rejected.
+// merge ticket — the ticket's deleter clears merge_in_flight. Without
+// that, the shard's flag stayed set forever and every later merge request
+// was rejected.
 TEST(MergeModeMachineTest, DroppedClosureAtShutdownRepairsModeMachine) {
   const auto base = RandomValues(2000, 500, 47);
   ThreadPool pool(1);
@@ -391,7 +387,7 @@ TEST(MergeModeMachineTest, DroppedClosureAtShutdownRepairsModeMachine) {
     cv.wait(lock, [&] { return release; });
   });
   ASSERT_TRUE(col.RequestBackgroundMerge(0));
-  ASSERT_EQ(col.shard_mode(0), ShardMergeMode::kPrepareToMerge);
+  ASSERT_TRUE(col.merge_in_flight(0));
 
   // Shutdown blocks joining the parked worker; once intake has stopped
   // (TrySubmit refuses), release the worker so the join — and the
@@ -407,10 +403,10 @@ TEST(MergeModeMachineTest, DroppedClosureAtShutdownRepairsModeMachine) {
   cv.notify_all();
   stopper.join();
 
-  // The dropped closure's ticket repaired the machine: back to Normal,
-  // no in-flight merge accounted, and the shard degrades (foreground
-  // merges) instead of wedging.
-  EXPECT_EQ(col.shard_mode(0), ShardMergeMode::kNormal);
+  // The dropped closure's ticket cleared the flag: no in-flight merge
+  // accounted, and the shard degrades (foreground merges) instead of
+  // wedging.
+  EXPECT_FALSE(col.merge_in_flight(0));
   col.WaitForBackgroundMerges();  // must not hang on a leaked ticket
   Rng rng(48);
   std::vector<std::int64_t> model = base;

@@ -9,8 +9,8 @@
 //    the union of the per-thread logs — for any interleaving the scheduler
 //    produced;
 //  - the same interleavings run again with background merges enabled, so
-//    the mode machine's Normal -> PrepareToMerge -> Merging -> Merged
-//    cycle races real traffic under TSan;
+//    the per-shard merge grant (set, run, clear on closure destruction)
+//    races real traffic under TSan;
 //  - multi-column arm: row-atomic DML on a 3-column Database against a
 //    row-store oracle, across strategies and merge policies, sequentially
 //    and with 8 threads interleaving through the documented external
@@ -207,8 +207,8 @@ TEST_P(RandomizedOpsStress, InterleavedOpsWithBackgroundMerges) {
   const std::uint64_t seed = GetParam();
   const auto base = RandomValues(8000, seed ^ 0xFEED);
   ThreadPool pool(3);
-  // A low threshold keeps merge tasks cycling through the mode machine
-  // for the whole run, racing the writers and readers below.
+  // A low threshold keeps merge tasks cycling for the whole run, racing
+  // the writers and readers below.
   Column col(base, StressOptions(/*background_threshold=*/16), &pool);
   const auto expect = RunInterleavedOps(&col, base, seed, 8, 250);
   col.WaitForBackgroundMerges();

@@ -433,6 +433,35 @@ TEST_F(ShardedDbTest, DistFailpointScopesNameTableAndLeg) {
   EXPECT_EQ(seen, std::vector<std::string>{scope("piece0")});
 }
 
+// ShardStats::under_pressure is computed from fresh byte totals, not from
+// the governor's gauges as the last read left them: writes after a read
+// must show up in Stats() with no read in between.
+TEST_F(ShardedDbTest, StatsReportPressureFromWritesSinceTheLastRead) {
+  constexpr std::size_t kBudget = 1024;
+  constexpr std::int64_t kInserts = 400;
+  ShardedDatabaseOptions options;
+  options.num_shards = 2;
+  options.node_options.memory_budget = kBudget;
+  ShardedDatabase db(options);
+  ASSERT_TRUE(SetUpTable(&db, RoutingKind::kRange).ok());
+  ASSERT_TRUE(db.InsertBatch("t", RowMajor(RandomKeys(400, 13))).ok());
+  // The read caches a crack path on every shard; nothing is pending yet.
+  ASSERT_TRUE(db.Count(Req("t", "k", Pred::All())).ok());
+  for (const ShardStats& s : db.Stats()) {
+    EXPECT_FALSE(s.under_pressure) << "shard " << s.shard;
+  }
+  // Routed inserts queue in each shard's crack path until a read merges
+  // them; spread over the key domain, each shard's share exceeds kBudget.
+  for (std::int64_t i = 0; i < kInserts; ++i) {
+    const std::int64_t k = i * kDomain / kInserts;
+    ASSERT_TRUE(db.Insert("t", {k, PayloadA(k), PayloadB(k)}).ok());
+  }
+  for (const ShardStats& s : db.Stats()) {
+    EXPECT_GT(s.pending_update_bytes, kBudget) << "shard " << s.shard;
+    EXPECT_TRUE(s.under_pressure) << "shard " << s.shard;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Exact Sum across shards.
 // ---------------------------------------------------------------------------

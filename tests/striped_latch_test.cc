@@ -240,7 +240,7 @@ TEST(StripedLatchTest, SamePartitionConcurrentCrackStress) {
 // §5's "invariants survive" check: high-thread mixed read/write stress,
 // then ValidatePieces() — in both merge modes: foreground (no pool; pending
 // updates fold on the coarse read path) and background (a pool-run merge
-// machine absorbing buffered writes while readers use the overlay path).
+// merge absorbing buffered writes while readers use the overlay path).
 // Writers insert fresh values above the base domain (so only their inserter
 // deletes them), readers count throughout; afterwards totals must balance
 // exactly and every piece invariant must hold.
