@@ -42,9 +42,39 @@
 # oversubscribed by one busy-loop process per CPU for the whole run (killed
 # on exit), every test repeated until it fails or passes ten times — the
 # preemption that exposes quiescence and ordering races.
+#
+# scripts/check.sh --surface builds nothing and prints two size counts of
+# the library: the lines under src/, and its settable option fields —
+# every data member with a default initializer declared directly in a
+# struct named *Options, Options or StrategyConfig under src/.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
+
+if [[ "${1:-}" == "--surface" ]]; then
+  files=$(find src -type f \( -name '*.h' -o -name '*.cc' \) | sort)
+  # shellcheck disable=SC2086
+  echo "src lines: $(cat $files | wc -l)"
+  # shellcheck disable=SC2086
+  fields=$(awk '
+    FNR == 1 { depth = 0 }
+    depth == 0 && /^[[:space:]]*struct[[:space:]]+([A-Za-z_]*Options|StrategyConfig)[[:space:]]*\{/ {
+      depth = 1
+      next
+    }
+    depth > 0 {
+      line = $0
+      sub(/\/\/.*/, "", line)
+      if (depth == 1 && line !~ /^[[:space:]]*(static|friend|using|return)[[:space:]]/ &&
+          line ~ /^[[:space:]]*[A-Za-z_][^(]*[A-Za-z0-9_][[:space:]]*(=[^=]|\{)[^;]*;/) {
+        n++
+      }
+      depth += gsub(/\{/, "{", line) - gsub(/\}/, "}", line)
+    }
+    END { print n + 0 }' $files)
+  echo "settable option fields: $fields"
+  exit 0
+fi
 
 if [[ "${1:-}" == "--tsan" ]]; then
   shift

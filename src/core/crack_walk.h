@@ -82,6 +82,15 @@ struct CrackerStats {
   std::size_t num_crack_in_three = 0;
   std::size_t num_stochastic_cracks = 0;
   std::size_t values_touched = 0;  // elements visited by crack passes
+
+  CrackerStats& operator+=(const CrackerStats& o) {
+    num_selects += o.num_selects;
+    num_crack_in_two += o.num_crack_in_two;
+    num_crack_in_three += o.num_crack_in_three;
+    num_stochastic_cracks += o.num_stochastic_cracks;
+    values_touched += o.values_touched;
+    return *this;
+  }
 };
 
 /// The piece-latch policy of an array with one user at a time: no latches.

@@ -430,19 +430,7 @@ std::vector<ShardStats> ShardedDatabase::Stats() const {
   out.reserve(shards_.size());
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     std::lock_guard<std::mutex> shard_lock(*shard_mu_[s]);
-    const DatabaseStats db = shards_[s]->Stats();
-    const ResourceGovernor& gov = shards_[s]->resource_governor();
-    ShardStats stats;
-    stats.shard = s;
-    stats.rows = db.rows;
-    stats.cached_paths = db.cached_paths;
-    stats.cracked_pieces = db.cracked_pieces;
-    stats.pending_update_bytes = db.pending_update_bytes;
-    stats.crack = db.crack;
-    stats.under_pressure = db.under_pressure;
-    stats.admission_denials = gov.admission_denials();
-    stats.sheds = gov.sheds();
-    out.push_back(stats);
+    out.push_back({shards_[s]->Stats(), s});
   }
   return out;
 }

@@ -87,20 +87,10 @@ struct ShardedDatabaseOptions {
   ThreadPool* scatter_pool = nullptr;
 };
 
-/// Per-shard health gauges (Stats()); one entry per shard, in shard order.
-struct ShardStats {
+/// Per-shard health gauges (Stats()); one entry per shard, in shard order:
+/// the node's own DatabaseStats plus its shard index.
+struct ShardStats : DatabaseStats {
   std::size_t shard = 0;
-  std::size_t rows = 0;
-  std::size_t cached_paths = 0;
-  std::size_t cracked_pieces = 0;
-  std::size_t pending_update_bytes = 0;
-  /// Cumulative crack work (num_crack_in_two etc.) on this node.
-  CrackerStats crack;
-  /// Degradation gauges: the node's fresh budget verdict
-  /// (DatabaseStats::under_pressure) and its governor's counters.
-  bool under_pressure = false;
-  std::size_t admission_denials = 0;
-  std::size_t sheds = 0;
 };
 
 /// What a Rebalance moved.

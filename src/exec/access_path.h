@@ -76,7 +76,6 @@ struct StrategyConfig {
   std::size_t run_size = 1 << 18;        // merge runs / hybrid partitions
   OrganizeMode hybrid_initial = OrganizeMode::kCrack;
   OrganizeMode hybrid_final = OrganizeMode::kCrack;
-  int radix_bits = 6;
   // Parallel cracking knobs (kParallelCrack): value-range partition count
   // and the total threads fanning one query out (1 = no pool, run inline).
   std::size_t num_partitions = 8;
@@ -253,10 +252,10 @@ class AccessPath {
   virtual UpdateStats update_stats() const = 0;
 
   /// Approximate bytes of deferred-update state this path holds — pending
-  /// stores, delta buffers, pending merge runs, write buckets. Feeds the
-  /// ResourceGovernor's kPendingUpdates gauge; a heuristic tuple-count
-  /// estimate, not an allocator audit. Paths that apply writes eagerly
-  /// report 0.
+  /// stores, delta buffers, pending merge runs, write buckets. The Database
+  /// sums it into the governed total its memory budget admits against; a
+  /// heuristic tuple-count estimate, not an allocator audit. Paths that
+  /// apply writes eagerly report 0.
   virtual std::size_t approx_pending_bytes() const { return 0; }
 
   // -- Crack introspection + shard migration (src/dist/) -------------------
@@ -498,76 +497,30 @@ class CrackPath final : public AccessPath<T> {
   std::optional<UpdatableCrackerColumn<T>> column_;
 };
 
-// Inserts become a fresh pending run absorbed by the next query — the
-// paper's natural fit — and deletes force the value's range to merge,
-// then erase from the final B+ tree.
-template <ColumnValue T>
-class AdaptiveMergePath final : public AccessPath<T> {
+// Adaptive merging and the hybrids share one write path, the deferred run:
+// an insert becomes a fresh pending run (adaptive merging) or initial
+// partition (hybrids) that the next query absorbs — a hybrid places one
+// into an already-merged key range in its covering final segment directly
+// — and a delete forces the value's range to migrate, then erases it from
+// the final structure.
+template <ColumnValue T, typename Index>
+class DeferredRunPath final : public AccessPath<T> {
  public:
-  AdaptiveMergePath(std::span<const T> base, const StrategyConfig& config)
-      : base_(base), config_(config) {}
-  std::string name() const override { return "merge"; }
-  std::size_t Count(const RangePredicate<T>& pred) override {
-    return Index().Count(pred);
-  }
-  SumAcc<T> SumPartial(const RangePredicate<T>& pred) override {
-    return Index().SumPartial(pred);
-  }
-  row_id_t Insert(T value) override { return Index().Insert(value); }
-  bool Delete(T value) override { return Index().Delete(value); }
-  UpdateStats update_stats() const override {
-    UpdateStats out;
-    if (!index_) return out;
-    const AdaptiveMergingStats& s = index_->stats();
-    out.inserts_queued = s.inserts_queued;
-    out.inserts_merged = s.inserts_absorbed;
-    out.deletes_cancelled = s.inserts_cancelled;
-    out.deletes_queued = s.values_deleted;
-    out.deletes_merged = s.values_deleted;
-    return out;
-  }
-  std::size_t approx_pending_bytes() const override {
-    if (!index_) return 0;
-    return index_->num_pending_inserts() * (sizeof(T) + sizeof(row_id_t));
-  }
-
- private:
-  AdaptiveMergingIndex<T>& Index() {
-    if (!index_) {
-      index_.emplace(base_,
-                     typename AdaptiveMergingIndex<T>::Options{
-                         .run_size = config_.run_size,
-                         .with_row_ids = config_.with_row_ids});
-    }
-    return *index_;
-  }
-  std::span<const T> base_;
-  StrategyConfig config_;
-  std::optional<AdaptiveMergingIndex<T>> index_;
-};
-
-// Inserts become a fresh initial partition absorbed by the next query
-// (already-merged key ranges land in their covering final segment
-// directly); deletes force the value's range to migrate, then erase from
-// the covering final segment.
-template <ColumnValue T>
-class HybridPath final : public AccessPath<T> {
- public:
-  HybridPath(std::span<const T> base, const StrategyConfig& config)
+  DeferredRunPath(std::span<const T> base, const StrategyConfig& config)
       : base_(base), config_(config) {}
   std::string name() const override { return config_.DisplayName(); }
   std::size_t Count(const RangePredicate<T>& pred) override {
-    return Index().Count(pred);
+    return Materialized().Count(pred);
   }
   SumAcc<T> SumPartial(const RangePredicate<T>& pred) override {
-    return Index().SumPartial(pred);
+    return Materialized().SumPartial(pred);
   }
-  row_id_t Insert(T value) override { return Index().Insert(value); }
-  bool Delete(T value) override { return Index().Delete(value); }
+  row_id_t Insert(T value) override { return Materialized().Insert(value); }
+  bool Delete(T value) override { return Materialized().Delete(value); }
   UpdateStats update_stats() const override {
     UpdateStats out;
     if (!index_) return out;
-    const HybridStats& s = index_->stats();
+    const auto& s = index_->stats();
     out.inserts_queued = s.inserts_queued;
     out.inserts_merged = s.inserts_absorbed;
     out.deletes_cancelled = s.inserts_cancelled;
@@ -581,21 +534,26 @@ class HybridPath final : public AccessPath<T> {
   }
 
  private:
-  HybridIndex<T>& Index() {
+  Index& Materialized() {
     if (!index_) {
-      index_.emplace(base_, typename HybridIndex<T>::Options{
-                                .partition_size = config_.run_size,
-                                .initial_mode = config_.hybrid_initial,
-                                .final_mode = config_.hybrid_final,
-                                .radix_bits = config_.radix_bits,
-                                .with_row_ids = config_.with_row_ids,
-                                .kernel = config_.crack_kernel});
+      if constexpr (std::is_same_v<Index, AdaptiveMergingIndex<T>>) {
+        index_.emplace(base_, typename Index::Options{
+                                  .run_size = config_.run_size,
+                                  .with_row_ids = config_.with_row_ids});
+      } else {
+        index_.emplace(base_, typename Index::Options{
+                                  .partition_size = config_.run_size,
+                                  .initial_mode = config_.hybrid_initial,
+                                  .final_mode = config_.hybrid_final,
+                                  .with_row_ids = config_.with_row_ids,
+                                  .kernel = config_.crack_kernel});
+      }
     }
     return *index_;
   }
   std::span<const T> base_;
   StrategyConfig config_;
-  std::optional<HybridIndex<T>> index_;
+  std::optional<Index> index_;
 };
 
 // Partitioned parallel cracking. Unlike the other paths this one is safe
@@ -715,9 +673,11 @@ std::unique_ptr<AccessPath<T>> MakeAccessPath(std::span<const T> base,
     case StrategyKind::kStochasticCrack:
       return std::make_unique<internal::CrackPath<T>>(base, config);
     case StrategyKind::kAdaptiveMerge:
-      return std::make_unique<internal::AdaptiveMergePath<T>>(base, config);
+      return std::make_unique<
+          internal::DeferredRunPath<T, AdaptiveMergingIndex<T>>>(base, config);
     case StrategyKind::kHybrid:
-      return std::make_unique<internal::HybridPath<T>>(base, config);
+      return std::make_unique<internal::DeferredRunPath<T, HybridIndex<T>>>(base,
+                                                                           config);
     case StrategyKind::kParallelCrack:
       return std::make_unique<internal::ParallelCrackPath<T>>(base, config);
   }

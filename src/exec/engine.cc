@@ -2,45 +2,10 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <functional>
 
 #include "util/failpoint.h"
 
 namespace aidx {
-
-namespace internal {
-namespace {
-
-std::size_t HashCombine(std::size_t seed, std::size_t v) {
-  return seed ^ (v + 0x9E3779B97F4A7C15ULL + (seed << 6) + (seed >> 2));
-}
-
-}  // namespace
-
-std::size_t PathKeyHash::operator()(const PathKey& key) const {
-  std::size_t h = std::hash<std::string>{}(key.table);
-  h = HashCombine(h, std::hash<std::string>{}(key.column));
-  const StrategyConfig& c = key.config;
-  h = HashCombine(h, static_cast<std::size_t>(c.kind));
-  h = HashCombine(h, c.min_piece_size);
-  h = HashCombine(h, c.stochastic_threshold);
-  h = HashCombine(h, static_cast<std::size_t>(c.seed));
-  h = HashCombine(h, c.run_size);
-  h = HashCombine(h, static_cast<std::size_t>(c.hybrid_initial));
-  h = HashCombine(h, static_cast<std::size_t>(c.hybrid_final));
-  h = HashCombine(h, static_cast<std::size_t>(c.radix_bits));
-  h = HashCombine(h, c.num_partitions);
-  h = HashCombine(h, c.num_threads);
-  h = HashCombine(h, static_cast<std::size_t>(c.merge_policy));
-  h = HashCombine(h, c.gradual_budget);
-  h = HashCombine(h, static_cast<std::size_t>(c.with_row_ids));
-  h = HashCombine(h, static_cast<std::size_t>(c.crack_kernel));
-  h = HashCombine(h, c.latch_stripes);
-  h = HashCombine(h, c.background_merge_threshold);
-  return h;
-}
-
-}  // namespace internal
 
 namespace {
 
@@ -75,9 +40,7 @@ DatabaseOptions DatabaseOptions::FromEnv() {
 }
 
 Database::Database(const DatabaseOptions& options)
-    : thread_pool_(options.thread_pool) {
-  governor_->set_budget_bytes(options.memory_budget);
-}
+    : thread_pool_(options.thread_pool), governor_(options.memory_budget) {}
 
 Status Database::CreateTable(std::string name) {
   return catalog_.CreateTable(std::move(name)).status();
@@ -89,30 +52,26 @@ Status Database::AddColumn(std::string_view table, std::string column,
   AIDX_RETURN_NOT_OK(t->AddColumn<std::int64_t>(std::move(column), std::move(values)));
   // Schema change: cached sideways crackers registered their tails at
   // creation and would not know the new column; rebuild on next use.
-  DropSideways(table);
+  for (const std::string& name : t->column_names()) {
+    if (ColumnState* state = StateOf(*t->GetColumn(name))) state->sideways.reset();
+  }
   return Status::OK();
 }
 
-Result<std::span<const std::int64_t>> Database::ColumnSpan(
+Result<const TypedColumn<std::int64_t>*> Database::Int64Column(
     std::string_view table, std::string_view column) const {
   AIDX_ASSIGN_OR_RETURN(Table * t, catalog_.GetTable(table));
-  AIDX_ASSIGN_OR_RETURN(const TypedColumn<std::int64_t>* col,
-                        t->GetTypedColumn<std::int64_t>(column));
-  return col->Values();
+  return t->GetTypedColumn<std::int64_t>(column);
 }
 
-void Database::DropSideways(std::string_view table) {
-  std::string prefix;
-  prefix.reserve(table.size() + 1);
-  prefix.append(table);
-  prefix.push_back('.');
-  for (auto it = sideways_.begin(); it != sideways_.end();) {
-    if (it->first.starts_with(prefix)) {
-      it = sideways_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+Database::ColumnState* Database::StateOf(const Column* column) {
+  const auto it = columns_.find(column);
+  return it == columns_.end() ? nullptr : &it->second;
+}
+
+const Database::ColumnState* Database::StateOf(const Column* column) const {
+  const auto it = columns_.find(column);
+  return it == columns_.end() ? nullptr : &it->second;
 }
 
 Result<Table*> Database::PrepareRowDml(
@@ -145,6 +104,13 @@ Result<Table*> Database::PrepareRowDml(
   return t;
 }
 
+std::vector<Database::ColumnState*> Database::StatesOf(
+    const std::vector<TypedColumn<std::int64_t>*>& cols) {
+  std::vector<ColumnState*> states(cols.size());
+  for (std::size_t i = 0; i < cols.size(); ++i) states[i] = StateOf(cols[i]);
+  return states;
+}
+
 void Database::LogSidewaysInsert(SidewaysCracker<std::int64_t>& cracker,
                                  std::string_view head,
                                  const std::vector<std::string>& names,
@@ -175,16 +141,16 @@ Status Database::Insert(std::string_view table,
   // Validate phase done — nothing below can fail (row-atomicity).
   const row_id_t rid = t->AllocateRowId();
   const std::vector<std::string>& names = t->column_names();
-  // Paths first: ones that have not materialized yet snapshot the base
-  // span now, while it is still untouched.
+  // Cached state first: paths that have not materialized yet snapshot the
+  // base span now, while it is still untouched.
+  const std::vector<ColumnState*> states = StatesOf(cols);
   for (std::size_t i = 0; i < cols.size(); ++i) {
-    ForEachPathOf(table, names[i],
-                  [&](AccessPath<std::int64_t>& path) { path.Insert(row[i]); });
+    if (states[i] == nullptr) continue;
+    for (auto& [config, path] : states[i]->paths) path->Insert(row[i]);
+    if (states[i]->sideways) {
+      LogSidewaysInsert(*states[i]->sideways, names[i], names, row, rid);
+    }
   }
-  ForEachSidewaysOf(table, [&](std::string_view head,
-                               SidewaysCracker<std::int64_t>& cracker) {
-    LogSidewaysInsert(cracker, head, names, row, rid);
-  });
   for (std::size_t i = 0; i < cols.size(); ++i) cols[i]->Append(row[i]);
   t->CommitAppendedRow(rid);
   return Status::OK();
@@ -204,22 +170,23 @@ Status Database::InsertBatch(std::string_view table,
   if (num_rows == 0) return Status::OK();
   // Validate phase done — nothing below can fail (row-atomicity).
   const std::vector<std::string>& names = t->column_names();
+  const std::vector<ColumnState*> states = StatesOf(cols);
   std::vector<std::int64_t> column_values(num_rows);
   for (std::size_t c = 0; c < width; ++c) {
+    if (states[c] == nullptr || states[c]->paths.empty()) continue;
     for (std::size_t r = 0; r < num_rows; ++r) {
       column_values[r] = rows[r * width + c];
     }
-    ForEachPathOf(table, names[c], [&](AccessPath<std::int64_t>& path) {
-      path.InsertBatch(column_values);
-    });
+    for (auto& [config, path] : states[c]->paths) path->InsertBatch(column_values);
   }
   for (std::size_t r = 0; r < num_rows; ++r) {
     const std::span<const std::int64_t> row = rows.subspan(r * width, width);
     const row_id_t rid = t->AllocateRowId();
-    ForEachSidewaysOf(table, [&](std::string_view head,
-                                 SidewaysCracker<std::int64_t>& cracker) {
-      LogSidewaysInsert(cracker, head, names, row, rid);
-    });
+    for (std::size_t c = 0; c < width; ++c) {
+      if (states[c] != nullptr && states[c]->sideways) {
+        LogSidewaysInsert(*states[c]->sideways, names[c], names, row, rid);
+      }
+    }
     for (std::size_t c = 0; c < width; ++c) cols[c]->Append(row[c]);
     t->CommitAppendedRow(rid);
   }
@@ -259,25 +226,20 @@ void Database::ApplyErase(Table* t,
                           std::span<const std::size_t> positions) {
   // The validate phase is done, so nothing here can fail (row atomicity).
   // Each doomed row is read from the base, which changes only at the end.
-  const std::vector<std::string>& names = t->column_names();
   const auto row_ids = t->row_ids();
-  std::vector<std::int64_t> row(cols.size());
+  const std::vector<ColumnState*> states = StatesOf(cols);
   for (const std::size_t pos : positions) {
-    for (std::size_t i = 0; i < cols.size(); ++i) row[i] = cols[i]->Values()[pos];
     for (std::size_t i = 0; i < cols.size(); ++i) {
-      ForEachPathOf(t->name(), names[i], [&](AccessPath<std::int64_t>& path) {
-        const bool removed = path.Delete(row[i]);
+      if (states[i] == nullptr) continue;
+      const std::int64_t value = cols[i]->Values()[pos];
+      for (auto& [config, path] : states[i]->paths) {
+        const bool removed = path->Delete(value);
         // Paths mirror the base multiset, so the tuple must exist there too.
         AIDX_DCHECK(removed);
         (void)removed;
-      });
+      }
+      if (states[i]->sideways) states[i]->sideways->ApplyDelete(row_ids[pos], value);
     }
-    ForEachSidewaysOf(t->name(), [&](std::string_view head,
-                                     SidewaysCracker<std::int64_t>& cracker) {
-      const std::size_t head_index = IndexOf(names, head);
-      AIDX_CHECK(head_index < names.size());
-      cracker.ApplyDelete(row_ids[pos], row[head_index]);
-    });
   }
   AIDX_CHECK_OK(t->EraseRows(positions));
 }
@@ -285,14 +247,14 @@ void Database::ApplyErase(Table* t,
 Result<AccessPath<std::int64_t>*> Database::PathFor(std::string_view table,
                                                     std::string_view column,
                                                     const StrategyConfig& config) {
-  internal::PathKey key{std::string(table), std::string(column), config};
-  const auto it = paths_.find(key);
-  if (it != paths_.end()) return it->second.get();
-  AIDX_ASSIGN_OR_RETURN(const auto span, ColumnSpan(table, column));
-  auto path = MakeAccessPath<std::int64_t>(span, config);
-  AccessPath<std::int64_t>* raw = path.get();
-  paths_.emplace(std::move(key), std::move(path));
-  return raw;
+  AIDX_ASSIGN_OR_RETURN(const TypedColumn<std::int64_t>* col,
+                        Int64Column(table, column));
+  auto& paths = columns_[col].paths;
+  for (auto& [cached, path] : paths) {
+    if (cached == config) return path.get();
+  }
+  paths.emplace_back(config, MakeAccessPath<std::int64_t>(col->Values(), config));
+  return paths.back().second.get();
 }
 
 Result<std::size_t> Database::Count(const QueryRequest& req) {
@@ -316,16 +278,11 @@ Result<SumAcc<std::int64_t>> Database::SumPartial(const QueryRequest& req) {
 
 Result<SidewaysCracker<std::int64_t>*> Database::SidewaysFor(std::string_view table,
                                                              std::string_view head) {
-  std::string key;
-  key.reserve(table.size() + head.size() + 1);
-  key.append(table);
-  key.push_back('.');
-  key.append(head);
-  const auto it = sideways_.find(key);
-  if (it != sideways_.end()) return it->second.get();
-
   AIDX_ASSIGN_OR_RETURN(Table * t, catalog_.GetTable(table));
-  AIDX_RETURN_NOT_OK(t->GetTypedColumn<std::int64_t>(head).status());
+  AIDX_ASSIGN_OR_RETURN(const TypedColumn<std::int64_t>* col,
+                        t->GetTypedColumn<std::int64_t>(head));
+  std::unique_ptr<SidewaysCracker<std::int64_t>>& slot = columns_[col].sideways;
+  if (slot) return slot.get();
   // Spans are fetched per access and DML feeds the cracker's operation
   // log, so maps survive writes.
   auto cracker = std::make_unique<SidewaysCracker<std::int64_t>>(
@@ -337,9 +294,8 @@ Result<SidewaysCracker<std::int64_t>*> Database::SidewaysFor(std::string_view ta
     if (col->type() != DataType::kInt64) continue;
     AIDX_RETURN_NOT_OK(cracker->AddTailColumn(name));
   }
-  SidewaysCracker<std::int64_t>* raw = cracker.get();
-  sideways_.emplace(std::move(key), std::move(cracker));
-  return raw;
+  slot = std::move(cracker);
+  return slot.get();
 }
 
 Result<ProjectionResult<std::int64_t>> Database::SelectProject(
@@ -350,33 +306,25 @@ Result<ProjectionResult<std::int64_t>> Database::SelectProject(
   const std::vector<std::string>& tails = req.tails;
   AIDX_ASSIGN_OR_RETURN(SidewaysCracker<std::int64_t> * cracker,
                         SidewaysFor(table, head));
-  // Soft-budget admission over the map bytes this query would newly pin.
-  // Denial degrades, never fails: first shed cold sideways state, then —
-  // if the incoming maps still do not fit — answer at scan speed without
-  // materializing anything (scan-plus-crack-later); investment resumes
-  // once pressure clears.
-  std::size_t incoming = 0;
-  for (const std::string& tail : tails) {
-    if (cracker->PeekMap(tail) == nullptr) incoming += cracker->per_map_bytes();
-  }
-  SyncResourceGauges();
-  if (!governor_->Admit(incoming)) {
-    std::string keep;
-    keep.reserve(table.size() + head.size() + 1);
-    keep.append(table);
-    keep.push_back('.');
-    keep.append(head);
-    governor_->SetPressureCallback([this, &keep] { ShedSidewaysExcept(keep); });
-    governor_->MaybeShed(incoming);
-    governor_->SetPressureCallback(nullptr);
-    SyncResourceGauges();
-    if (!governor_->Admit(incoming)) {
-      return ScanProject(table, head, pred, tails);
+  // Soft-budget admission over the map bytes this query would newly pin,
+  // on top of the governed bytes summed fresh. Denial degrades, never
+  // fails: first shed cold sideways state, then — if the incoming maps
+  // still do not fit — answer at scan speed without materializing anything
+  // (scan-plus-crack-later); investment resumes once pressure clears.
+  if (!governor_.unlimited()) {
+    std::size_t incoming = 0;
+    for (const std::string& tail : tails) {
+      if (cracker->PeekMap(tail) == nullptr) incoming += cracker->per_map_bytes();
+    }
+    if (!governor_.Admit(SidewaysBytes() + PendingBytes(), incoming)) {
+      ShedSidewaysExcept(cracker);
+      governor_.CountShed();
+      if (!governor_.Admit(SidewaysBytes() + PendingBytes(), incoming)) {
+        return ScanProject(table, head, pred, tails);
+      }
     }
   }
-  auto result = cracker->SelectProject(pred, tails);
-  SyncResourceGauges();
-  return result;
+  return cracker->SelectProject(pred, tails);
 }
 
 Result<ProjectionResult<std::int64_t>> Database::ScanProject(
@@ -386,12 +334,14 @@ Result<ProjectionResult<std::int64_t>> Database::ScanProject(
   if (tails.empty()) {
     return Status::InvalidArgument("select-project needs at least one tail column");
   }
-  AIDX_ASSIGN_OR_RETURN(const auto head_span, ColumnSpan(table, head));
+  AIDX_ASSIGN_OR_RETURN(const TypedColumn<std::int64_t>* head_col,
+                        Int64Column(table, head));
+  const auto head_span = head_col->Values();
   std::vector<std::span<const std::int64_t>> tail_spans;
   tail_spans.reserve(tails.size());
   for (const std::string& tail : tails) {
-    AIDX_ASSIGN_OR_RETURN(const auto span, ColumnSpan(table, tail));
-    tail_spans.push_back(span);
+    AIDX_ASSIGN_OR_RETURN(const TypedColumn<std::int64_t>* col, Int64Column(table, tail));
+    tail_spans.push_back(col->Values());
   }
   ProjectionResult<std::int64_t> out;
   out.column_names = tails;
@@ -406,50 +356,51 @@ Result<ProjectionResult<std::int64_t>> Database::ScanProject(
   return out;
 }
 
-void Database::ShedSidewaysExcept(const std::string& keep) {
-  for (auto it = sideways_.begin(); it != sideways_.end();) {
-    if (it->first != keep) {
-      it = sideways_.erase(it);
-    } else {
-      ++it;
-    }
+void Database::ShedSidewaysExcept(const SidewaysCracker<std::int64_t>* keep) {
+  for (auto& [col, state] : columns_) {
+    if (state.sideways.get() != keep) state.sideways.reset();
   }
 }
 
 std::size_t Database::SidewaysBytes() const {
   std::size_t bytes = 0;
-  for (const auto& [key, cracker] : sideways_) bytes += cracker->MemoryUsageBytes();
+  for (const auto& [col, state] : columns_) {
+    if (state.sideways) bytes += state.sideways->MemoryUsageBytes();
+  }
   return bytes;
 }
 
 std::size_t Database::PendingBytes() const {
   std::size_t bytes = 0;
-  for (const auto& [key, path] : paths_) bytes += path->approx_pending_bytes();
+  for (const auto& [col, state] : columns_) {
+    for (const auto& [config, path] : state.paths) bytes += path->approx_pending_bytes();
+  }
   return bytes;
-}
-
-void Database::SyncResourceGauges() {
-  governor_->SetUsage(ResourceComponent::kSidewaysMaps, SidewaysBytes());
-  governor_->SetUsage(ResourceComponent::kPendingUpdates, PendingBytes());
 }
 
 Result<const SidewaysCracker<std::int64_t>*> Database::SidewaysState(
     std::string_view table, std::string_view head) const {
-  std::string key;
-  key.reserve(table.size() + head.size() + 1);
-  key.append(table);
-  key.push_back('.');
-  key.append(head);
-  const auto it = sideways_.find(key);
-  if (it == sideways_.end()) {
-    return Status::NotFound("no cached sideways cracker for '" + key + "'");
+  AIDX_ASSIGN_OR_RETURN(const TypedColumn<std::int64_t>* col, Int64Column(table, head));
+  const ColumnState* state = StateOf(col);
+  if (state == nullptr || !state->sideways) {
+    return Status::NotFound("no cached sideways cracker for '" + std::string(table) +
+                            "." + std::string(head) + "'");
   }
-  return static_cast<const SidewaysCracker<std::int64_t>*>(it->second.get());
+  return static_cast<const SidewaysCracker<std::int64_t>*>(state->sideways.get());
 }
 
-void Database::ResetAdaptiveState() {
-  paths_.clear();
-  sideways_.clear();
+void Database::ResetAdaptiveState() { columns_.clear(); }
+
+std::size_t Database::num_cached_paths() const {
+  std::size_t n = 0;
+  for (const auto& [col, state] : columns_) n += state.paths.size();
+  return n;
+}
+
+std::size_t Database::num_cached_sideways() const {
+  std::size_t n = 0;
+  for (const auto& [col, state] : columns_) n += state.sideways ? 1 : 0;
+  return n;
 }
 
 DatabaseStats Database::Stats() const {
@@ -459,21 +410,18 @@ DatabaseStats Database::Stats() const {
     const auto table = catalog_.GetTable(name);
     if (table.ok()) out.rows += (*table)->num_rows();
   }
-  out.cached_paths = paths_.size();
-  out.cached_sideways = sideways_.size();
+  out.cached_paths = num_cached_paths();
+  out.cached_sideways = num_cached_sideways();
   out.pending_update_bytes = PendingBytes();
-  // Fresh totals, not the governor's gauges: those are synced only by
-  // SelectProject's admission, and any DML since then has moved them.
   out.under_pressure =
-      governor_->OverBudget(SidewaysBytes() + out.pending_update_bytes);
-  for (const auto& [key, path] : paths_) {
-    out.cracked_pieces += path->num_cracked_pieces();
-    const CrackerStats s = path->crack_stats();
-    out.crack.num_selects += s.num_selects;
-    out.crack.num_crack_in_two += s.num_crack_in_two;
-    out.crack.num_crack_in_three += s.num_crack_in_three;
-    out.crack.num_stochastic_cracks += s.num_stochastic_cracks;
-    out.crack.values_touched += s.values_touched;
+      governor_.OverBudget(SidewaysBytes() + out.pending_update_bytes);
+  out.admission_denials = governor_.admission_denials();
+  out.sheds = governor_.sheds();
+  for (const auto& [col, state] : columns_) {
+    for (const auto& [config, path] : state.paths) {
+      out.cracked_pieces += path->num_cracked_pieces();
+      out.crack += path->crack_stats();
+    }
   }
   return out;
 }
@@ -481,13 +429,13 @@ DatabaseStats Database::Stats() const {
 Result<std::vector<ColumnCutExport>> Database::ExportColumnCuts(
     std::string_view table, std::string_view column, std::int64_t lo,
     std::int64_t hi) const {
-  AIDX_ASSIGN_OR_RETURN(Table * t, catalog_.GetTable(table));
-  AIDX_RETURN_NOT_OK(t->GetTypedColumn<std::int64_t>(column).status());
+  AIDX_ASSIGN_OR_RETURN(const TypedColumn<std::int64_t>* col, Int64Column(table, column));
   std::vector<ColumnCutExport> out;
-  for (const auto& [key, path] : paths_) {
-    if (key.table != table || key.column != column) continue;
+  const ColumnState* state = StateOf(col);
+  if (state == nullptr) return out;
+  for (const auto& [config, path] : state->paths) {
     ColumnCutExport entry;
-    entry.config = key.config;
+    entry.config = config;
     path->ExportCuts(lo, hi, &entry.bundle);
     if (!entry.bundle.empty()) out.push_back(std::move(entry));
   }

@@ -8,10 +8,15 @@
 //
 // Ownership: a Database owns everything it serves — the catalog's base
 // columns (moved in via AddColumn) and every cached adaptive structure.
-// Access paths are created lazily on first use and cached under a
-// *structural* (table, column, StrategyConfig) key — every knob
-// participates, so two configs share an adaptive structure only when they
-// are identical; knob sweeps need no ResetAdaptiveState between configs.
+// All adaptive state of one column lives in one entry (ColumnState),
+// keyed by the catalog's stable Column*: its access paths, created lazily
+// on first use and matched by StrategyConfig's defaulted operator== —
+// every knob participates, so two configs share an adaptive structure only
+// when they are identical, and knob sweeps need no ResetAdaptiveState
+// between configs — plus its sideways cracker when the column has served
+// as a SelectProject head. Queries resolve names through the catalog
+// without building strings; DML reaches the entries of the columns it has
+// already resolved, never another table's.
 //
 // DML is **row-atomic**: Insert/InsertBatch take whole rows (one value per
 // column, column_names() order), Delete removes the first base row whose
@@ -23,14 +28,19 @@
 // `engine.dml_validate` failpoint (util/failpoint.h) — runs before the
 // first byte moves, so a failed DML call leaves the table, its paths, and
 // its sideways maps observably unchanged (no torn rows). The apply phase
-// orders paths -> sideways log -> base, so paths that still borrow the
-// base span snapshot it before it changes.
+// feeds every column's paths and sideways log before the base changes, so
+// paths that still borrow the base span snapshot it first.
 //
 // Sideways cracker maps are NOT dropped on DML: crackers are backed by
 // the table (sideways/sideways.h) and each row mutation is appended to
 // their operation log, folded into live maps by ripple moves on the next
 // touch — cracked investment survives writes. Only AddColumn (a schema
 // change) still drops a table's cached sideways state.
+//
+// Memory pressure (util/resource_governor.h): with a limited budget,
+// SelectProject sums the sideways-map and pending-update bytes fresh,
+// sheds cold crackers on a denied admission, and falls back to a scan if
+// the new maps still do not fit; Stats() sums the same bytes at the call.
 //
 // The type is move-only and not thread-safe: callers wanting concurrency
 // wrap paths in SerializedAccessPath (exec/serialized_path.h), shard by
@@ -68,6 +78,7 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "exec/access_path.h"
@@ -82,24 +93,6 @@
 namespace aidx {
 
 class ThreadPool;
-
-namespace internal {
-
-/// Structural path-cache key: the full strategy config participates, so
-/// same-kind configs that differ in any knob get distinct cache entries.
-struct PathKey {
-  std::string table;
-  std::string column;
-  StrategyConfig config;
-
-  friend bool operator==(const PathKey&, const PathKey&) = default;
-};
-
-struct PathKeyHash {
-  std::size_t operator()(const PathKey& key) const;
-};
-
-}  // namespace internal
 
 /// Construction-time configuration. Explicit options beat env sniffing:
 /// a ShardedDatabase configures its N nodes deterministically from one
@@ -153,8 +146,12 @@ struct DatabaseStats {
   std::size_t pending_update_bytes = 0; // approx, summed over cached paths
   CrackerStats crack;                   // summed crack-work counters
   /// Sideways-map plus pending-update bytes over the memory budget,
-  /// computed fresh (not from the governor's last gauge sync).
+  /// summed fresh at the call.
   bool under_pressure = false;
+  /// The governor's cumulative counters: SelectProject admissions denied,
+  /// and sheds of cold sideways state after a denial.
+  std::size_t admission_denials = 0;
+  std::size_t sheds = 0;
 };
 
 /// One cached path's carried index investment over a key range: the
@@ -247,9 +244,8 @@ class Database {
   /// sideways map state and falls back to scan-plus-crack-later for
   /// projections; it never fails a query. Also settable at construction
   /// via the AIDX_MEMORY_BUDGET env knob.
-  void SetMemoryBudget(std::size_t bytes) { governor_->set_budget_bytes(bytes); }
-  ResourceGovernor& resource_governor() { return *governor_; }
-  const ResourceGovernor& resource_governor() const { return *governor_; }
+  void SetMemoryBudget(std::size_t bytes) { governor_.set_budget_bytes(bytes); }
+  const ResourceGovernor& resource_governor() const { return governor_; }
 
   /// Read-only view of a cached sideways cracker (tests inspect map
   /// survival and stats through this); NotFound when no SelectProject has
@@ -258,8 +254,8 @@ class Database {
       std::string_view table, std::string_view head) const;
 
   const Catalog& catalog() const { return catalog_; }
-  std::size_t num_cached_paths() const { return paths_.size(); }
-  std::size_t num_cached_sideways() const { return sideways_.size(); }
+  std::size_t num_cached_paths() const;
+  std::size_t num_cached_sideways() const;
 
   /// Borrowed pool handed in via DatabaseOptions; null when none was.
   ThreadPool* thread_pool() const { return thread_pool_; }
@@ -285,8 +281,22 @@ class Database {
                           const std::vector<ColumnCutExport>& exports);
 
  private:
-  Result<std::span<const std::int64_t>> ColumnSpan(std::string_view table,
-                                                   std::string_view column) const;
+  /// One column's cached adaptive state: an access path per distinct
+  /// StrategyConfig (linear match on ==; a column carries a handful at
+  /// most) and the sideways cracker headed by this column, if any.
+  struct ColumnState {
+    std::vector<std::pair<StrategyConfig, std::unique_ptr<AccessPath<std::int64_t>>>>
+        paths;
+    std::unique_ptr<SidewaysCracker<std::int64_t>> sideways;
+  };
+
+  /// Resolves (table, column) to its int64 catalog column; NotFound or
+  /// InvalidArgument as the catalog reports.
+  Result<const TypedColumn<std::int64_t>*> Int64Column(std::string_view table,
+                                                       std::string_view column) const;
+  /// The cached state of `column`; null when nothing was ever cached.
+  ColumnState* StateOf(const Column* column);
+  const ColumnState* StateOf(const Column* column) const;
   Result<AccessPath<std::int64_t>*> PathFor(std::string_view table,
                                             std::string_view column,
                                             const StrategyConfig& config);
@@ -297,48 +307,27 @@ class Database {
   /// After it returns OK, the apply phase cannot fail.
   Result<Table*> PrepareRowDml(std::string_view table,
                                std::vector<TypedColumn<std::int64_t>*>* cols);
+  /// The cached state of each of `cols`, in order (null where none).
+  std::vector<ColumnState*> StatesOf(
+      const std::vector<TypedColumn<std::int64_t>*>& cols);
   /// The apply phase shared by Delete and DeleteWhere: removes the rows at
   /// `positions` (strictly ascending) from every cached path, logs them to
   /// every sideways cracker, then erases them from the base. Cannot fail.
   void ApplyErase(Table* t, const std::vector<TypedColumn<std::int64_t>*>& cols,
                   std::span<const std::size_t> positions);
-  /// Applies `write` to every cached access path of (table, column).
-  template <typename Fn>
-  void ForEachPathOf(std::string_view table, std::string_view column, Fn&& write) {
-    for (auto& [key, path] : paths_) {
-      if (key.table == table && key.column == column) write(*path);
-    }
-  }
-  /// Visits every cached sideways cracker of `table` as (head_name, cracker).
-  template <typename Fn>
-  void ForEachSidewaysOf(std::string_view table, Fn&& fn) {
-    std::string prefix;
-    prefix.reserve(table.size() + 1);
-    prefix.append(table);
-    prefix.push_back('.');
-    for (auto& [key, cracker] : sideways_) {
-      if (key.starts_with(prefix)) {
-        fn(std::string_view(key).substr(prefix.size()), *cracker);
-      }
-    }
-  }
   /// Logs one appended row into `cracker` (head value + tails in the
   /// cracker's registration order).
   static void LogSidewaysInsert(SidewaysCracker<std::int64_t>& cracker,
                                 std::string_view head,
                                 const std::vector<std::string>& names,
                                 std::span<const std::int64_t> row, row_id_t rid);
-  /// Drops the table's cached sideways crackers (schema changes only).
-  void DropSideways(std::string_view table);
   /// Pressure reaction: drops every cached sideways cracker except `keep`
   /// (maps are pure acceleration state and rebuild on demand).
-  void ShedSidewaysExcept(const std::string& keep);
-  /// Current bytes of the governed components: cached sideways maps, and
+  void ShedSidewaysExcept(const SidewaysCracker<std::int64_t>* keep);
+  /// Current bytes of the governed state: cached sideways maps, and
   /// deferred updates over every cached path.
   std::size_t SidewaysBytes() const;
   std::size_t PendingBytes() const;
-  /// Refreshes the governor's gauges from the live structures.
-  void SyncResourceGauges();
   /// Scan-plus-crack-later projection: answers σ_pred(head) ⋉ tails by
   /// scanning the base columns, materializing no sideways map.
   Result<ProjectionResult<std::int64_t>> ScanProject(
@@ -348,14 +337,8 @@ class Database {
 
   Catalog catalog_;
   ThreadPool* thread_pool_ = nullptr;  // borrowed (DatabaseOptions)
-  std::unordered_map<internal::PathKey, std::unique_ptr<AccessPath<std::int64_t>>,
-                     internal::PathKeyHash>
-      paths_;
-  std::unordered_map<std::string, std::unique_ptr<SidewaysCracker<std::int64_t>>>
-      sideways_;
-  // unique_ptr: the governor holds a mutex (not movable) and the Database
-  // keeps its defaulted moves.
-  std::unique_ptr<ResourceGovernor> governor_ = std::make_unique<ResourceGovernor>();
+  std::unordered_map<const Column*, ColumnState> columns_;
+  ResourceGovernor governor_;
 };
 
 }  // namespace aidx

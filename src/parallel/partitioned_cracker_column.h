@@ -404,19 +404,20 @@ class PartitionedCrackerColumn {
   }
 
   /// Sum of all partitions' CrackerStats (the striped fast path bumps the
-  /// same counters as the coarse path). Thread-safe (whole-partition
-  /// exclusion per shard).
+  /// same counters as the coarse path). Thread-safe, and stalls no reader:
+  /// under `structural` shared the only concurrent writers are the fast
+  /// path's relaxed atomic_ref bumps, so the counters are loaded the same
+  /// way.
   CrackerStats AggregatedStats() const {
     CrackerStats total;
     for (const auto& shard : shards_) {
-      WithShardExclusive(*shard, [&] {
-        const CrackerStats& s = shard->column.stats();
-        total.num_selects += s.num_selects;
-        total.num_crack_in_two += s.num_crack_in_two;
-        total.num_crack_in_three += s.num_crack_in_three;
-        total.num_stochastic_cracks += s.num_stochastic_cracks;
-        total.values_touched += s.values_touched;
-      });
+      const std::shared_lock<std::shared_mutex> structural(shard->structural);
+      const CrackerStats& s = shard->column.stats();
+      total += {.num_selects = RelaxedLoad(s.num_selects),
+                .num_crack_in_two = RelaxedLoad(s.num_crack_in_two),
+                .num_crack_in_three = RelaxedLoad(s.num_crack_in_three),
+                .num_stochastic_cracks = RelaxedLoad(s.num_stochastic_cracks),
+                .values_touched = RelaxedLoad(s.values_touched)};
     }
     return total;
   }
@@ -436,12 +437,13 @@ class PartitionedCrackerColumn {
   }
 
   /// Realized piece count summed over partitions (a fresh partition is one
-  /// piece). Thread-safe.
+  /// piece). Thread-safe; reads each index under `index_latch` shared.
   std::size_t aggregated_num_pieces() const {
     std::size_t total = 0;
     for (const auto& shard : shards_) {
-      WithShardExclusive(*shard,
-                         [&] { total += shard->column.index().num_pieces(); });
+      const std::shared_lock<std::shared_mutex> structural(shard->structural);
+      const std::shared_lock<std::shared_mutex> il(shard->index_latch);
+      total += shard->column.index().num_pieces();
     }
     return total;
   }
@@ -450,19 +452,15 @@ class PartitionedCrackerColumn {
   /// still buffered in the striped write buckets (queue-side counters live
   /// in shard atomics; merge-side counters live in the inner columns, and
   /// adopting a bucket tuple into a pending store never re-counts it).
-  /// Thread-safe.
+  /// Thread-safe: the inner counters change only under `structural`
+  /// exclusive, so a shared hold reads them.
   UpdateStats AggregatedUpdateStats() const {
     UpdateStats total;
     for (const auto& shard : shards_) {
-      WithShardExclusive(*shard, [&] {
-        const UpdateStats& s = shard->column.update_stats();
-        total.inserts_queued += s.inserts_queued;
-        total.deletes_queued += s.deletes_queued;
-        total.deletes_cancelled += s.deletes_cancelled;
-        total.inserts_merged += s.inserts_merged;
-        total.deletes_merged += s.deletes_merged;
-        total.ripple_element_moves += s.ripple_element_moves;
-      });
+      {
+        const std::shared_lock<std::shared_mutex> structural(shard->structural);
+        total += shard->column.update_stats();
+      }
       total.inserts_queued +=
           shard->striped_inserts_queued.load(std::memory_order_relaxed);
       total.deletes_queued +=
@@ -607,10 +605,12 @@ class PartitionedCrackerColumn {
   std::size_t pending_update_count() const {
     std::size_t total = 0;
     for (const auto& shard : shards_) {
-      WithShardExclusive(*shard, [&] {
+      {
+        // Pending stores change only under `structural` exclusive.
+        const std::shared_lock<std::shared_mutex> structural(shard->structural);
         total += shard->column.num_pending_inserts() +
                  shard->column.num_pending_deletes();
-      });
+      }
       total += shard->buffered_writes.load(std::memory_order_acquire);
     }
     return total;
@@ -987,8 +987,15 @@ class PartitionedCrackerColumn {
     Shard* shard_;
   };
 
+  /// Reads a stats counter that the shared path bumps through
+  /// StripedLatch::Add (caller holds `structural` shared).
+  static std::size_t RelaxedLoad(const std::size_t& counter) {
+    return std::atomic_ref<std::size_t>(const_cast<std::size_t&>(counter))
+        .load(std::memory_order_relaxed);
+  }
+
   /// Runs fn under whole-partition exclusion (`structural` exclusive).
-  /// Stats aggregation, validation, and the raw Select path use this.
+  /// Validation, cut export, FlushPending, and the raw Select path use this.
   template <typename Fn>
   decltype(auto) WithShardExclusive(const Shard& shard, Fn&& fn) const {
     const std::unique_lock<std::shared_mutex> guard(shard.structural);

@@ -23,7 +23,7 @@ Result<Table*> Catalog::CreateTable(std::string name) {
 }
 
 Result<Table*> Catalog::GetTable(std::string_view name) const {
-  const auto it = tables_.find(std::string(name));
+  const auto it = tables_.find(name);
   if (it == tables_.end()) {
     return Status::NotFound("no table named '" + std::string(name) + "'");
   }
@@ -31,7 +31,7 @@ Result<Table*> Catalog::GetTable(std::string_view name) const {
 }
 
 Status Catalog::DropTable(std::string_view name) {
-  const auto it = tables_.find(std::string(name));
+  const auto it = tables_.find(name);
   if (it == tables_.end()) {
     return Status::NotFound("no table named '" + std::string(name) + "'");
   }

@@ -1,6 +1,7 @@
 // Catalog: the namespace of tables owned by a Database instance.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -40,7 +41,8 @@ class Catalog {
   std::size_t size() const { return tables_.size(); }
 
  private:
-  std::unordered_map<std::string, std::unique_ptr<Table>> tables_;
+  std::unordered_map<std::string, std::unique_ptr<Table>, NameHash, std::equal_to<>>
+      tables_;
 };
 
 }  // namespace aidx

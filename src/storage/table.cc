@@ -87,7 +87,7 @@ Status Table::EraseRows(std::span<const std::size_t> sorted_positions) {
 }
 
 Result<Column*> Table::GetColumn(std::string_view column_name) const {
-  const auto it = columns_.find(std::string(column_name));
+  const auto it = columns_.find(column_name);
   if (it == columns_.end()) {
     return Status::NotFound("no column '" + std::string(column_name) + "' in table '" +
                             name_ + "'");

@@ -1,6 +1,7 @@
 // Tables: named collections of equal-length columns.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -14,6 +15,15 @@
 #include "util/status.h"
 
 namespace aidx {
+
+/// Transparent hash for name-keyed maps: with std::equal_to<> it lets
+/// find() take a string_view without building a std::string.
+struct NameHash {
+  using is_transparent = void;
+  std::size_t operator()(std::string_view name) const {
+    return std::hash<std::string_view>{}(name);
+  }
+};
 
 /// A table is a bag of equal-length columns addressed by name, plus one row
 /// identity per position. Positions shift as rows are erased; row ids are
@@ -89,7 +99,8 @@ class Table {
 
   std::string name_;
   std::vector<std::string> order_;
-  std::unordered_map<std::string, std::unique_ptr<Column>> columns_;
+  std::unordered_map<std::string, std::unique_ptr<Column>, NameHash, std::equal_to<>>
+      columns_;
   std::vector<row_id_t> row_ids_;
   row_id_t next_row_id_ = 0;
   bool row_ids_initialized_ = false;

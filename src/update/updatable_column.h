@@ -73,6 +73,16 @@ struct UpdateStats {
   std::size_t inserts_merged = 0;
   std::size_t deletes_merged = 0;
   std::size_t ripple_element_moves = 0;
+
+  UpdateStats& operator+=(const UpdateStats& o) {
+    inserts_queued += o.inserts_queued;
+    deletes_queued += o.deletes_queued;
+    deletes_cancelled += o.deletes_cancelled;
+    inserts_merged += o.inserts_merged;
+    deletes_merged += o.deletes_merged;
+    ripple_element_moves += o.ripple_element_moves;
+    return *this;
+  }
 };
 
 /// Sentinel row id marking a pending delete addressed by value only.

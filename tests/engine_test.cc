@@ -426,6 +426,56 @@ TEST(DatabaseTest, SidewaysMaintainedIncrementallyAcrossWrites) {
   EXPECT_EQ(final_res->num_rows, 3u);
 }
 
+// Cached state hangs off the catalog column it indexes, so two tables that
+// share column names never see each other's writes. The second table's
+// name is the first's plus ".u": no table and column names are ever
+// joined into one key that could collide.
+TEST(DatabaseTest, DmlOnOneTableLeavesAnotherTablesStateAlone) {
+  Database db;
+  for (const char* table : {"t", "t.u"}) {
+    ASSERT_TRUE(db.CreateTable(table).ok());
+    ASSERT_TRUE(db.AddColumn(table, "k", {10, 20, 30}).ok());
+    ASSERT_TRUE(db.AddColumn(table, "v", {1, 2, 3}).ok());
+    ASSERT_TRUE(db.Count({.table = table,
+                          .column = "k",
+                          .predicate = Pred::All(),
+                          .strategy = StrategyConfig::Crack()}).ok());
+    ASSERT_TRUE(db.SelectProject({.table = table,
+                                  .column = "k",
+                                  .predicate = Pred::All(),
+                                  .tails = {"v"}}).ok());
+  }
+  ASSERT_EQ(db.num_cached_paths(), 2u);
+  ASSERT_EQ(db.num_cached_sideways(), 2u);
+
+  ASSERT_TRUE(db.Insert("t", {40, 4}).ok());
+  auto deleted = db.Delete("t", "k", 10);
+  ASSERT_TRUE(deleted.ok());
+  EXPECT_TRUE(*deleted);
+
+  const auto count = [&](const char* table) {
+    return db.Count({.table = table,
+                     .column = "k",
+                     .predicate = Pred::All(),
+                     .strategy = StrategyConfig::Crack()});
+  };
+  EXPECT_EQ(*count("t"), 3u);
+  EXPECT_EQ(*count("t.u"), 3u);
+  const auto* mine = *db.SidewaysState("t", "k");
+  const auto* other = *db.SidewaysState("t.u", "k");
+  EXPECT_EQ(mine->stats().dml_inserts, 1u);
+  EXPECT_EQ(mine->stats().dml_deletes, 1u);
+  EXPECT_EQ(other->stats().dml_inserts, 0u);
+  EXPECT_EQ(other->stats().dml_deletes, 0u);
+  auto projected = db.SelectProject({.table = "t.u",
+                                     .column = "k",
+                                     .predicate = Pred::All(),
+                                     .tails = {"v"}});
+  ASSERT_TRUE(projected.ok());
+  EXPECT_EQ(projected->num_rows, 3u);
+  EXPECT_EQ(db.num_cached_paths(), 2u);
+}
+
 TEST(OperatorsTest, GatherAndPermutation) {
   const std::vector<std::int64_t> values = {10, 20, 30, 40};
   const std::vector<row_id_t> rids = {3, 0, 2};

@@ -265,52 +265,47 @@ TEST(QueryContextTest, CancellationWinsOverExpiredDeadline) {
 TEST(ResourceGovernorTest, UnlimitedByDefault) {
   ResourceGovernor governor;
   EXPECT_TRUE(governor.unlimited());
-  governor.SetUsage(ResourceComponent::kSidewaysMaps, 1ull << 40);
-  EXPECT_FALSE(governor.UnderPressure());
-  EXPECT_TRUE(governor.Admit(1ull << 40));
-  EXPECT_FALSE(governor.MaybeShed(1ull << 40));
+  EXPECT_FALSE(governor.OverBudget(1ull << 40));
+  EXPECT_TRUE(governor.Admit(1ull << 40, 1ull << 40));
+  EXPECT_TRUE(governor.Admit(ResourceGovernor::kUnlimited, ResourceGovernor::kUnlimited));
   EXPECT_EQ(governor.admission_denials(), 0u);
 }
 
+// The governor keeps no gauges: each decision judges the total the caller
+// summed fresh, and a later total replaces, never adds to, an earlier one.
 TEST(ResourceGovernorTest, GaugesAreAbsolutePerComponent) {
-  ResourceGovernor governor({.soft_budget_bytes = 1000});
-  governor.SetUsage(ResourceComponent::kSidewaysMaps, 300);
-  governor.SetUsage(ResourceComponent::kPendingUpdates, 200);
-  governor.SetUsage(ResourceComponent::kWriteBuffers, 100);
-  EXPECT_EQ(governor.UsageOf(ResourceComponent::kSidewaysMaps), 300u);
-  EXPECT_EQ(governor.used_bytes(), 600u);
-  // Absolute, not cumulative: re-setting replaces.
-  governor.SetUsage(ResourceComponent::kSidewaysMaps, 50);
-  EXPECT_EQ(governor.used_bytes(), 350u);
+  ResourceGovernor governor(1000);
+  EXPECT_FALSE(governor.Admit(300 + 200 + 100, 401));
+  EXPECT_TRUE(governor.Admit(50 + 200 + 100, 401));
+  EXPECT_TRUE(governor.OverBudget(1001));
+  EXPECT_FALSE(governor.OverBudget(350));
+  EXPECT_EQ(governor.admission_denials(), 1u);
 }
 
 TEST(ResourceGovernorTest, AdmitCountsDenials) {
-  ResourceGovernor governor({.soft_budget_bytes = 1000});
-  governor.SetUsage(ResourceComponent::kSidewaysMaps, 900);
-  EXPECT_TRUE(governor.Admit(100));
-  EXPECT_FALSE(governor.Admit(101));
-  EXPECT_FALSE(governor.Admit(ResourceGovernor::kUnlimited));  // no overflow
-  EXPECT_EQ(governor.admission_denials(), 2u);
-  EXPECT_FALSE(governor.UnderPressure()) << "at budget is not over budget";
-  governor.SetUsage(ResourceComponent::kSidewaysMaps, 1001);
-  EXPECT_TRUE(governor.UnderPressure());
+  ResourceGovernor governor(1000);
+  EXPECT_TRUE(governor.Admit(900, 100));
+  EXPECT_FALSE(governor.Admit(900, 101));
+  EXPECT_FALSE(governor.Admit(900, ResourceGovernor::kUnlimited));  // no overflow
+  EXPECT_FALSE(governor.Admit(ResourceGovernor::kUnlimited, 1));     // no overflow
+  EXPECT_EQ(governor.admission_denials(), 3u);
+  EXPECT_FALSE(governor.OverBudget(1000)) << "at budget is not over budget";
+  EXPECT_TRUE(governor.OverBudget(1001));
 }
 
+// Admission weighs used plus incoming bytes; shedding is the owner's move,
+// and only the owner's CountShed records one.
 TEST(ResourceGovernorTest, MaybeShedConsidersIncomingBytes) {
-  ResourceGovernor governor({.soft_budget_bytes = 1000});
-  int shed_calls = 0;
-  governor.SetPressureCallback([&] { ++shed_calls; });
-  governor.SetUsage(ResourceComponent::kSidewaysMaps, 600);
-  // Under budget even with the incoming allocation: no shed.
-  EXPECT_FALSE(governor.MaybeShed(400));
-  // used + incoming overflows though used alone does not: shed fires.
-  EXPECT_TRUE(governor.MaybeShed(401));
-  EXPECT_EQ(shed_calls, 1);
+  ResourceGovernor governor(1000);
+  // Under budget even with the incoming allocation: admitted.
+  EXPECT_TRUE(governor.Admit(600, 400));
+  // used + incoming overflows though used alone does not: denied.
+  EXPECT_FALSE(governor.OverBudget(600));
+  EXPECT_FALSE(governor.Admit(600, 401));
+  EXPECT_EQ(governor.sheds(), 0u) << "a denial alone sheds nothing";
+  governor.CountShed();
   EXPECT_EQ(governor.sheds(), 1u);
-  // No callback installed: pressure is real but nothing can react.
-  governor.SetPressureCallback(nullptr);
-  EXPECT_FALSE(governor.MaybeShed(401));
-  EXPECT_EQ(governor.sheds(), 1u);
+  EXPECT_EQ(governor.admission_denials(), 1u);
 }
 
 TEST(ThreadPoolShutdownTest, ShutdownIsIdempotentAndStopsIntake) {

@@ -517,7 +517,9 @@ TEST_F(FaultScheduleTest, PressureShedsColdCrackersBeforeFallingBack) {
                                 .predicate = pred,
                                 .tails = {"a"}}).ok());
   const std::size_t per_map = (*db.SidewaysState("hot", "k"))->per_map_bytes();
-  db.SetMemoryBudget(db.resource_governor().used_bytes() + per_map / 2);
+  const std::size_t used = (*db.SidewaysState("hot", "k"))->MemoryUsageBytes() +
+                           (*db.SidewaysState("cold", "k"))->MemoryUsageBytes();
+  db.SetMemoryBudget(used + per_map / 2);
 
   auto res = db.SelectProject({.table = "hot",
                                .column = "k",

@@ -60,7 +60,7 @@ PartitionedCrackerOptions MachineOptions(std::size_t threshold,
   return options;
 }
 
-TEST(MergeModeMachineTest, ShardsStartNormalAndNamesRoundTrip) {
+TEST(MergeModeMachineTest, ShardsStartWithNoMergeInFlight) {
   const auto base = RandomValues(1000, 300, 11);
   ThreadPool pool(1);
   Column col(base, MachineOptions(8), &pool);
@@ -84,7 +84,7 @@ TEST(MergeModeMachineTest, RequestsDegradeWithoutARunnableMachine) {
   }
 }
 
-TEST(MergeModeMachineTest, SecondRequestWhileOffNormalIsRejected) {
+TEST(MergeModeMachineTest, SecondRequestWhileMergeInFlightIsRejected) {
   const auto base = RandomValues(1000, 300, 17);
   ThreadPool pool(1);
   Column col(base, MachineOptions(/*threshold=*/0), &pool);

@@ -10,7 +10,8 @@
 //  - multi-threaded writers against a single-threaded replay: the final
 //    multiset must match regardless of interleaving;
 //  - write accounting: striped enqueues land in AggregatedUpdateStats with
-//    exact queued/cancelled/merged totals;
+//    exact queued/cancelled/merged totals, and the stats probes run beside
+//    readers and writers and are exact once the column is quiet;
 //  - adaptive stripe growth: the active stripe count starts small, grows
 //    only with realized cuts, and never passes the allocated capacity.
 //
@@ -320,6 +321,83 @@ TEST(StripedWriteTest, QueuedAndMergedCountsMatchCoarsePath) {
   EXPECT_EQ(s.inserts_merged + s.deletes_cancelled, 30u);
   EXPECT_EQ(s.deletes_merged, s.deletes_queued);
   EXPECT_EQ(striped.pending_update_count(), 0u);
+}
+
+// The stats probes read under `structural` shared (plus `index_latch`
+// shared for the piece count), so they run beside striped readers and
+// writers without stalling them; TSan checks the shared reads against the
+// fast path's relaxed counter bumps. Once the column is quiescent, every
+// probe is exact.
+TEST(StripedWriteTest, StatsProbesRunBesideReadersAndWritersAndAreExactWhenQuiet) {
+  constexpr std::int64_t kDomain = 800;
+  constexpr std::size_t kThreads = 3;
+  constexpr int kOpsPerThread = 300;
+  const auto base = RandomValues<std::int64_t>(8000, kDomain, 131);
+  PartitionedCrackerColumn<std::int64_t> col(base, StripedWriteOptions(4));
+
+  std::atomic<bool> done{false};
+  std::atomic<std::size_t> inserts{0};
+  std::atomic<std::size_t> deletes{0};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(4100 + t);
+      std::vector<std::int64_t> mine;
+      for (int op = 0; op < kOpsPerThread; ++op) {
+        const auto dice = rng.NextBounded(10);
+        if (dice < 4) {
+          const auto v = static_cast<std::int64_t>(rng.NextBounded(kDomain) * kThreads + t);
+          col.Insert(v);
+          mine.push_back(v);
+          inserts.fetch_add(1);
+        } else if (dice < 6 && !mine.empty()) {
+          ASSERT_TRUE(col.Delete(mine.back()));
+          mine.pop_back();
+          deletes.fetch_add(1);
+        } else {
+          (void)col.Count(RandomPredicate<std::int64_t>(&rng, kDomain));
+        }
+      }
+    });
+  }
+  std::thread prober([&] {
+    std::size_t last_selects = 0;
+    std::size_t last_queued = 0;
+    while (!done.load()) {
+      const CrackerStats crack = col.AggregatedStats();
+      const UpdateStats updates = col.AggregatedUpdateStats();
+      EXPECT_GE(crack.num_selects, last_selects);
+      EXPECT_GE(updates.inserts_queued, last_queued);
+      EXPECT_GE(col.aggregated_num_pieces(), col.num_partitions());
+      (void)col.pending_update_count();
+      last_selects = crack.num_selects;
+      last_queued = updates.inserts_queued;
+    }
+  });
+  for (auto& thread : threads) thread.join();
+  done.store(true);
+  prober.join();
+
+  CrackerStats crack;
+  std::size_t pieces = 0;
+  for (std::size_t p = 0; p < col.num_partitions(); ++p) {
+    crack += col.partition(p).stats();
+    pieces += col.partition(p).index().num_pieces();
+  }
+  const CrackerStats probed = col.AggregatedStats();
+  EXPECT_EQ(probed.num_selects, crack.num_selects);
+  EXPECT_EQ(probed.num_crack_in_two, crack.num_crack_in_two);
+  EXPECT_EQ(probed.num_crack_in_three, crack.num_crack_in_three);
+  EXPECT_EQ(probed.values_touched, crack.values_touched);
+  EXPECT_EQ(col.aggregated_num_pieces(), pieces);
+  EXPECT_EQ(col.AggregatedUpdateStats().inserts_queued, inserts.load());
+  ASSERT_EQ(col.Count(RangePredicate<std::int64_t>::All()),
+            base.size() + inserts.load() - deletes.load());
+  EXPECT_EQ(col.pending_update_count(), 0u);
+  // Quiet writes are counted one for one.
+  for (std::int64_t v = 0; v < 5; ++v) col.Insert(v);
+  EXPECT_EQ(col.pending_update_count(), 5u);
+  EXPECT_EQ(col.AggregatedUpdateStats().inserts_queued, inserts.load() + 5);
 }
 
 TEST(StripedWriteTest, InsertThenDeleteCancelsInsideTheBucket) {
