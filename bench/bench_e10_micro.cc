@@ -99,8 +99,8 @@ void BM_BinarySearchQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_BinarySearchQuery);
 
-// Crack primitives per kernel (second arg: 0 = branchy, 1 = predicated,
-// 2 = unrolled, 3 = simd — CrackKernel's enumerator order). bench_e12 is
+// Crack primitives per kernel (second arg: 0 = branchy, 1 = unrolled,
+// 2 = simd — CrackKernel's enumerator order). bench_e12 is
 // the full shootout; these registrations keep the kernels visible in the
 // micro suite's one-stop cost table.
 void BM_CrackInTwo(benchmark::State& state) {
@@ -121,11 +121,9 @@ BENCHMARK(BM_CrackInTwo)
     ->Args({1 << 18, 0})
     ->Args({1 << 18, 1})
     ->Args({1 << 18, 2})
-    ->Args({1 << 18, 3})
     ->Args({1 << 21, 0})
     ->Args({1 << 21, 1})
     ->Args({1 << 21, 2})
-    ->Args({1 << 21, 3})
     ->Iterations(30);
 
 void BM_CrackInTwoTandem(benchmark::State& state) {
@@ -149,7 +147,6 @@ BENCHMARK(BM_CrackInTwoTandem)
     ->Args({1 << 21, 0})
     ->Args({1 << 21, 1})
     ->Args({1 << 21, 2})
-    ->Args({1 << 21, 3})
     ->Iterations(30);
 
 void BM_CrackInThree(benchmark::State& state) {
@@ -171,11 +168,9 @@ BENCHMARK(BM_CrackInThree)
     ->Args({1 << 18, 0})
     ->Args({1 << 18, 1})
     ->Args({1 << 18, 2})
-    ->Args({1 << 18, 3})
     ->Args({1 << 21, 0})
     ->Args({1 << 21, 1})
     ->Args({1 << 21, 2})
-    ->Args({1 << 21, 3})
     ->Iterations(30);
 
 void BM_CrackedQuerySequence(benchmark::State& state) {

@@ -1,23 +1,25 @@
-// E12 — Crack-kernel shootout: branchy vs predicated vs unrolled
+// E12 — Crack-kernel shootout: branchy vs unrolled vs simd
 // (core/crack_ops.h) as raw partitioning throughput and as full-workload
 // convergence, across value types, tandem payloads, and piece sizes.
 //
 // The kernels rewrite the innermost loops every strategy bottoms out in;
 // this bench is the falsifiable record of what that buys. Sections:
 //
-//   calibration     what the startup kernel autotuner picked on this host
-//                   (ISA, per-width kernel and min-piece threshold)
+//   calibration     the kernel rule in force on this host: the ISA, the
+//                   kernel kAuto resolves to (the same for every width) and
+//                   the min-piece threshold (nothing here is measured)
 //   crack_in_two    raw single-crack throughput per kernel × type × tandem
 //   crack_in_three  raw three-way crack throughput per kernel
-//   three_way       single-pass crack-in-three vs the two-pass decomposition
-//                   it replaced, per kernel
+//   three_way       values-only single-pass crack-in-three vs the two-pass
+//                   decomposition, per kernel
 //   piece_sweep     throughput vs piece size (shows the dispatch crossover:
 //                   below the min-piece threshold all kernels run branchy)
 //   convergence     full random-range workloads through CrackerColumn
 //                   (crack and stochastic), per kernel
 //   headline        the acceptance metrics on uniform-random int32:
-//                   predicated vs branchy (PR 4), simd vs unrolled and
-//                   single-pass vs two-pass three-way (PR 8); `note`
+//                   unrolled vs branchy (PR 4), simd vs unrolled (PR 8) and
+//                   single-pass vs two-pass three-way, both at the kernel
+//                   kAuto resolves to; `note`
 //                   documents the outcome either way so a regression (or
 //                   vector-hostile hardware) is visible in the recorded
 //                   JSON, not silent
@@ -37,7 +39,6 @@
 #include "crack_two_pass.h"
 #include "core/crack_ops.h"
 #include "core/cracker_column.h"
-#include "core/kernel_autotune.h"
 #include "exec/access_path.h"
 #include "storage/types.h"
 #include "util/failpoint.h"
@@ -54,7 +55,6 @@ namespace {
 
 constexpr CrackKernel kKernels[] = {
     CrackKernel::kBranchy,
-    CrackKernel::kPredicated,
     CrackKernel::kPredicatedUnrolled,
     CrackKernel::kSimd,
 };
@@ -175,22 +175,20 @@ void RawCrackInThreeSection(std::size_t n, bench::JsonReport* json,
   }
 }
 
-/// Single-pass crack-in-three against the two-pass decomposition it
-/// replaced, on uniform-random int32 with thirds cuts. Returns (via outs)
-/// the two legs of the three_way headline: single-pass at the host default
-/// (kAuto resolved) and two-pass at kPredicatedUnrolled — the exact
-/// configuration CrackInThree used before the single-pass landed.
+/// Values-only single-pass crack-in-three against the two-pass
+/// decomposition, on uniform-random int32 with thirds cuts. Returns (via
+/// outs) the two legs of the three_way headline, both at the kernel kAuto
+/// resolves to, so the ratio compares the two forms and nothing else.
 void ThreeWaySection(std::size_t n, bench::JsonReport* json,
                      TablePrinter* table, double* single_default_out,
-                     double* twopass_unrolled_out) {
+                     double* twopass_default_out) {
   const std::uint64_t domain = 1u << 20;
   const auto base = UniformValues<std::int32_t>(n, domain, 17);
   const Cut<std::int32_t> lo{static_cast<std::int32_t>(domain / 3),
                              CutKind::kLess};
   const Cut<std::int32_t> hi{static_cast<std::int32_t>(2 * domain / 3),
                              CutKind::kLessEq};
-  const CrackKernel resolved =
-      ResolveCrackKernel(CrackKernel::kAuto, sizeof(std::int32_t));
+  const CrackKernel resolved = ResolveCrackKernel(CrackKernel::kAuto);
   for (const bool single : {true, false}) {
     for (const CrackKernel kernel : kKernels) {
       const double secs = BestOfThree<std::int32_t>(
@@ -213,41 +211,27 @@ void ThreeWaySection(std::size_t n, bench::JsonReport* json,
                      CrackKernelName(kernel), FormatSeconds(secs),
                      std::to_string(static_cast<long long>(mrows)) +
                          " Mrows/s"});
-      if (single && kernel == resolved && single_default_out != nullptr) {
-        *single_default_out = mrows;
-      }
-      if (!single && kernel == CrackKernel::kPredicatedUnrolled &&
-          twopass_unrolled_out != nullptr) {
-        *twopass_unrolled_out = mrows;
+      if (kernel == resolved) {
+        *(single ? single_default_out : twopass_default_out) = mrows;
       }
     }
   }
 }
 
-/// Records what the startup autotuner decided on this host, so archived
-/// bench JSON ties every number to the kernel defaults in force.
+/// Records the kernel rule in force on this host, so archived bench JSON
+/// ties every number to the kernel defaults that produced it.
 void CalibrationSection(bench::JsonReport* json) {
-  const KernelCalibration& cal = Calibrate();
-  auto& row = json->AddRow("calibration");
-  row.Set("calibrated", cal.calibrated)
-      .Set("simd_available", cal.simd_available)
-      .Set("isa", cal.isa)
-      .Set("kernel_w4", CrackKernelName(cal.kernel_w4))
-      .Set("kernel_w8", CrackKernelName(cal.kernel_w8))
-      .Set("min_piece_w4", cal.min_piece_w4)
-      .Set("min_piece_w8", cal.min_piece_w8);
-  for (std::size_t k = 0; k < kNumCrackKernels; ++k) {
-    const auto kernel = static_cast<CrackKernel>(k);
-    row.Set(std::string("sweep_w4_") + CrackKernelName(kernel), cal.mrows_w4[k])
-        .Set(std::string("sweep_w8_") + CrackKernelName(kernel),
-             cal.mrows_w8[k]);
-  }
-  std::cout << "calibration: isa=" << cal.isa << " w4="
-            << CrackKernelName(cal.kernel_w4) << "(mp" << cal.min_piece_w4
-            << ") w8=" << CrackKernelName(cal.kernel_w8) << "(mp"
-            << cal.min_piece_w8 << ")"
-            << (cal.calibrated ? "" : " [calibration disabled: fallbacks]")
-            << "\n\n";
+  const CrackKernel resolved = ResolveCrackKernel(CrackKernel::kAuto);
+  json->AddRow("calibration")
+      .Set("simd_available", internal::SimdKernelAvailable())
+      .Set("isa", internal::SimdIsaName())
+      .Set("kernel_w4", CrackKernelName(resolved))
+      .Set("kernel_w8", CrackKernelName(resolved))
+      .Set("min_piece_w4", kCrackMinPiece)
+      .Set("min_piece_w8", kCrackMinPiece);
+  std::cout << "kernel rule: isa=" << internal::SimdIsaName()
+            << " auto=" << CrackKernelName(resolved) << "(mp" << kCrackMinPiece
+            << ")\n\n";
 }
 
 void PieceSweepSection(std::size_t total, bench::JsonReport* json,
@@ -391,7 +375,7 @@ void FailpointOverheadSection(bench::JsonReport* json, double* gate_ns_out,
 int main(int argc, char** argv) {
   bench::JsonReport json("e12_crack_kernels", argc, argv);
   bench::PrintHeader(
-      "E12 crack kernels: branchy vs predicated vs unrolled vs simd",
+      "E12 crack kernels: branchy vs unrolled vs simd",
       "DaMoN'14 predication argument over the EDBT'12 kernels");
   const std::size_t raw_n = RawKernelRows();
   std::cout << "raw kernels: " << raw_n << " uniform values; convergence: "
@@ -413,13 +397,13 @@ int main(int argc, char** argv) {
   std::cout << "\nsingle-pass crack-in-three vs two-pass decomposition:\n";
   TablePrinter three({"mode", "kernel", "time", "throughput"});
   double single_default = 0;
-  double twopass_unrolled = 0;
-  ThreeWaySection(raw_n, &json, &three, &single_default, &twopass_unrolled);
+  double twopass_default = 0;
+  ThreeWaySection(raw_n, &json, &three, &single_default, &twopass_default);
   three.Print(std::cout);
 
   std::cout << "\npiece-size sweep "
-               "(Mrows/s: branchy | predicated | unrolled | simd):\n";
-  TablePrinter sweep({"piece", "branchy", "predicated", "unrolled", "simd"});
+               "(Mrows/s: branchy | unrolled | simd):\n";
+  TablePrinter sweep({"piece", "branchy", "unrolled", "simd"});
   PieceSweepSection(std::min(raw_n, std::size_t{1} << 22), &json, &sweep);
   sweep.Print(std::cout);
 
@@ -432,32 +416,31 @@ int main(int argc, char** argv) {
   double failpoint_overhead_pct = 0;
   FailpointOverheadSection(&json, &gate_ns, &failpoint_overhead_pct);
 
-  // Headline acceptance metrics on uniform int32: predicated vs branchy
-  // (PR 4), simd vs unrolled and single-pass vs two-pass three-way (PR 8).
+  // Headline acceptance metrics on uniform int32: unrolled vs branchy
+  // (PR 4), simd vs unrolled (PR 8) and single-pass vs two-pass three-way
+  // at the kernel kAuto resolves to.
   const double branchy_i32 =
       i32_mrows[static_cast<std::size_t>(CrackKernel::kBranchy)];
-  const double predicated_i32 =
-      i32_mrows[static_cast<std::size_t>(CrackKernel::kPredicated)];
   const double unrolled_i32 =
       i32_mrows[static_cast<std::size_t>(CrackKernel::kPredicatedUnrolled)];
   const double simd_i32 = i32_mrows[static_cast<std::size_t>(CrackKernel::kSimd)];
-  const double speedup = branchy_i32 > 0 ? predicated_i32 / branchy_i32 : 0;
+  const double speedup = branchy_i32 > 0 ? unrolled_i32 / branchy_i32 : 0;
   const bool wins = speedup > 1.0;
   const double simd_vs_unrolled = unrolled_i32 > 0 ? simd_i32 / unrolled_i32 : 0;
   const double three_way_speedup =
-      twopass_unrolled > 0 ? single_default / twopass_unrolled : 0;
-  const bool simd_active = Calibrate().simd_available;
+      twopass_default > 0 ? single_default / twopass_default : 0;
+  const bool simd_active = internal::SimdKernelAvailable();
   std::string note;
   if (wins) {
-    note = "predicated beats branchy on uniform-random int32 at this scale";
+    note = "unrolled beats branchy on uniform-random int32 at this scale";
   } else {
-    note = "predicated did NOT beat branchy on this hardware at this scale: "
+    note = "unrolled did NOT beat branchy on this hardware at this scale: "
            "likely causes are a branch predictor absorbing the 50/50 pattern "
            "(unlikely on random data), a memory-bandwidth-bound machine where "
-           "predication's extra load per element erases its mispredict win, "
-           "or a reduced-scale run (AIDX_N set low) where fixed costs "
-           "dominate; rerun at >= 10M rows before reading this as a kernel "
-           "regression";
+           "the blocked kernel's extra passes over each block erase its "
+           "mispredict win, or a reduced-scale run (AIDX_N set low) where "
+           "fixed costs dominate; rerun at >= 10M rows before reading this "
+           "as a kernel regression";
   }
   if (!simd_active) {
     note += "; kSimd ran the scalar blocked classifier (no AVX2/NEON), so "
@@ -467,23 +450,22 @@ int main(int argc, char** argv) {
       .Set("type", "int32")
       .Set("rows", raw_n)
       .Set("branchy_mrows_per_s", branchy_i32)
-      .Set("predicated_mrows_per_s", predicated_i32)
       .Set("unrolled_mrows_per_s", unrolled_i32)
       .Set("simd_mrows_per_s", simd_i32)
       .Set("speedup", speedup)
-      .Set("predicated_beats_branchy", wins)
+      .Set("unrolled_beats_branchy", wins)
       .Set("simd_available", simd_active)
       .Set("simd_vs_unrolled", simd_vs_unrolled)
       .Set("three_way_single_mrows_per_s", single_default)
-      .Set("three_way_twopass_mrows_per_s", twopass_unrolled)
+      .Set("three_way_twopass_mrows_per_s", twopass_default)
       .Set("three_way_speedup", three_way_speedup)
       // Robustness PR acceptance: disarmed failpoint gates must cost <= 2%
       // of cracked-query time (compare_bench.py holds the bound).
       .Set("failpoint_gate_ns", gate_ns)
       .Set("failpoint_overhead_pct", failpoint_overhead_pct)
       .Set("note", note);
-  std::cout << "\nheadline: predicated/branchy speedup on int32 = " << speedup
-            << (wins ? " (predicated wins)" : " — see note in JSON output")
+  std::cout << "\nheadline: unrolled/branchy speedup on int32 = " << speedup
+            << (wins ? " (unrolled wins)" : " — see note in JSON output")
             << "\nheadline: simd/unrolled crack-in-two on int32 = "
             << simd_vs_unrolled << (simd_active ? "" : " (scalar fallback)")
             << "\nheadline: single-pass/two-pass crack-in-three = "

@@ -118,8 +118,8 @@ struct SweepPoint {
   std::uint64_t checksum = 0;
 };
 
-SweepPoint RunSweep(ShardedDatabase& db,
-                    const std::vector<RangePredicate<std::int64_t>>& queries) {
+SweepPoint TimeQueries(ShardedDatabase& db,
+                       const std::vector<RangePredicate<std::int64_t>>& queries) {
   SweepPoint point;
   WallTimer timer;
   for (const auto& pred : queries) {
@@ -156,7 +156,7 @@ int main(int argc, char** argv) {
                            &pool);
     std::vector<RangePredicate<std::int64_t>> warm_queries(
         queries.begin(), queries.begin() + std::min<std::size_t>(q, 32));
-    (void)RunSweep(*warm, warm_queries);
+    (void)TimeQueries(*warm, warm_queries);
   }
   std::uint64_t reference_checksum = 0;
   double range_qps_1 = 0.0;
@@ -167,7 +167,7 @@ int main(int argc, char** argv) {
     for (const std::size_t shards : {std::size_t{1}, std::size_t{2},
                                      std::size_t{4}, std::size_t{8}}) {
       auto db = BuildStore(kind, shards, n, &pool);
-      const SweepPoint point = RunSweep(*db, queries);
+      const SweepPoint point = TimeQueries(*db, queries);
       if (reference_checksum == 0) reference_checksum = point.checksum;
       Require(point.checksum == reference_checksum, "checksum mismatch");
       std::printf("%8.*s %8zu %14.0f %16llu\n",
@@ -211,7 +211,7 @@ int main(int argc, char** argv) {
         .Set("cuts_carried", report.value().cuts_carried)
         .Set("bundles", report.value().bundles);
     // The moved range must answer identically from its new home.
-    const SweepPoint after = RunSweep(db, queries);
+    const SweepPoint after = TimeQueries(db, queries);
     Require(after.checksum == reference_checksum, "post-rebalance checksum");
   }
 

@@ -1,7 +1,9 @@
-// The pre-single-pass crack-in-three: crack on lo_cut, then re-crack the
-// upper remainder on hi_cut. Not a product kernel — crack_kernel_test
-// oracles the single-pass CrackInThree against it, and bench_e12's
-// three_way section measures what retiring it bought.
+// Crack-in-three as two crack-in-two passes: crack on lo_cut, then re-crack
+// the upper remainder on hi_cut — for any payload, values-only included.
+// CrackInThree takes this form itself only for tandem cracks; values-only
+// ones make a single pass. crack_kernel_test oracles CrackInThree against
+// it, and bench_e12's three_way section measures the values-only single
+// pass against it at the same kernel.
 #pragma once
 
 #include <span>

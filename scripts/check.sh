@@ -43,10 +43,12 @@
 # on exit), every test repeated until it fails or passes ten times — the
 # preemption that exposes quiescence and ordering races.
 #
-# scripts/check.sh --surface builds nothing and prints two size counts of
-# the library: the lines under src/, and its settable option fields —
-# every data member with a default initializer declared directly in a
-# struct named *Options, Options or StrategyConfig under src/.
+# scripts/check.sh --surface builds nothing and prints three size counts of
+# the library: the lines under src/; its settable option fields — every
+# data member with a default initializer declared directly in a struct
+# named *Options, Options or StrategyConfig under src/; and its env
+# switches — the distinct names passed as string literals to getenv()
+# under src/. CI prints them after the tests; they are not a gate.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -73,6 +75,9 @@ if [[ "${1:-}" == "--surface" ]]; then
     }
     END { print n + 0 }' $files)
   echo "settable option fields: $fields"
+  # shellcheck disable=SC2086
+  envs=$(grep -ohE 'getenv\("[^"]+"\)' $files | sort -u | wc -l)
+  echo "env switches: $envs"
   exit 0
 fi
 

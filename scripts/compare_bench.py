@@ -38,7 +38,6 @@ import sys
 HEADLINE_REQUIREMENTS = {
     "e12_crack_kernels": [
         ("headline", "branchy_mrows_per_s", "positive"),
-        ("headline", "predicated_mrows_per_s", "positive"),
         ("headline", "speedup", "positive"),
         # PR 8 headlines. Positivity only: on hosts without AVX2/NEON the
         # kSimd rows run the scalar blocked classifier, so ratios near 1.0
@@ -51,7 +50,7 @@ HEADLINE_REQUIREMENTS = {
         ("headline", "three_way_speedup", "positive"),
         ("headline", "simd_available", "bool"),
         ("headline", "note", "string"),
-        # The single-pass vs two-pass matrix and the autotuner's decision
+        # The single-pass vs two-pass matrix and the kernel rule in force
         # must be on record with every archived run.
         ("three_way", "mrows_per_s", "positive"),
         ("calibration", "kernel_w4", "string"),

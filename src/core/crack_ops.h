@@ -12,7 +12,7 @@
 // ## Kernels
 //
 // Every strategy in this repo bottoms out in these partitioning loops, so
-// their inner-loop shape *is* the system's hot path. Four interchangeable
+// their inner-loop shape *is* the system's hot path. Three interchangeable
 // kernels implement the same multiset-partition contract (identical split
 // points; element order within a side is unspecified, as everywhere in a
 // cracked column):
@@ -25,21 +25,15 @@
 //                       2014, "Database cracking: fancy scan, not poor
 //                       man's sort!").
 //
-//   kPredicated         Branch-free "hole passing": one value rides in a
-//                       register, each step writes it to the side chosen by
-//                       the comparison *result* (cursor arithmetic /
-//                       cmov-style selects, no control dependency) and
-//                       refills the register from the slot it opened.
-//                       Exactly one store and two loads per element,
-//                       tandem-payload capable, zero mispredicts.
-//
-//   kPredicatedUnrolled The same idea restructured around fixed-size
-//                       blocks (BlockQuicksort-style): a tight, manually
-//                       unrolled compare loop classifies a 64-element block
-//                       into a flag buffer (the loop autovectorizes — no
-//                       stores depend on the comparisons), a branch-free
+//   kPredicatedUnrolled Branch-free partitioning around fixed-size blocks
+//                       (BlockQuicksort-style): a tight, manually unrolled
+//                       compare loop classifies a 64-element block into a
+//                       flag buffer (the loop autovectorizes — no stores
+//                       depend on the comparisons), a branch-free
 //                       compaction turns flags into misplaced-element
 //                       offsets, and misplaced pairs are swapped wholesale.
+//                       The sub-block remainder finishes with branch-free
+//                       "hole passing" (CrackInTwoPredicatedImpl).
 //
 //   kSimd               Explicit intrinsics, two shapes. Value-only cracks
 //                       (AVX2) partition each vector *in registers*:
@@ -57,20 +51,17 @@
 //                       runtime cpuid check (SimdKernelAvailable) falls
 //                       back to kPredicatedUnrolled on hosts without AVX2.
 //
-//   kAuto               Not a kernel: resolves to the host-calibrated
-//                       kernel for the element width at the dispatch point
-//                       (src/core/kernel_autotune.h). This is the
-//                       repo-wide default; with calibration disabled
-//                       (AIDX_CALIBRATE=0) it resolves to
-//                       kPredicatedUnrolled.
+//   kAuto               Not a kernel, and the repo-wide default: a fixed
+//                       rule (ResolveCrackKernel) picks kSimd when
+//                       SimdKernelAvailable() and kPredicatedUnrolled
+//                       otherwise, for every element width and payload.
+//                       No timing decides it, so a committed number
+//                       reproduces on any host with the same ISA.
 //
-// Dispatch is piece-size aware: below a threshold the branchy sweep wins
-// (predication's fixed per-element cost and the blocked kernel's setup lose
-// to a handful of cheap, mostly-predictable branches), so the non-branchy
-// kernels silently fall back on tiny pieces. The threshold defaults to the
-// calibrated value (kPredicationMinPiece before/without calibration); the
-// min_piece parameter pins it per call, which only the calibration sweep
-// and tests do. bench_e12 measures the crossover.
+// Dispatch is piece-size aware: every piece smaller than kCrackMinPiece is
+// cracked by the branchy sweep, whatever the kernel (the blocked kernels'
+// setup loses to a handful of cheap, mostly-predictable branches there).
+// bench_e12's piece_sweep section measures the crossover.
 #pragma once
 
 #include <algorithm>
@@ -92,21 +83,18 @@ namespace aidx {
 /// it for every strategy (StrategyConfig::crack_kernel).
 enum class CrackKernel : char {
   kBranchy,             // Hoare sweep, data-dependent branches (the classic)
-  kPredicated,          // branch-free hole passing, cmov-style selects
   kPredicatedUnrolled,  // blocked + unrolled, autovectorizable compare loop
   kSimd,                // blocked + explicit AVX2/NEON classify, LUT compact
-  kAuto,                // resolve via the startup calibration sweep
+  kAuto,                // resolve by the fixed rule (ResolveCrackKernel)
 };
 
-/// Number of concrete (measurable) kernels; kAuto resolves to one of these.
-inline constexpr std::size_t kNumCrackKernels = 4;
+/// Number of concrete kernels; kAuto resolves to one of these.
+inline constexpr std::size_t kNumCrackKernels = 3;
 
 inline const char* CrackKernelName(CrackKernel kernel) {
   switch (kernel) {
     case CrackKernel::kBranchy:
       return "branchy";
-    case CrackKernel::kPredicated:
-      return "predicated";
     case CrackKernel::kPredicatedUnrolled:
       return "unrolled";
     case CrackKernel::kSimd:
@@ -126,8 +114,6 @@ inline const char* CrackKernelSuffix(CrackKernel kernel) {
   switch (kernel) {
     case CrackKernel::kBranchy:
       return "+branchy";
-    case CrackKernel::kPredicated:
-      return "+pred";
     case CrackKernel::kPredicatedUnrolled:
       return "+vec";
     case CrackKernel::kSimd:
@@ -138,25 +124,23 @@ inline const char* CrackKernelSuffix(CrackKernel kernel) {
   return "?";
 }
 
-/// Compiled-in fallback for the piece-size dispatch threshold: pieces
-/// smaller than this are cracked with the branchy kernel when no calibrated
-/// value is available (calibration disabled or not yet run) and the caller
-/// did not pin one. Value chosen from the bench_e12 piece-size sweep on the
-/// dev box; kernel_autotune re-derives it per host.
-inline constexpr std::size_t kPredicationMinPiece = 128;
+/// Pieces smaller than this are cracked by the branchy sweep, whatever the
+/// kernel. 32 is the threshold a per-host timing sweep of branchy against
+/// the fastest kernel chose on every AVX2 run it was measured on, for
+/// 4-byte and 8-byte values alike; a fixed value keeps a piece's split
+/// independent of anything measured at run time.
+inline constexpr std::size_t kCrackMinPiece = 32;
 
-/// Resolves kAuto to the host-calibrated kernel for `value_width`-byte
-/// elements (identity for concrete kernels). Defined in kernel_autotune.cc;
-/// the first kAuto resolution triggers the calibration sweep (cached
-/// process-wide).
-CrackKernel ResolveCrackKernel(CrackKernel kernel, std::size_t value_width);
-
-/// The piece-size threshold below which non-branchy kernels fall back to
-/// branchy, for `value_width`-byte elements: the calibrated value once the
-/// sweep has run, kPredicationMinPiece otherwise. Never triggers
-/// calibration itself (explicit-kernel callers shouldn't pay for a sweep).
-/// Defined in kernel_autotune.cc.
-std::size_t DefaultCrackMinPiece(std::size_t value_width);
+/// Resolves kAuto by the fixed rule: kSimd when the host has a usable
+/// vector ISA, kPredicatedUnrolled otherwise. Identity for concrete
+/// kernels. The width argument is ignored (the rule is the same for every
+/// width); it remains only because engine_bench passes one.
+inline CrackKernel ResolveCrackKernel(CrackKernel kernel,
+                                      [[maybe_unused]] std::size_t value_width = 0) {
+  if (kernel != CrackKernel::kAuto) return kernel;
+  return internal::SimdKernelAvailable() ? CrackKernel::kSimd
+                                         : CrackKernel::kPredicatedUnrolled;
+}
 
 /// Result of a three-way crack: [0, lower_end) | [lower_end, middle_end) |
 /// [middle_end, n).
@@ -232,12 +216,13 @@ std::size_t CrackInTwoBranchyImpl(T* values, Payload* payloads, std::size_t n,
   return l;
 }
 
-/// Branch-free hole passing. Invariant at the loop head: [0, l) is below,
-/// [r, n) is not-below, values[l] is a hole (its content is junk), and the
-/// register value v is the one outstanding element awaiting placement; the
-/// active window holds r - l elements (v plus values[l+1, r)). Each step
-/// places v on the side its comparison selects and refills the register
-/// from the end that shrank.
+/// Branch-free hole passing: the blocked kernels' finish for the window
+/// left after their last whole block pair. Invariant at the loop head:
+/// [0, l) is below, [r, n) is not-below, values[l] is a hole (its content
+/// is junk), and the register value v is the one outstanding element
+/// awaiting placement; the active window holds r - l elements (v plus
+/// values[l+1, r)). Each step places v on the side its comparison selects
+/// and refills the register from the end that shrank.
 ///
 /// Two deliberate shapes keep this fast:
 ///  * selects are spelled as mask arithmetic (BranchlessSelect), because a
@@ -732,7 +717,7 @@ struct SimdClassifier {
 /// 64-value block per side, swap the misplaced pairs wholesale, retire
 /// whichever block came out clean. The remainder (< 2 blocks, plus at most
 /// one partially consumed block whose classification we discard — cheaper
-/// to rescan than to splice) finishes with the scalar predicated kernel.
+/// to rescan than to splice) finishes with scalar hole passing.
 /// The classify/compact step is pluggable (scalar flags vs SIMD mask+LUT).
 template <bool kTandem, ColumnValue T, typename Payload, typename BelowFn,
           typename Classifier>
@@ -819,25 +804,14 @@ std::size_t CrackInTwoSimdValuesOnly(T* values, std::size_t n,
 /// must already be concrete (kAuto resolved by the public entry points).
 template <ColumnValue T, typename Payload, CutKind kKind>
 std::size_t CrackInTwoWithBelow(std::span<T> values, std::span<Payload> payloads,
-                                BelowPivot<T, kKind> below, CrackKernel kernel,
-                                std::size_t min_piece) {
+                                BelowPivot<T, kKind> below, CrackKernel kernel) {
   T* v = values.data();
   const std::size_t n = values.size();
-  if (kernel != CrackKernel::kBranchy) {
-    if (min_piece == 0) min_piece = DefaultCrackMinPiece(sizeof(T));
-    if (n < min_piece) kernel = CrackKernel::kBranchy;
-  }
-  if (kernel == CrackKernel::kBranchy) {
+  if (n < kCrackMinPiece || kernel == CrackKernel::kBranchy) {
     return payloads.empty()
                ? CrackInTwoBranchyImpl<false>(v, static_cast<Payload*>(nullptr), n,
                                               below)
                : CrackInTwoBranchyImpl<true>(v, payloads.data(), n, below);
-  }
-  if (kernel == CrackKernel::kPredicated) {
-    return payloads.empty()
-               ? CrackInTwoPredicatedImpl<false>(v, static_cast<Payload*>(nullptr),
-                                                 n, below)
-               : CrackInTwoPredicatedImpl<true>(v, payloads.data(), n, below);
   }
   if (kernel == CrackKernel::kSimd && SimdKernelAvailable()) {
 #if defined(AIDX_SIMD_AVX2)
@@ -861,7 +835,7 @@ std::size_t CrackInTwoWithBelow(std::span<T> values, std::span<Payload> payloads
                                            classifier);
 }
 
-/// Single-pass predicated crack-in-three: one left-to-right sweep with two
+/// Single-pass values-only crack-in-three: one left-to-right sweep with two
 /// boundary cursors. Invariant at the loop head: [0, a) is region A,
 /// [a, b) region B, [b, m) region C. Each step classifies v = values[m]
 /// once against both cuts and rotates the three boundary slots branch-free:
@@ -870,15 +844,15 @@ std::size_t CrackInTwoWithBelow(std::span<T> values, std::span<Payload> payloads
 /// destination write happens last, so it wins every aliasing case (a == b,
 /// b == m, a == b == m). ~3 loads + 3 stores per element, all from
 /// addresses known at iteration start (off the critical path), zero
-/// mispredicts — versus two full passes for the 2-way decomposition.
+/// mispredicts — versus two full passes for the 2-way decomposition. With
+/// a payload in tandem the rotation loses to two crack-in-two passes at the
+/// same kernel, so CrackInThree takes those instead.
 ///
 /// The trailing cursors let a caller resume the sweep mid-array: the SIMD
 /// block kernel processes whole blocks and hands the sub-block tail here
 /// with its (a, b, m) state, which is exactly this loop's invariant.
-template <bool kTandem, ColumnValue T, typename Payload, CutKind kLoKind,
-          CutKind kHiKind>
-ThreeWaySplit CrackInThreeSinglePassImpl(T* values, Payload* payloads,
-                                         std::size_t n,
+template <ColumnValue T, CutKind kLoKind, CutKind kHiKind>
+ThreeWaySplit CrackInThreeSinglePassImpl(T* values, std::size_t n,
                                          BelowPivot<T, kLoKind> below_lo,
                                          BelowPivot<T, kHiKind> below_hi,
                                          std::size_t a = 0, std::size_t b = 0,
@@ -894,14 +868,6 @@ ThreeWaySplit CrackInThreeSinglePassImpl(T* values, Payload* payloads,
     const std::size_t dst =
         BranchlessSelect(is_a, a, BranchlessSelect(is_ab, b, m));
     values[dst] = v;
-    if constexpr (kTandem) {
-      const Payload pv = payloads[m];
-      const Payload pt_a = payloads[a];
-      const Payload pt_b = payloads[b];
-      payloads[m] = BranchlessSelect(is_ab, pt_b, pv);
-      payloads[b] = BranchlessSelect(is_a, pt_a, pt_b);
-      payloads[dst] = pv;
-    }
     a += static_cast<std::size_t>(is_a);
     b += static_cast<std::size_t>(is_ab);
   }
@@ -971,36 +937,27 @@ ThreeWaySplit CrackInThreeSimdValuesOnly(T* values, std::size_t n,
     AIDX_DCHECK(b == z);
     m = main;
   }
-  return CrackInThreeSinglePassImpl<false, T, row_id_t>(
-      values, nullptr, n, below_lo, below_hi, a, b, m);
+  return CrackInThreeSinglePassImpl(values, n, below_lo, below_hi, a, b, m);
 }
 
 #endif  // AIDX_SIMD_AVX2
 
 /// Expands the runtime cut kinds into the four static combinations the
-/// single-pass kernels are compiled for, and picks the block-SIMD or scalar
-/// sweep. `kernel` must already be concrete.
-template <ColumnValue T, typename Payload>
-ThreeWaySplit CrackInThreeSinglePass(std::span<T> values,
-                                     std::span<Payload> payloads,
-                                     const Cut<T>& lo_cut,
+/// single-pass values-only kernels are compiled for, and picks the
+/// block-SIMD or scalar sweep. `kernel` must already be concrete.
+template <ColumnValue T>
+ThreeWaySplit CrackInThreeSinglePass(std::span<T> values, const Cut<T>& lo_cut,
                                      const Cut<T>& hi_cut,
                                      [[maybe_unused]] CrackKernel kernel) {
   const auto run = [&](auto below_lo, auto below_hi) {
-    if (!payloads.empty()) {
-      return CrackInThreeSinglePassImpl<true>(values.data(), payloads.data(),
-                                              values.size(), below_lo,
-                                              below_hi);
-    }
 #if defined(AIDX_SIMD_AVX2)
     if (kernel == CrackKernel::kSimd && SimdKernelAvailable()) {
       return CrackInThreeSimdValuesOnly(values.data(), values.size(), below_lo,
                                         below_hi);
     }
 #endif
-    return CrackInThreeSinglePassImpl<false>(values.data(),
-                                             static_cast<Payload*>(nullptr),
-                                             values.size(), below_lo, below_hi);
+    return CrackInThreeSinglePassImpl(values.data(), values.size(), below_lo,
+                                      below_hi);
   };
   if (lo_cut.kind == CutKind::kLess) {
     if (hi_cut.kind == CutKind::kLess) {
@@ -1022,10 +979,9 @@ ThreeWaySplit CrackInThreeSinglePass(std::span<T> values,
 
 /// Partitions `values` (and `row_ids` in tandem when non-empty) around `cut`
 /// using `kernel` (see the kernel table in the file comment). kAuto resolves
-/// to the host-calibrated kernel here — this is the single point of truth,
-/// so every strategy wrapper can pass kAuto through unchanged. Pieces
-/// smaller than `min_piece` (0 = the calibrated process default) fall back
-/// to the branchy sweep.
+/// by the fixed rule here — this is the single point of truth, so every
+/// strategy wrapper can pass kAuto through unchanged. Pieces smaller than
+/// kCrackMinPiece take the branchy sweep.
 ///
 /// Returns the split point m such that Below(cut) holds exactly for
 /// [0, m) and fails for [m, n). O(n), no allocation. All kernels preserve
@@ -1034,24 +990,24 @@ ThreeWaySplit CrackInThreeSinglePass(std::span<T> values,
 template <ColumnValue T, typename Payload = row_id_t>
 std::size_t CrackInTwo(std::span<T> values, std::span<Payload> row_ids,
                        const Cut<T>& cut,
-                       CrackKernel kernel = CrackKernel::kAuto,
-                       std::size_t min_piece = 0) {
+                       CrackKernel kernel = CrackKernel::kAuto) {
   AIDX_DCHECK(row_ids.empty() || row_ids.size() == values.size());
-  if (kernel == CrackKernel::kAuto) kernel = ResolveCrackKernel(kernel, sizeof(T));
+  kernel = ResolveCrackKernel(kernel);
   if (cut.kind == CutKind::kLess) {
     return internal::CrackInTwoWithBelow(
         values, row_ids, internal::BelowPivot<T, CutKind::kLess>{cut.value},
-        kernel, min_piece);
+        kernel);
   }
   return internal::CrackInTwoWithBelow(
       values, row_ids, internal::BelowPivot<T, CutKind::kLessEq>{cut.value},
-      kernel, min_piece);
+      kernel);
 }
 
-/// Element visits a CrackInThree over n values performs. Every kernel now
-/// makes a single pass (branchy via the DNF sweep, the predicated family
-/// via the single-pass two-cursor kernel), so this is simply n; it stays a
-/// named function so the values_touched accounting has one definition.
+/// What a CrackInThree over an n-value piece adds to values_touched: n, one
+/// visit per value. That is exact for the branchy sweep and the values-only
+/// single pass; a tandem crack's second CrackInTwo pass re-reads the upper
+/// remainder, which this count leaves out so the figure does not depend on
+/// whether the piece carries row ids.
 inline std::size_t CrackInThreeValuesTouched(std::size_t n) { return n; }
 
 /// Partitions into three regions (kernel-selectable):
@@ -1060,26 +1016,28 @@ inline std::size_t CrackInThreeValuesTouched(std::size_t n) { return n; }
 ///   region C: !Below(hi_cut)
 ///
 /// Requires lo_cut <= hi_cut (so A and C cannot overlap). The branchy
-/// kernel is the classic one-pass Dutch-national-flag sweep; the predicated
-/// family uses the single-pass two-cursor kernel (one sweep, branch-free,
-/// ~1 pass of memory traffic — bench_e12's three_way section measures it
-/// against the old two-pass decomposition, bench/crack_two_pass.h).
+/// kernel, and any piece below kCrackMinPiece, takes the classic one-pass
+/// Dutch-national-flag sweep. Otherwise a values-only crack makes one
+/// branch-free two-cursor pass (bench_e12's three_way section measures it
+/// against two passes, bench/crack_two_pass.h), and a crack with row ids in
+/// tandem makes two CrackInTwo passes: lo_cut over the piece, then hi_cut
+/// over the part above it.
 template <ColumnValue T, typename Payload = row_id_t>
 ThreeWaySplit CrackInThree(std::span<T> values, std::span<Payload> row_ids,
                            const Cut<T>& lo_cut, const Cut<T>& hi_cut,
-                           CrackKernel kernel = CrackKernel::kAuto,
-                           std::size_t min_piece = 0) {
+                           CrackKernel kernel = CrackKernel::kAuto) {
   AIDX_DCHECK(!(hi_cut < lo_cut));
   AIDX_DCHECK(row_ids.empty() || row_ids.size() == values.size());
-  if (kernel == CrackKernel::kAuto) kernel = ResolveCrackKernel(kernel, sizeof(T));
-  if (kernel != CrackKernel::kBranchy) {
-    if (min_piece == 0) min_piece = DefaultCrackMinPiece(sizeof(T));
-    if (values.size() >= min_piece) {
-      return internal::CrackInThreeSinglePass(values, row_ids, lo_cut, hi_cut,
-                                              kernel);
-    }
-  }
+  kernel = ResolveCrackKernel(kernel);
   const bool tandem = !row_ids.empty();
+  if (kernel != CrackKernel::kBranchy && values.size() >= kCrackMinPiece) {
+    if (!tandem) {
+      return internal::CrackInThreeSinglePass(values, lo_cut, hi_cut, kernel);
+    }
+    const std::size_t lower = CrackInTwo(values, row_ids, lo_cut, kernel);
+    return {lower, lower + CrackInTwo(values.subspan(lower),
+                                      row_ids.subspan(lower), hi_cut, kernel)};
+  }
   std::size_t a = 0;                // next slot of region A
   std::size_t m = 0;                // cursor
   std::size_t z = values.size();    // first slot of region C

@@ -62,7 +62,8 @@ struct CrackerColumnOptions {
   std::uint64_t stochastic_seed = 0x5DEECE66DULL;
   /// Partitioning kernel used by every crack this column performs (see
   /// core/crack_ops.h; tiny pieces always fall back to the branchy sweep).
-  /// kAuto resolves to the host-calibrated kernel at the dispatch point.
+  /// kAuto resolves by the fixed rule (ResolveCrackKernel) at the
+  /// dispatch point.
   CrackKernel kernel = CrackKernel::kAuto;
 };
 

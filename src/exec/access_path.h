@@ -90,8 +90,9 @@ struct StrategyConfig {
   // Partitioning kernel for every crack the strategy performs (crack /
   // stochastic / hybrid / parallel-crack; core/crack_ops.h). One switch
   // flips the innermost loops under all cracked structures. The kAuto
-  // default resolves to the host-calibrated kernel at the dispatch point
-  // (core/kernel_autotune.h); pin a concrete kernel for differentials.
+  // default resolves by a fixed rule at the dispatch point (kSimd with
+  // AVX2/NEON, kPredicatedUnrolled without; ResolveCrackKernel); pin a
+  // concrete kernel to override it, e.g. for differentials.
   CrackKernel crack_kernel = CrackKernel::kAuto;
   // kParallelCrack piece-latch table capacity per partition (clamped to
   // [1, 64]; docs/CONCURRENCY.md §4), and the buffered-write count that
@@ -131,7 +132,7 @@ struct StrategyConfig {
   }
 
   /// Short display name used in figures and reports ("crack", "HCS", ...).
-  /// Kernel-variant strategies carry a "+pred"/"+vec" suffix so figures —
+  /// Kernel-variant strategies carry a "+branchy"/"+vec"/"+simd" suffix so figures —
   /// and anything keyed on the name — can never alias kernel variants
   /// (the Database cache keys on the full config regardless).
   std::string DisplayName() const {

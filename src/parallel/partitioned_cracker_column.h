@@ -451,7 +451,8 @@ class PartitionedCrackerColumn {
   /// Sum of all partitions' update-pipeline counters, including writes
   /// still buffered in the striped write buckets (queue-side counters live
   /// in shard atomics; merge-side counters live in the inner columns, and
-  /// adopting a bucket tuple into a pending store never re-counts it).
+  /// adopting a bucket tuple into a pending store never re-counts it: a
+  /// delete that cancels an adopted insert moves from queued to cancelled).
   /// Thread-safe: the inner counters change only under `structural`
   /// exclusive, so a shared hold reads them.
   UpdateStats AggregatedUpdateStats() const {
@@ -1380,7 +1381,11 @@ class PartitionedCrackerColumn {
     for (WriteBucket& bucket : shard.write_buckets) {
       const std::lock_guard<std::mutex> bl(bucket.mu);
       for (const StripedPendingTuple& t : bucket.deletes) {
-        shard.column.AdoptPendingDeleteValue(t.value);
+        // A delete that cancels an adopted insert counts once, as
+        // cancelled (the inner column counts it), not also as queued.
+        if (shard.column.AdoptPendingDeleteValue(t.value)) {
+          shard.striped_deletes_queued.fetch_sub(1, std::memory_order_relaxed);
+        }
       }
       drained += bucket.deletes.size();
       bucket.deletes.clear();

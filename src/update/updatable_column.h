@@ -257,13 +257,17 @@ class UpdatableCrackerColumn : public CrackerColumn<T> {
 
   /// Adopts a value-addressed delete that was already counted as queued by
   /// an outer buffer. Cancels a matching pending insert when one exists
-  /// (counted as a cancellation — the claimed tuple never reaches the
-  /// array), otherwise queues the delete without re-counting it. The outer
-  /// buffer verified a live occurrence at enqueue time.
-  void AdoptPendingDeleteValue(T value) {
-    if (!CancelPendingInsert([&](const PendingTuple& t) { return t.value == value; })) {
-      pending_deletes_.push_back({value, kPendingNoRid});
+  /// (counted here as a cancellation — the claimed tuple never reaches the
+  /// array) and returns true, so the outer buffer takes the delete off its
+  /// queued count; otherwise queues the delete without re-counting it and
+  /// returns false. The outer buffer verified a live occurrence at enqueue
+  /// time.
+  bool AdoptPendingDeleteValue(T value) {
+    if (CancelPendingInsert([&](const PendingTuple& t) { return t.value == value; })) {
+      return true;
     }
+    pending_deletes_.push_back({value, kPendingNoRid});
+    return false;
   }
 
   /// Merges up to `max_tuples` pending updates (oldest-first, deletes

@@ -29,7 +29,6 @@ namespace {
 
 constexpr CrackKernel kAllKernels[] = {
     CrackKernel::kBranchy,
-    CrackKernel::kPredicated,
     CrackKernel::kPredicatedUnrolled,
     CrackKernel::kSimd,
 };
@@ -38,7 +37,6 @@ constexpr CrackKernel kAllKernels[] = {
 // oracle. kSimd is always in the list: on hosts without AVX2/NEON it
 // resolves to the scalar blocked classifier, which must be just as exact.
 constexpr CrackKernel kVariantKernels[] = {
-    CrackKernel::kPredicated,
     CrackKernel::kPredicatedUnrolled,
     CrackKernel::kSimd,
 };
@@ -174,11 +172,11 @@ TYPED_TEST(CrackKernelTypedTest, CrackInThreeMatchesBranchyOracle) {
   }
 }
 
-// The single-pass crack-in-three must produce exactly the split points of
-// the two-pass decomposition it replaced, for every kernel, every cut-kind
-// combination, and duplicate-heavy data — with per-region multisets equal
-// (element order within a region is kernel-specific and not part of the
-// contract).
+// CrackInThree (one pass without a payload, two CrackInTwo passes with one)
+// must produce exactly the split points of the branchy two-pass
+// decomposition, for every kernel, every cut-kind combination, and
+// duplicate-heavy data — with per-region multisets equal (element order
+// within a region is kernel-specific and not part of the contract).
 TYPED_TEST(CrackKernelTypedTest, CrackInThreeMatchesTwoPassOracle) {
   using T = TypeParam;
   Rng rng(888);
@@ -493,7 +491,7 @@ TEST(CrackKernelStructuresTest, CrackerMapTandemTailUnderEveryKernel) {
 }
 
 // Ripple merges interleaved with kernel cracks: the update pipeline and the
-// predicated kernels manipulate the same arrays.
+// branch-free kernels manipulate the same arrays.
 TEST(CrackKernelStructuresTest, UpdatableColumnRippleWithKernels) {
   constexpr std::uint64_t kDomain = 1500;
   for (const MergePolicy policy :
@@ -554,15 +552,13 @@ TEST(CrackKernelNamingTest, DisplayNameDistinguishesKernelVariants) {
   // Non-cracking strategies keep their plain names under any kernel —
   // including the sort-only hybrid, whose segments never invoke a kernel.
   StrategyConfig scan = StrategyConfig::FullScan();
-  scan.crack_kernel = CrackKernel::kPredicated;
+  scan.crack_kernel = CrackKernel::kPredicatedUnrolled;
   EXPECT_EQ(scan.DisplayName(), "scan");
   StrategyConfig hss = StrategyConfig::Hybrid(OrganizeMode::kSort, OrganizeMode::kSort);
-  hss.crack_kernel = CrackKernel::kPredicated;
+  hss.crack_kernel = CrackKernel::kPredicatedUnrolled;
   EXPECT_EQ(hss.DisplayName(), "HSS");
 
   StrategyConfig crack = StrategyConfig::Crack();
-  crack.crack_kernel = CrackKernel::kPredicated;
-  EXPECT_EQ(crack.DisplayName(), "crack+pred");
   crack.crack_kernel = CrackKernel::kPredicatedUnrolled;
   EXPECT_EQ(crack.DisplayName(), "crack+vec");
 }

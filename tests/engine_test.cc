@@ -267,8 +267,7 @@ TEST(DatabaseTest, CacheAndDisplayNameDistinguishKernelVariants) {
   ASSERT_TRUE(expect.ok());
   std::size_t paths = db.num_cached_paths();
   for (const CrackKernel kernel :
-       {CrackKernel::kBranchy, CrackKernel::kPredicated,
-        CrackKernel::kPredicatedUnrolled}) {
+       {CrackKernel::kBranchy, CrackKernel::kPredicatedUnrolled}) {
     StrategyConfig config = StrategyConfig::Crack();
     config.crack_kernel = kernel;
     auto count = db.Count({.table = "t",
@@ -282,8 +281,8 @@ TEST(DatabaseTest, CacheAndDisplayNameDistinguishKernelVariants) {
   }
   EXPECT_EQ(StrategyConfig::Crack().DisplayName(), "crack");
   StrategyConfig pred_config = StrategyConfig::Crack();
-  pred_config.crack_kernel = CrackKernel::kPredicated;
-  EXPECT_EQ(pred_config.DisplayName(), "crack+pred");
+  pred_config.crack_kernel = CrackKernel::kPredicatedUnrolled;
+  EXPECT_EQ(pred_config.DisplayName(), "crack+vec");
 }
 
 TEST(DatabaseTest, InsertAndDeleteKeepEveryCachedPathConsistent) {

@@ -415,6 +415,43 @@ TEST(StripedWriteTest, InsertThenDeleteCancelsInsideTheBucket) {
   EXPECT_TRUE(col.ValidatePieces());
 }
 
+// A delete whose insert was already drained from its bucket into the inner
+// pending store lands in a bucket itself and cancels that insert at the
+// next drain. It must count once (as cancelled), like the single-threaded
+// DeleteValue, and queued - merged must equal the pending deletes at every
+// quiescent point.
+TEST(StripedWriteTest, DeleteOfAnAdoptedInsertCountsOnce) {
+  const auto base = RandomValues<std::int64_t>(1000, 300, 109);
+  PartitionedCrackerColumn<std::int64_t> col(base, StripedWriteOptions(1));
+  const auto pending_inserts = [&] {
+    const UpdateStats s = col.AggregatedUpdateStats();
+    return s.inserts_queued - s.inserts_merged - s.deletes_cancelled;
+  };
+  const auto expect_delete_identity = [&](const char* where) {
+    const UpdateStats s = col.AggregatedUpdateStats();
+    EXPECT_EQ(s.deletes_queued - s.deletes_merged,
+              col.pending_update_count() - pending_inserts())
+        << where;
+  };
+  constexpr std::int64_t kValue = 9999;  // outside the base domain
+  col.Insert(kValue);
+  // A raw Select drains the buckets; its range misses the insert, so the
+  // ripple policy leaves it pending in the inner column.
+  (void)col.Select(RangePredicate<std::int64_t>::Between(0, 10));
+  EXPECT_EQ(col.pending_update_count(), 1u);
+  expect_delete_identity("after the drain");
+  ASSERT_TRUE(col.Delete(kValue));
+  expect_delete_identity("after the delete");
+  col.FlushPending();
+  const UpdateStats s = col.AggregatedUpdateStats();
+  EXPECT_EQ(s.deletes_queued + s.deletes_cancelled, 1u);
+  EXPECT_EQ(s.deletes_cancelled, 1u);
+  EXPECT_EQ(col.pending_update_count(), 0u);
+  expect_delete_identity("after the flush");
+  EXPECT_EQ(col.Count(RangePredicate<std::int64_t>::AtLeast(kValue)), 0u);
+  EXPECT_EQ(col.size(), base.size());
+}
+
 TEST(StripedWriteTest, DeleteClaimsAreExactAcrossDuplicates) {
   // Three live copies of one value spread across base + buffer: exactly
   // three deletes may succeed, the fourth must miss.
