@@ -40,7 +40,7 @@
 
 #include "bench_common.h"
 #include "exec/access_path.h"
-#include "exec/serialized_path.h"
+#include "serialized_path.h"
 #include "workload/data_generator.h"
 #include "workload/query_generator.h"
 #include "workload/report.h"

@@ -2,11 +2,12 @@
 //
 // Concurrency control for adaptive indexing is one of the tutorial's *open
 // research topics* (§2, "Open Topics"): every query is also a write, so
-// classic shared-read locking does not apply. This wrapper provides the
-// baseline any real solution must beat — one exclusive latch serializing
-// all queries — making any AccessPath safe to share across threads without
-// changing its adaptive behaviour. DESIGN.md §6 records the finer-grained
-// schemes (piece-level latching, lock-free cracking) as out of scope.
+// classic shared-read locking does not apply. This wrapper is the baseline
+// any real solution must beat — one exclusive latch serializing all
+// queries — making any AccessPath safe to share across threads without
+// changing its adaptive behaviour. It stays outside the library:
+// bench_e11 measures the piece-latched parallel column against it, and
+// integration_test checks that it keeps a crack path exact under threads.
 #pragma once
 
 #include <memory>

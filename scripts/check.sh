@@ -43,12 +43,13 @@
 # on exit), every test repeated until it fails or passes ten times — the
 # preemption that exposes quiescence and ordering races.
 #
-# scripts/check.sh --surface builds nothing and prints three size counts of
+# scripts/check.sh --surface builds nothing and prints four size counts of
 # the library: the lines under src/; its settable option fields — every
 # data member with a default initializer declared directly in a struct
-# named *Options, Options or StrategyConfig under src/; and its env
-# switches — the distinct names passed as string literals to getenv()
-# under src/. CI prints them after the tests; they are not a gate.
+# named *Options, Options or StrategyConfig under src/; its env switches —
+# the distinct names passed as string literals to getenv() under src/;
+# and the longest file under src/ with its line count. CI prints them
+# after the tests; they are not a gate.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -78,6 +79,9 @@ if [[ "${1:-}" == "--surface" ]]; then
   # shellcheck disable=SC2086
   envs=$(grep -ohE 'getenv\("[^"]+"\)' $files | sort -u | wc -l)
   echo "env switches: $envs"
+  # shellcheck disable=SC2086
+  wc -l $files | grep -v ' total$' | sort -n | tail -n 1 |
+    awk '{ print "longest file: " $2 " (" $1 " lines)" }'
   exit 0
 fi
 

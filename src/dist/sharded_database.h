@@ -135,7 +135,10 @@ class ShardedDatabase {
   Status InsertBatch(std::string_view table, std::span<const std::int64_t> rows);
 
   /// Deletes at most one row whose `column` equals `value`, probing the
-  /// candidate shards in shard order. ok(false) when none matched.
+  /// candidate shards in shard order; within a shard, the row with the
+  /// lowest row id goes (Database::Delete). Every duplicate of a routing
+  /// key lives on the shard the key routes to, so a delete on that key
+  /// removes its lowest-rid row there. ok(false) when none matched.
   Result<bool> Delete(std::string_view table, std::string_view column,
                       std::int64_t value);
 

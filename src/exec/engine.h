@@ -19,8 +19,8 @@
 // already resolved, never another table's.
 //
 // DML is **row-atomic**: Insert/InsertBatch take whole rows (one value per
-// column, column_names() order), Delete removes the first base row whose
-// key column matches, and each row mutation applies to *all* of the
+// column, column_names() order), Delete removes the matching row with the
+// lowest row id, and each row mutation applies to *all* of the
 // table's columns, cached access paths, and sideways cracker maps, or to
 // none of them. One row id is allocated per row (storage/table.h) and
 // shared by every structure. The partial-failure contract: every fallible
@@ -43,11 +43,10 @@
 // the new maps still do not fit; Stats() sums the same bytes at the call.
 //
 // The type is move-only and not thread-safe: callers wanting concurrency
-// wrap paths in SerializedAccessPath (exec/serialized_path.h), shard by
-// column, or use StrategyKind::kParallelCrack, whose access path latches
-// internally at partition granularity (docs/CONCURRENCY.md) — though the
-// Database facade itself (catalog and path cache) must still be
-// externally serialized.
+// serialize their calls behind one latch, shard by column, or use
+// StrategyKind::kParallelCrack, whose access path latches internally at
+// piece granularity (docs/CONCURRENCY.md) — though the Database facade
+// itself (catalog and path cache) must still be externally serialized.
 //
 // The query surface is a single QueryRequest struct — table, column,
 // predicate, strategy, optional context, projection tails — with one
@@ -194,8 +193,9 @@ class Database {
   Status InsertBatch(std::string_view table,
                      std::span<const std::int64_t> rows);
 
-  /// Deletes the first base row (lowest position) whose `column` value
-  /// equals `value`, row-atomically across all columns, cached paths, and
+  /// Deletes the row with the lowest row id whose `column` value equals
+  /// `value` (rows keep row-id order in the base, so it is the first match
+  /// there), row-atomically across all columns, cached paths, and
   /// sideways maps. Returns ok(false) when no row matches — the table is
   /// untouched in that case.
   Result<bool> Delete(std::string_view table, std::string_view column,

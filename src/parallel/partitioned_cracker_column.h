@@ -16,9 +16,9 @@
 // latch policy around each partition's own crack walk (core/crack_walk.h).
 // Each partition carries a table of reader-writer stripe latches over
 // *position blocks* (a piece's stripe set is the hash of every block its
-// position range overlaps; the active stripe count grows with realized
-// cuts), a reader-writer `structural` latch, and a reader-writer latch on
-// the cracker index. A select takes shared latches on what it only reads and
+// position range overlaps; the table size is fixed at construction), a
+// reader-writer `structural` latch, and a reader-writer latch on the
+// cracker index. A select takes shared latches on what it only reads and
 // exclusive stripe latches on the (<= 2, plus stochastic pre-cracks)
 // pieces it cracks, so two selects into the same partition overlap
 // whenever they crack disjoint pieces. The full protocol, its acquisition
@@ -30,12 +30,12 @@
 // never owns it — one pool typically serves many columns. The base span is
 // copied at construction (same contract as CrackerColumn).
 //
-// Thread safety: Count, Sum, Materialize*, Insert, Delete, InsertBatch,
-// DeleteBatch, AggregatedStats, AggregatedUpdateStats, and ValidatePieces
-// are safe to call from any number of threads concurrently. Select (which
-// returns raw per-partition position ranges) is the exception: positions
-// are only stable while no other thread cracks the same partition, so it
-// is for externally synchronized use — tests, single-threaded tools.
+// Thread safety: Count, Sum, Insert, Delete, InsertBatch, DeleteBatch,
+// AggregatedStats, AggregatedUpdateStats, and ValidatePieces are safe to
+// call from any number of threads concurrently. Select (which returns raw
+// per-partition position ranges) is the exception: positions are only
+// stable while no other thread cracks the same partition, so it is for
+// externally synchronized use — tests, single-threaded tools.
 //
 // Writes route to the single partition owning their value (the splitter
 // table is immutable, so routing needs no latch). There they take
@@ -66,11 +66,9 @@
 #include <limits>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <shared_mutex>
 #include <span>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 #include "core/cut.h"
@@ -123,10 +121,9 @@ struct PartitionedCrackerOptions {
   /// Update-merge policy applied by every partition's update pipeline.
   MergePolicy merge_policy = MergePolicy::kRipple;
   std::size_t gradual_budget = 64;
-  /// Stripe-latch table capacity per partition, clamped to [1, 64]. More
-  /// stripes = fewer false conflicts between disjoint pieces, at a few
-  /// hundred bytes per partition. The table is allocated at this cap; the
-  /// *active* stripe count starts small and doubles with realized cuts.
+  /// Stripe-latch table size per partition, clamped to [1, 64] and fixed
+  /// at construction. More stripes = fewer false conflicts between
+  /// disjoint pieces, at a few hundred bytes per partition.
   std::size_t latch_stripes = 16;
   /// Buffered writes per shard that trigger a background merge on the
   /// borrowed pool (0 disables background merging; writes then merge on
@@ -348,45 +345,11 @@ class PartitionedCrackerColumn {
     return FanOut(pred, &ctx, &PartitionedCrackerColumn::SumShard);
   }
 
-  /// Appends matching values to `out`, grouped by ascending partition
-  /// (order within the result is unspecified, as for CrackerColumn whose
-  /// storage order is crack-dependent). Thread-safe: each partition's
-  /// positions are resolved and consumed under that partition's latches,
-  /// so concurrent cracks cannot invalidate them in between.
-  void MaterializeValues(const RangePredicate<T>& pred, std::vector<T>* out) {
-    if (pred.DefinitelyEmpty()) return;
-    const auto [first, last] = OverlapRange(pred);
-    std::vector<std::vector<T>> partial(last - first + 1);
-    ForEachOverlapping(first, last, [&](std::size_t p, std::size_t slot) {
-      MaterializeShardValues(*shards_[p], pred, &partial[slot]);
-    });
-    for (const auto& chunk : partial) {
-      out->insert(out->end(), chunk.begin(), chunk.end());
-    }
-  }
-
-  /// Appends the (global) row ids of matching values to `out`; same
-  /// grouping and thread-safety as MaterializeValues.
-  void MaterializeRowIds(const RangePredicate<T>& pred,
-                         std::vector<row_id_t>* out) {
-    AIDX_CHECK(options_.column_options.with_row_ids)
-        << "column built without row ids";
-    if (pred.DefinitelyEmpty()) return;
-    const auto [first, last] = OverlapRange(pred);
-    std::vector<std::vector<row_id_t>> partial(last - first + 1);
-    ForEachOverlapping(first, last, [&](std::size_t p, std::size_t slot) {
-      MaterializeShardRowIds(*shards_[p], pred, &partial[slot]);
-    });
-    for (const auto& chunk : partial) {
-      out->insert(out->end(), chunk.begin(), chunk.end());
-    }
-  }
-
   /// Fans the predicate out across the overlapping partitions and returns
   /// the per-partition CrackSelect results. NOT safe under concurrent
   /// queries: the returned positions are stable only until the next crack
-  /// of the same partition (see file comment). Prefer Count/Sum/
-  /// Materialize*, which resolve positions under the latches.
+  /// of the same partition (see file comment). Prefer Count/Sum, which
+  /// resolve positions under the latches.
   ParallelSelect Select(const RangePredicate<T>& pred) {
     ParallelSelect out;
     if (pred.DefinitelyEmpty()) return out;
@@ -558,7 +521,6 @@ class PartitionedCrackerColumn {
     WaitForInFlightMerges();
     for (const auto& shard : shards_) {
       WithShardExclusive(*shard, [&] {
-        MaybeGrowStripes(*shard);
         DrainStripedPending(*shard);
         shard->column.MergePendingFor(RangePredicate<T>::All());
         AIDX_DCHECK(shard->column.Validate());
@@ -622,17 +584,9 @@ class PartitionedCrackerColumn {
   /// still-pending ones). Thread-safe.
   std::size_t size() const { return live_size_.load(std::memory_order_relaxed); }
   std::size_t num_partitions() const { return shards_.size(); }
-  /// Stripe-latch table capacity per partition (the clamped latch_stripes
+  /// Stripe-latch table size per partition (the clamped latch_stripes
   /// option).
   std::size_t latch_stripes() const { return shards_.front()->stripes.size(); }
-  /// Partition p's *active* stripe count — how many of the allocated
-  /// stripes the block hash currently maps to. Starts small and doubles
-  /// with realized cuts up to the capacity. Thread-safe.
-  std::size_t active_stripes(std::size_t p) const {
-    AIDX_CHECK(p < shards_.size());
-    const std::shared_lock<std::shared_mutex> guard(shards_[p]->structural);
-    return shards_[p]->active_stripes;
-  }
   /// Partition p holds values v with splitters()[p-1] <= v < splitters()[p]
   /// (unbounded at the extremes). Immutable after construction.
   std::span<const T> splitters() const { return splitters_; }
@@ -694,9 +648,6 @@ class PartitionedCrackerColumn {
   /// in distinct blocks, while a huge early piece simply covers every
   /// stripe (equivalent to whole-partition exclusion — which it is).
   static constexpr std::size_t kStripeBlockShift = 8;
-  /// Initial active stripe count: a nearly uncracked shard has few pieces, so a few wide stripes conflict no more than many
-  /// narrow ones and cost fewer latch acquisitions per piece.
-  static constexpr std::size_t kInitialActiveStripes = 4;
   /// Splitters are equi-depth quantiles of a value sample this large.
   static constexpr std::size_t kSplitterSampleSize = 1024;
   /// Hard ceiling on chunked exclusive holds per background merge run, so
@@ -737,7 +688,6 @@ class PartitionedCrackerColumn {
         : stripes(std::clamp<std::size_t>(parent.latch_stripes, 1,
                                           kMaxLatchStripes)),
           write_buckets(stripes.size()),
-          active_stripes(std::min(kInitialActiveStripes, stripes.size())),
           index(self_index),
           column(std::move(values), std::move(row_ids),
                  typename UpdatableCrackerColumn<T>::Options{
@@ -754,7 +704,7 @@ class PartitionedCrackerColumn {
     // positions staying put and the arrays staying the same size, and by
     // striped writes (which mutate only the write buckets); exclusive by
     // everything that breaks those invariants — pending-update merges,
-    // bucket drains, stripe-count growth, and the wholesale slow path.
+    // bucket drains, and the wholesale slow path.
     mutable std::shared_mutex structural;
     // One reader-writer latch per stripe; a piece holds the stripes its
     // position blocks hash to — shared to read values, exclusive to
@@ -797,16 +747,6 @@ class PartitionedCrackerColumn {
     // foreground instead. Reset by FlushPending.
     std::atomic<bool> degraded{false};
     std::atomic<int> consecutive_submit_failures{0};
-
-    // -- Adaptive striping ---------------------------------------------------
-    // Guarded by `structural` (read shared, written exclusive). Growth only
-    // happens under structural exclusive, when no thread can hold a stripe
-    // latch, so the block -> stripe mapping never changes under a holder.
-    std::size_t active_stripes;
-    // Relaxed mirror of the index's cut count, stored at every shared-path
-    // cut registration and re-synced on every exclusive hold; lets the shared
-    // path decide cheaply whether growth is worth attempting.
-    std::atomic<std::size_t> realized_cuts{0};
 
     const std::size_t index;  // own partition number (for merge requests)
     UpdatableCrackerColumn<T> column;
@@ -879,23 +819,20 @@ class PartitionedCrackerColumn {
     bool exclusive_;
   };
 
-  /// Blocks hash into the *active* stripe prefix, not the full table. The
-  /// active count only changes under `structural` exclusive — when nobody
-  /// holds a stripe latch — so every latch set acquired under one
-  /// `structural` shared hold uses one consistent mapping (callers hold
-  /// `structural` whenever they call this).
+  /// Blocks hash into the whole stripe table, whose size is fixed at
+  /// construction, so the block -> stripe mapping never changes.
   static std::size_t StripeOf(const Shard& shard, std::size_t block) {
     return static_cast<std::size_t>((block * 0x9E3779B97F4A7C15ULL) %
-                                    shard.active_stripes);
+                                    shard.stripes.size());
   }
 
   /// Stripe mask covering the position range [begin, end): the hash of
-  /// every overlapped block, or all active stripes when the range spans at
-  /// least one block per stripe.
+  /// every overlapped block, or every stripe when the range spans at least
+  /// one block per stripe.
   static std::uint64_t StripeMask(const Shard& shard, std::size_t begin,
                                   std::size_t end) {
     if (begin >= end) return 0;
-    const std::size_t n = shard.active_stripes;
+    const std::size_t n = shard.stripes.size();
     const std::size_t first = begin >> kStripeBlockShift;
     const std::size_t last = (end - 1) >> kStripeBlockShift;
     if (last - first + 1 >= n) {
@@ -961,8 +898,6 @@ class PartitionedCrackerColumn {
                                                std::defer_lock);
         if (!index_.owns_lock()) il.lock();
         fn();
-        shard_.realized_cuts.store(shard_.column.index().num_cuts(),
-                                   std::memory_order_relaxed);
       }
 
      private:
@@ -1003,14 +938,14 @@ class PartitionedCrackerColumn {
     return fn();
   }
 
-  /// Pred-matching pending updates visible to one shared-path read: the
-  /// shard's internal pending stores (stable under `structural` shared)
-  /// plus its write buckets, snapshotted under their mutexes. Every delete
-  /// is value-addressed (the partitioned write surface has no rid deletes)
-  /// and claims exactly one live matching tuple, so overlaying a snapshot
-  /// onto the cracked-array result is exact.
+  /// Values of the pred-matching pending updates visible to one
+  /// shared-path read: the shard's internal pending stores (stable under
+  /// `structural` shared) plus its write buckets, snapshotted under their
+  /// mutexes. Every delete is value-addressed (the partitioned write
+  /// surface has no rid deletes) and claims exactly one live matching
+  /// tuple, so folding a snapshot into a Count or Sum is exact.
   struct PendingOverlay {
-    std::vector<StripedPendingTuple> inserts;
+    std::vector<T> inserts;
     std::vector<T> deletes;
     bool empty() const { return inserts.empty() && deletes.empty(); }
   };
@@ -1022,8 +957,8 @@ class PartitionedCrackerColumn {
   PendingOverlay CollectMatchingPending(const Shard& shard,
                                         const RangePredicate<T>& pred) const {
     PendingOverlay out;
-    shard.column.ForEachPendingInsert([&](T v, row_id_t rid) {
-      if (pred.Matches(v)) out.inserts.push_back({v, rid});
+    shard.column.ForEachPendingInsert([&](T v, row_id_t) {
+      if (pred.Matches(v)) out.inserts.push_back(v);
     });
     shard.column.ForEachPendingDelete([&](T v, row_id_t) {
       if (pred.Matches(v)) out.deletes.push_back(v);
@@ -1040,7 +975,7 @@ class PartitionedCrackerColumn {
     for (const WriteBucket& bucket : shard.write_buckets) {
       const std::lock_guard<std::mutex> bl(bucket.mu);
       for (const StripedPendingTuple& t : bucket.inserts) {
-        if (pred.Matches(t.value)) out.inserts.push_back(t);
+        if (pred.Matches(t.value)) out.inserts.push_back(t.value);
       }
       for (const StripedPendingTuple& t : bucket.deletes) {
         if (pred.Matches(t.value)) out.deletes.push_back(t.value);
@@ -1049,8 +984,8 @@ class PartitionedCrackerColumn {
     return out;
   }
 
-  /// The striped read protocol's one skeleton, shared by Count/Sum/
-  /// Materialize*. Under `structural` shared:
+  /// The striped read protocol's one skeleton, shared by Count and Sum.
+  /// Under `structural` shared:
   ///
   ///  - no pending update matches `pred` (the CollectMatchingPending
   ///    snapshot is empty): run `fast(resolved range)` under the shared
@@ -1067,18 +1002,14 @@ class PartitionedCrackerColumn {
   ///    first drains the write buckets so the inner column's policy merge
   ///    sees every buffered update.
   ///
-  /// `fast` and `overlay` return a value, `coarse` a Result of it;
-  /// Materialize callers return a dummy value. `ctx` (may be null) gates
-  /// every crack of the walk on either path; on expiry the walk's Status is
-  /// returned. After a shared-path read, opportunistically grows the active
-  /// stripe count when realized cuts have outrun it.
+  /// `fast` and `overlay` return a value, `coarse` a Result of it. `ctx`
+  /// (may be null) gates every crack of the walk on either path; on expiry
+  /// the walk's Status is returned.
   template <typename FastFn, typename OverlayFn, typename CoarseFn>
   auto StripedReadOrCoarse(Shard& shard, const RangePredicate<T>& pred,
                            const QueryContext* ctx, bool core_needs_values,
                            FastFn&& fast, OverlayFn&& overlay, CoarseFn&& coarse)
       -> decltype(coarse()) {
-    std::optional<std::invoke_result_t<FastFn&, const CrackSelect&>> answer;
-    bool grow_hint = false;
     {
       const std::shared_lock<std::shared_mutex> structural(shard.structural);
       const PendingOverlay pending = CollectMatchingPending(shard, pred);
@@ -1102,17 +1033,11 @@ class PartitionedCrackerColumn {
         const StripeLockSet lock(&shard.stripes,
                                  SelectMask(shard, sel, core_needs_values),
                                  /*exclusive=*/false);
-        answer = overlaps ? overlay(sel, pending) : fast(sel);
-        grow_hint = StripeGrowthDue(shard);
+        return overlaps ? overlay(sel, pending) : fast(sel);
       }
-    }
-    if (answer.has_value()) {
-      if (grow_hint) TryGrowStripes(shard);
-      return std::move(*answer);
     }
     const std::unique_lock<std::shared_mutex> structural(shard.structural);
     shard.coarse_reads.fetch_add(1, std::memory_order_relaxed);
-    MaybeGrowStripes(shard);
     DrainStripedPending(shard);
     return coarse();
   }
@@ -1146,10 +1071,8 @@ class PartitionedCrackerColumn {
     return StripedReadOrCoarse(
         shard, pred, ctx, /*core_needs_values=*/true, fast,
         [&](const CrackSelect& sel, const PendingOverlay& pending) {
-          const SumAcc<T> sum = SumEach<T>(
-              pending.inserts.size(), [&](std::size_t i) { return pending.inserts[i].value; },
-              fast(sel));
-          return SubtractValues<T>(pending.deletes, sum);
+          return SubtractValues<T>(pending.deletes,
+                                   SumValues<T>(pending.inserts, fast(sel)));
         },
         [&]() -> Result<SumAcc<T>> {
           if (ctx != nullptr) return shard.column.SumPartial(pred, *ctx);
@@ -1194,88 +1117,6 @@ class PartitionedCrackerColumn {
     V total{};
     for (const V& v : partial) total += v;
     return total;
-  }
-
-  void MaterializeShardValues(Shard& shard, const RangePredicate<T>& pred,
-                              std::vector<T>* out) {
-    const auto fast = [&](const CrackSelect& sel) {
-      shard.column.MaterializeValues(sel, pred, out);
-      return true;  // Materialize results travel via `out`
-    };
-    StripedReadOrCoarse(
-        shard, pred, /*ctx=*/nullptr, /*core_needs_values=*/true, fast,
-        [&](const CrackSelect& sel, const PendingOverlay& pending) {
-          const std::size_t start = out->size();
-          fast(sel);
-          for (const StripedPendingTuple& t : pending.inserts) {
-            out->push_back(t.value);
-          }
-          // Each matching delete claims one occurrence of its value; which
-          // physical tuple it claims is unobservable in a value result.
-          for (const T v : pending.deletes) {
-            for (std::size_t i = out->size(); i-- > start;) {
-              if ((*out)[i] == v) {
-                (*out)[i] = out->back();
-                out->pop_back();
-                break;
-              }
-            }
-          }
-          return true;
-        },
-        [&]() -> Result<bool> {
-          shard.column.MergePendingFor(pred);
-          return fast(shard.column.Select(pred));
-        });
-  }
-
-  void MaterializeShardRowIds(Shard& shard, const RangePredicate<T>& pred,
-                              std::vector<row_id_t>* out) {
-    const auto fast = [&](const CrackSelect& sel) {
-      shard.column.MaterializeRowIds(sel, pred, out);
-      return true;
-    };
-    StripedReadOrCoarse(
-        shard, pred, /*ctx=*/nullptr, /*core_needs_values=*/true, fast,
-        [&](const CrackSelect& sel, const PendingOverlay& pending) {
-          // Row ids force value-aware claiming: walk the array, letting
-          // each matching pending delete swallow one tuple of its value
-          // (an arbitrary occurrence — multiset semantics), then append
-          // the surviving pending-insert rids.
-          const std::span<const T> values = shard.column.values();
-          const std::span<const row_id_t> rids = shard.column.row_ids();
-          std::vector<T> deletes = pending.deletes;
-          const auto claims = [&](T v) {
-            for (std::size_t j = 0; j < deletes.size(); ++j) {
-              if (deletes[j] == v) {
-                deletes[j] = deletes.back();
-                deletes.pop_back();
-                return true;
-              }
-            }
-            return false;
-          };
-          for (std::size_t p = sel.core.begin; p < sel.core.end; ++p) {
-            if (!deletes.empty() && claims(values[p])) continue;
-            out->push_back(rids[p]);
-          }
-          for (int i = 0; i < sel.num_edges; ++i) {
-            for (std::size_t p = sel.edges[i].begin; p < sel.edges[i].end; ++p) {
-              if (!pred.Matches(values[p])) continue;
-              if (!deletes.empty() && claims(values[p])) continue;
-              out->push_back(rids[p]);
-            }
-          }
-          for (const StripedPendingTuple& t : pending.inserts) {
-            if (!deletes.empty() && claims(t.value)) continue;
-            out->push_back(t.rid);
-          }
-          return true;
-        },
-        [&]() -> Result<bool> {
-          shard.column.MergePendingFor(pred);
-          return fast(shard.column.Select(pred));
-        });
   }
 
   // -- The striped write path (docs/CONCURRENCY.md §4) ---------------------
@@ -1408,41 +1249,6 @@ class PartitionedCrackerColumn {
   }
   // ------------------------------------------------------------------------
 
-  // -- Adaptive stripe growth ----------------------------------------------
-
-  /// Doubles the active stripe count while realized cuts have outrun it
-  /// (2 cuts per active stripe), up to the allocated capacity. Caller
-  /// holds whole-partition exclusion, so no thread can hold a stripe latch
-  /// and the block -> stripe remap is safe.
-  void MaybeGrowStripes(Shard& shard) const {
-    const std::size_t cuts = shard.column.index().num_cuts();
-    shard.realized_cuts.store(cuts, std::memory_order_relaxed);
-    const std::size_t cap = shard.stripes.size();
-    std::size_t active = shard.active_stripes;
-    while (active < cap && cuts >= 2 * active) active *= 2;
-    shard.active_stripes = std::min(active, cap);
-  }
-
-  /// Cheap growth check for the shared path (no index latch: reads the
-  /// relaxed cut mirror). Caller holds `structural` shared, which pins
-  /// active_stripes.
-  bool StripeGrowthDue(const Shard& shard) const {
-    return shard.active_stripes < shard.stripes.size() &&
-           shard.realized_cuts.load(std::memory_order_relaxed) >=
-               2 * shard.active_stripes;
-  }
-
-  /// Opportunistic growth after a shared-path read: grow only if the
-  /// exclusive latch is free right now — never wait for it on the read
-  /// path (a later coarse hold or drain will grow instead).
-  void TryGrowStripes(Shard& shard) const {
-    const std::unique_lock<std::shared_mutex> structural(shard.structural,
-                                                         std::try_to_lock);
-    if (!structural.owns_lock()) return;
-    MaybeGrowStripes(shard);
-  }
-  // ------------------------------------------------------------------------
-
   // -- Background merging (docs/UPDATES.md) --------------------------------
 
   void MaybeTriggerBackgroundMerge(Shard& shard) {
@@ -1481,7 +1287,6 @@ class PartitionedCrackerColumn {
   /// path the coarse read takes, so correctness is shared with it.
   void ForegroundMerge(Shard& shard) {
     const std::unique_lock<std::shared_mutex> structural(shard.structural);
-    MaybeGrowStripes(shard);
     DrainStripedPending(shard);
     shard.column.MergePendingFor(RangePredicate<T>::All());
     AIDX_DCHECK(shard.column.Validate());
@@ -1540,7 +1345,6 @@ class PartitionedCrackerColumn {
       bool done;
       {
         const std::unique_lock<std::shared_mutex> structural(shard.structural);
-        MaybeGrowStripes(shard);
         DrainStripedPending(shard);
         shard.column.MergePendingBudget(options_.background_merge_chunk);
         AIDX_DCHECK(shard.column.Validate());

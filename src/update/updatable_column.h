@@ -225,8 +225,9 @@ class UpdatableCrackerColumn : public CrackerColumn<T> {
 
   /// Folds the pending updates the predicate's range requires (policy-
   /// dependent) without answering a query. Callers that take raw cracked
-  /// positions (Select / Materialize pipelines) use this first so the
-  /// positions reflect every update the predicate must observe.
+  /// positions (the partitioned column's raw Select) use this first so the
+  /// positions reflect every update the predicate must observe; its full
+  /// drains pass RangePredicate::All() to fold everything.
   void MergePendingFor(const RangePredicate<T>& pred) { MergeForQuery(pred); }
 
   bool has_pending() const {

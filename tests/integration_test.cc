@@ -8,8 +8,8 @@
 #include <thread>
 #include <vector>
 
+#include "../bench/serialized_path.h"
 #include "exec/access_path.h"
-#include "exec/serialized_path.h"
 #include "index/scan.h"
 #include "sideways/sideways.h"
 #include "storage/table.h"

@@ -463,6 +463,57 @@ TEST_F(ShardedDbTest, StatsReportPressureFromWritesSinceTheLastRead) {
 }
 
 // ---------------------------------------------------------------------------
+// Delete's victim rule.
+// ---------------------------------------------------------------------------
+
+// Delete by key removes the surviving duplicate with the lowest row id —
+// through one Database and through a ShardedDatabase deleting on its
+// routing key, where every duplicate routes to one shard. Payloads are
+// distinct powers of two, so each drop in Sum(v) names the row that went.
+TEST_F(ShardedDbTest, DeleteRemovesTheLowestRidDuplicate) {
+  // Rows (k, v) in row-id order; key 5 repeats with payloads 1, 4, 16, 32.
+  const std::vector<std::int64_t> first = {5, 1, 1, 2, 5, 4, 2, 8, 5, 16, 5, 32};
+  // Inserted after two deletes: a younger duplicate that goes last.
+  const std::vector<std::int64_t> later = {5, 64, 3, 128};
+  const std::vector<std::int64_t> victims = {1, 4, 16, 32, 64};
+  const auto payload_sum = [](auto& db) {
+    return static_cast<std::int64_t>(*db.Sum(Req("t", "v", Pred::All())));
+  };
+  const auto check = [&](auto& db, const std::string& label) {
+    ASSERT_TRUE(db.InsertBatch("t", first).ok()) << label;
+    // A warmed crack path, so Delete also reaches a cached path.
+    ASSERT_EQ(*db.Count(Req("t", "k", Pred::Between(5, 5))), 4u) << label;
+    std::int64_t sum = payload_sum(db);
+    for (std::size_t i = 0; i < victims.size(); ++i) {
+      if (i == 2) {
+        ASSERT_TRUE(db.InsertBatch("t", later).ok()) << label;
+        sum += 64 + 128;
+      }
+      ASSERT_TRUE(*db.Delete("t", "k", 5)) << label << " delete " << i;
+      const std::int64_t now = payload_sum(db);
+      EXPECT_EQ(sum - now, victims[i]) << label << " delete " << i;
+      sum = now;
+    }
+    EXPECT_FALSE(*db.Delete("t", "k", 5)) << label;
+    EXPECT_EQ(sum, 2 + 8 + 128) << label;  // keys 1, 2 and 3 survive
+  };
+
+  Database single;
+  ASSERT_TRUE(single.CreateTable("t").ok());
+  ASSERT_TRUE(single.AddColumn("t", "k", {}).ok());
+  ASSERT_TRUE(single.AddColumn("t", "v", {}).ok());
+  check(single, "Database");
+
+  for (const RoutingKind kind : {RoutingKind::kHash, RoutingKind::kRange}) {
+    ShardedDatabase sharded;
+    ASSERT_TRUE(sharded.CreateTable("t", SpecFor(kind, sharded.num_shards())).ok());
+    ASSERT_TRUE(sharded.AddColumn("t", "k").ok());
+    ASSERT_TRUE(sharded.AddColumn("t", "v").ok());
+    check(sharded, kind == RoutingKind::kHash ? "hash" : "range");
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Exact Sum across shards.
 // ---------------------------------------------------------------------------
 

@@ -29,6 +29,7 @@
 #include "exec/access_path.h"
 #include "index/scan.h"
 #include "parallel/partitioned_cracker_column.h"
+#include "pcrack_view.h"
 #include "sideways/cracker_map.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -316,29 +317,28 @@ TEST(StripedLatchTest, MaterializeMatchesOracleStriped) {
   Rng rng(82);
   for (int q = 0; q < 60; ++q) {
     const Pred p = RandomPredicate(&rng, 400);
-    std::vector<std::int64_t> got;
-    col.MaterializeValues(p, &got);
+    // Striped cracks permute values and row ids in tandem.
+    ASSERT_EQ(col.Sum(p), ScanSum<std::int64_t>(base, p)) << p.ToString();
     std::vector<std::int64_t> expect;
     ScanValues<std::int64_t>(base, p, &expect);
-    std::sort(got.begin(), got.end());
     std::sort(expect.begin(), expect.end());
-    ASSERT_EQ(got, expect) << p.ToString();
+    ASSERT_EQ(FlushedValues(col, p), expect) << p.ToString();
 
-    std::vector<row_id_t> rids;
-    col.MaterializeRowIds(p, &rids);
     std::vector<row_id_t> expect_rids;
     for (std::size_t i = 0; i < base.size(); ++i) {
       if (p.Matches(base[i])) expect_rids.push_back(static_cast<row_id_t>(i));
     }
-    std::sort(rids.begin(), rids.end());
-    ASSERT_EQ(rids, expect_rids) << p.ToString();
+    ASSERT_EQ(FlushedRowIds(col, p), expect_rids) << p.ToString();
   }
-  // With a pending write the same calls must take the slow path and still
-  // observe the update.
-  col.Insert(113);
-  std::vector<std::int64_t> got;
-  col.MaterializeValues(Pred::Between(113, 113), &got);
-  EXPECT_EQ(got.size(), 1 + ScanCount<std::int64_t>(base, Pred::Between(113, 113)));
+  // A pending write must take the slow path and still be observed, by a
+  // read before the flush and in the flushed arrays after it.
+  const Pred point = Pred::Between(113, 113);
+  const row_id_t rid = col.Insert(113);
+  EXPECT_EQ(col.Count(point), 1 + ScanCount<std::int64_t>(base, point));
+  EXPECT_EQ(FlushedValues(col, point).size(),
+            1 + ScanCount<std::int64_t>(base, point));
+  const std::vector<row_id_t> rids = FlushedRowIds(col, point);
+  EXPECT_TRUE(std::binary_search(rids.begin(), rids.end(), rid));
 }
 
 // Stochastic cracking under the striped protocol: pre-cracks run under the

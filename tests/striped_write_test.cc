@@ -5,15 +5,13 @@
 //    write buckets under stripe latches) must produce exactly the answers
 //    of a plain vector model — including Delete's hit/miss return value
 //    on every single call;
-//  - batch writes, row-id materialization, and stochastic cracking ride
-//    the same oracle;
+//  - batch writes, fresh row ids, and stochastic cracking ride the same
+//    oracle;
 //  - multi-threaded writers against a single-threaded replay: the final
 //    multiset must match regardless of interleaving;
 //  - write accounting: striped enqueues land in AggregatedUpdateStats with
 //    exact queued/cancelled/merged totals, and the stats probes run beside
-//    readers and writers and are exact once the column is quiet;
-//  - adaptive stripe growth: the active stripe count starts small, grows
-//    only with realized cuts, and never passes the allocated capacity.
+//    readers and writers and are exact once the column is quiet.
 //
 // Runs under ThreadSanitizer via the `concurrency` ctest label
 // (scripts/check.sh --tsan).
@@ -29,7 +27,9 @@
 #include "exec/access_path.h"
 #include "index/scan.h"
 #include "parallel/partitioned_cracker_column.h"
+#include "pcrack_view.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace aidx {
 namespace {
@@ -124,36 +124,46 @@ TYPED_TEST(StripedWriteDifferentialTest, MixedWorkloadAllMergePolicies) {
 
 TEST(StripedWriteTest, MaterializeValuesMatchesModelMidPending) {
   constexpr std::int64_t kDomain = 900;
-  auto model = RandomValues<std::int64_t>(4000, kDomain, 91);
-  PartitionedCrackerColumn<std::int64_t> col(model, StripedWriteOptions());
-  Rng rng(92);
-  for (int step = 0; step < 300; ++step) {
-    const auto dice = rng.NextBounded(6);
-    if (dice < 2) {
-      const auto v = static_cast<std::int64_t>(rng.NextBounded(kDomain));
-      col.Insert(v);
-      model.push_back(v);
-    } else if (dice < 3 && !model.empty()) {
-      const std::size_t pick = rng.NextBounded(model.size());
-      ASSERT_TRUE(col.Delete(model[pick]));
-      model[pick] = model.back();
-      model.pop_back();
-    } else {
-      // Materialize WITHOUT flushing first: buffered writes must fold into
-      // the result through the overlay, not get lost.
-      const auto p = RandomPredicate<std::int64_t>(&rng, kDomain);
-      std::vector<std::int64_t> got;
-      col.MaterializeValues(p, &got);
-      std::vector<std::int64_t> expect;
-      for (const auto v : model) {
-        if (p.Matches(v)) expect.push_back(v);
+  // Without a pool an overlapping read folds pending writes on the coarse
+  // path; with background merging enabled it answers from the shared
+  // overlay instead, so both read paths meet the same model.
+  ThreadPool pool(2);
+  for (const std::size_t threshold : {std::size_t{0}, std::size_t{16}}) {
+    auto model = RandomValues<std::int64_t>(4000, kDomain, 91);
+    PartitionedCrackerOptions options = StripedWriteOptions();
+    options.background_merge_threshold = threshold;
+    PartitionedCrackerColumn<std::int64_t> col(model, options,
+                                               threshold > 0 ? &pool : nullptr);
+    Rng rng(92);
+    for (int step = 0; step < 300; ++step) {
+      const auto dice = rng.NextBounded(6);
+      if (dice < 2) {
+        const auto v = static_cast<std::int64_t>(rng.NextBounded(kDomain));
+        col.Insert(v);
+        model.push_back(v);
+      } else if (dice < 3 && !model.empty()) {
+        const std::size_t pick = rng.NextBounded(model.size());
+        ASSERT_TRUE(col.Delete(model[pick])) << "threshold " << threshold;
+        model[pick] = model.back();
+        model.pop_back();
+      } else {
+        // Read WITHOUT flushing first: buffered writes must fold into the
+        // answer, not get lost.
+        const auto p = RandomPredicate<std::int64_t>(&rng, kDomain);
+        ASSERT_EQ(col.Count(p), ScanCount<std::int64_t>(model, p))
+            << "threshold " << threshold << " step " << step << " " << p.ToString();
+        ASSERT_EQ(col.Sum(p), ScanSum<std::int64_t>(model, p))
+            << "threshold " << threshold << " step " << step << " " << p.ToString();
       }
-      std::sort(got.begin(), got.end());
-      std::sort(expect.begin(), expect.end());
-      ASSERT_EQ(got, expect) << "step " << step << " " << p.ToString();
     }
+    if (threshold > 0) {
+      EXPECT_GT(col.AggregatedReadPathStats().overlay_reads, 0u);
+    }
+    std::sort(model.begin(), model.end());
+    EXPECT_EQ(FlushedValues(col, RangePredicate<std::int64_t>::All()), model)
+        << "threshold " << threshold;
+    EXPECT_TRUE(col.ValidatePieces()) << "threshold " << threshold;
   }
-  EXPECT_TRUE(col.ValidatePieces());
 }
 
 TEST(StripedWriteTest, RowIdsSurviveStripedBuffering) {
@@ -161,18 +171,17 @@ TEST(StripedWriteTest, RowIdsSurviveStripedBuffering) {
   options.column_options.with_row_ids = true;
   const auto base = RandomValues<std::int64_t>(2000, 500, 93);
   PartitionedCrackerColumn<std::int64_t> col(base, options);
-  // Fresh inserts get ids >= base size; a query overlapping them must
-  // surface those exact ids even while the tuples sit in write buckets.
+  // Fresh inserts get ids >= base size, and those exact ids must reach the
+  // cracked arrays once the tuples leave the write buckets.
   const row_id_t r1 = col.Insert(1000);
   const row_id_t r2 = col.Insert(1001);
   const row_id_t r3 = col.Insert(1002);
   EXPECT_GE(r1, base.size());
   EXPECT_NE(r1, r2);
   ASSERT_TRUE(col.Delete(1001));
-  std::vector<row_id_t> rids;
-  col.MaterializeRowIds(RangePredicate<std::int64_t>::AtLeast(1000), &rids);
-  std::sort(rids.begin(), rids.end());
-  EXPECT_EQ(rids, (std::vector<row_id_t>{r1, r3}));
+  const auto fresh = RangePredicate<std::int64_t>::AtLeast(1000);
+  EXPECT_EQ(col.Count(fresh), 2u);  // still buffered
+  EXPECT_EQ(FlushedRowIds(col, fresh), (std::vector<row_id_t>{r1, r3}));
   EXPECT_TRUE(col.ValidatePieces());
 }
 
@@ -294,11 +303,8 @@ TEST(StripedWriteTest, ConcurrentWritersConvergeToSequentialReplay) {
   }
   EXPECT_EQ(col.size(), model.size());
   EXPECT_EQ(col.Count(RangePredicate<std::int64_t>::All()), model.size());
-  std::vector<std::int64_t> got;
-  col.MaterializeValues(RangePredicate<std::int64_t>::All(), &got);
-  std::sort(got.begin(), got.end());
   std::sort(model.begin(), model.end());
-  EXPECT_EQ(got, model);
+  EXPECT_EQ(FlushedValues(col, RangePredicate<std::int64_t>::All()), model);
   EXPECT_TRUE(col.ValidatePieces());
 }
 
@@ -469,27 +475,6 @@ TEST(StripedWriteTest, DeleteClaimsAreExactAcrossDuplicates) {
   EXPECT_EQ(col.Count(RangePredicate<std::int64_t>::Between(42, 42)), 0u);
   EXPECT_EQ(col.size(), base.size() - 2);
   EXPECT_TRUE(col.ValidatePieces());
-}
-
-TEST(StripedWriteTest, AdaptiveStripesGrowWithRealizedCuts) {
-  const auto base = RandomValues<std::int64_t>(40000, 10000, 107);
-  PartitionedCrackerOptions options = StripedWriteOptions(2);
-  options.latch_stripes = 64;
-  PartitionedCrackerColumn<std::int64_t> col(base, options);
-  ASSERT_EQ(col.latch_stripes(), 64u);  // capacity is allocated up front
-  EXPECT_LE(col.active_stripes(0), 4u);  // but activation starts small
-  Rng rng(108);
-  for (int q = 0; q < 400; ++q) {
-    const auto p = RandomPredicate<std::int64_t>(&rng, 10000);
-    (void)col.Count(p);
-  }
-  col.FlushPending();  // a coarse hold runs the growth check
-  std::size_t grown = 0;
-  for (std::size_t p = 0; p < col.num_partitions(); ++p) {
-    EXPECT_LE(col.active_stripes(p), 64u);
-    grown = std::max(grown, col.active_stripes(p));
-  }
-  EXPECT_GT(grown, 4u) << "hundreds of cracks must grow the active table";
 }
 
 TEST(StripedWriteTest, DisplayNamesExposeWriteKnobs) {
