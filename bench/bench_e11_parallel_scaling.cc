@@ -74,9 +74,9 @@ bench::ThroughputResult RunConcurrent(AccessPath<std::int64_t>& path,
 // operations of which `write_pct`% (evenly spread) are writes landing
 // *inside* the queried domain — alternating insert-new / delete-oldest
 // (FIFO per thread), so pending accumulates between merges and reads
-// genuinely contend with the update pipeline: the striped path answers
-// them from the write buckets (overlay) and absorbs batches in
-// background merges, while the serialized baseline runs every operation
+// genuinely contend with the update pipeline: the striped path parks
+// writes in its write buckets and folds them when a read overlaps them
+// (the coarse path), while the serialized baseline runs every operation
 // behind one latch. Insert values are spread over the domain by a multiplicative
 // scramble; threads may collide on a value, but each thread deletes
 // only values it inserted earlier, so every delete still claims a live
@@ -428,10 +428,9 @@ int main(int argc, char** argv) {
   // Same skewed read stream, but a fraction of each thread's operations
   // become inserts/deletes spread across the queried value range itself,
   // so reads genuinely contend with the update pipeline. The striped write
-  // path parks writes in the per-shard buckets, answers overlapping reads
-  // from the overlay, and absorbs batches in background merges on the
-  // shared pool once the buffered count crosses the threshold; the
-  // baseline runs the same config with every operation behind one
+  // path parks writes in the per-shard buckets, and a read that overlaps
+  // them drains and merges them under the shard's exclusive latch (reads
+  // disjoint from them stay on the shared path); the baseline runs the same config with every operation behind one
   // exclusive latch. Exactness is asserted per run on the final live tuple
   // count, which is interleaving-free (see RunWriteMix).
   std::cout << "\nthroughput vs write mix (striped-write vs serialized, "
@@ -439,8 +438,7 @@ int main(int argc, char** argv) {
   TablePrinter by_mix(
       {"write%", "threads", "striped-w ops/s", "serialized ops/s", "ratio"});
   double write_mix_min_ratio_20 = 0;
-  auto mix_config = StrategyConfig::ParallelCrack(8, /*threads=*/2);
-  mix_config.background_merge_threshold = 64;
+  const auto mix_config = StrategyConfig::ParallelCrack(8, /*threads=*/2);
   // mode 0 = striped, 1 = the same config serialized.
   const auto make_mix_path = [&](int mode) {
     return mode == 0 ? MakeAccessPath<std::int64_t>(data, mix_config)

@@ -135,10 +135,13 @@ class ShardedDatabase {
   Status InsertBatch(std::string_view table, std::span<const std::int64_t> rows);
 
   /// Deletes at most one row whose `column` equals `value`, probing the
-  /// candidate shards in shard order; within a shard, the row with the
-  /// lowest row id goes (Database::Delete). Every duplicate of a routing
-  /// key lives on the shard the key routes to, so a delete on that key
-  /// removes its lowest-rid row there. ok(false) when none matched.
+  /// candidate shards in ascending shard order; within a shard, the row
+  /// with the lowest row id goes (Database::Delete). Every duplicate of a
+  /// routing key lives on the shard the key routes to, so a delete on that
+  /// key removes its lowest-rid row there. On any other column every shard
+  /// is a candidate, and the victim is the lowest-rid match on the
+  /// lowest-numbered shard holding one — not the table's oldest match (row
+  /// ids are per shard). ok(false) when none matched.
   Result<bool> Delete(std::string_view table, std::string_view column,
                       std::int64_t value);
 

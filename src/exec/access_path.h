@@ -95,11 +95,8 @@ struct StrategyConfig {
   // concrete kernel to override it, e.g. for differentials.
   CrackKernel crack_kernel = CrackKernel::kAuto;
   // kParallelCrack piece-latch table capacity per partition (clamped to
-  // [1, 64]; docs/CONCURRENCY.md §4), and the buffered-write count that
-  // triggers a background merge on the shared pool (0 = foreground-only;
-  // docs/UPDATES.md).
+  // [1, 64]; docs/CONCURRENCY.md §4).
   std::size_t latch_stripes = 16;
-  std::size_t background_merge_threshold = 0;
 
   /// Structural equality over every knob — the Database path cache keys on
   /// this, so two configs collide only when they are truly identical.
@@ -167,14 +164,11 @@ struct StrategyConfig {
         // Shape-changing knobs stay in the name for figures and reports
         // (the Database cache keys on the full config, not this string).
         // Comma-free: the name lands unquoted in CSV headers
-        // (workload/report.cc). Latch and merge knobs appear only off their
-        // defaults, so the default keeps the historical name.
+        // (workload/report.cc). The latch knob appears only off its
+        // default, so the default keeps the historical name.
         std::string name = "pcrack(" + std::to_string(num_partitions) + "x" +
                            std::to_string(num_threads);
         if (latch_stripes != 16) name += "-s" + std::to_string(latch_stripes);
-        if (background_merge_threshold > 0) {
-          name += "-bg" + std::to_string(background_merge_threshold);
-        }
         if (min_piece_size > 0) name += "-p" + std::to_string(min_piece_size);
         return name + ")" + kernel_suffix;
       }
@@ -643,7 +637,6 @@ class ParallelCrackPath final : public AccessPath<T> {
       options.merge_policy = config_.merge_policy;
       options.gradual_budget = config_.gradual_budget;
       options.latch_stripes = config_.latch_stripes;
-      options.background_merge_threshold = config_.background_merge_threshold;
       column_.emplace(base_, options, pool_.get());
     });
     return *column_;

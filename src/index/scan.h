@@ -11,7 +11,7 @@
 //   - integer columns (int32, int64) sum exactly into a 128-bit
 //     accumulator (SumAcc), and the caller rounds once to long double at
 //     the end (RoundSum). Partials from core ranges, edge pieces,
-//     partitions and pending overlays combine in SumAcc, so the answer is
+//     partitions and shards combine in SumAcc, so the answer is
 //     the exact sum rounded once, whatever the storage order or split;
 //   - double columns use the sequential long double loop in storage
 //     order: floating-point addition does not reassociate exactly, so a
@@ -237,18 +237,6 @@ SumAcc<T> SumValues(std::span<const T> values, const RangePredicate<T>& pred,
   }
 #endif
   return internal::SumValuesScalar<T>(values, pred, acc);
-}
-
-/// Takes every value out of `acc`: exact for integers, one sequential
-/// long double subtraction per value for double.
-template <ColumnValue T>
-SumAcc<T> SubtractValues(std::span<const T> values, SumAcc<T> acc) {
-  if constexpr (std::is_integral_v<T>) {
-    return acc - SumValues<T>(values);
-  } else {
-    for (const T v : values) acc -= static_cast<long double>(v);
-    return acc;
-  }
 }
 
 /// Adds at(0), ..., at(n - 1) to `acc` for values that are not contiguous

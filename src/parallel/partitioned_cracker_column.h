@@ -42,16 +42,12 @@
 // `structural` shared, route to the owning *piece* under that piece's
 // exclusive stripe latches, and land in a per-shard table of
 // mutex-guarded write buckets keyed by value hash; a later exclusive hold
-// drains the buckets into the shard's pending stores. Queries whose range
-// overlaps buffered or pending tuples answer exactly from the shared path
-// by overlaying the matching pending tuples, or fall back to the coarse
-// merge path under `structural` exclusive (docs/CONCURRENCY.md §4).
-//
-// Background merging moves pending-update absorption onto the borrowed
-// ThreadPool: when buffered writes cross background_merge_threshold, one
-// task per shard (a per-shard `merge_in_flight` flag grants it) drains and
-// ripple-merges them in short exclusive chunks while readers keep
-// answering from the shared overlay path (docs/UPDATES.md).
+// drains the buckets into the shard's pending stores. Pending updates fold
+// only on the query path, as in the single-threaded pipeline: a query
+// whose range overlaps buffered or pending tuples takes the coarse path
+// under `structural` exclusive, which drains the buckets and merges by the
+// shard's merge policy; every other query stays on the shared fast path
+// (docs/CONCURRENCY.md §4).
 //
 // Fresh row ids come from one atomic counter so they stay globally unique
 // across partitions; the live tuple count is likewise an atomic,
@@ -60,7 +56,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -68,7 +63,6 @@
 #include <mutex>
 #include <shared_mutex>
 #include <span>
-#include <thread>
 #include <vector>
 
 #include "core/cut.h"
@@ -76,7 +70,6 @@
 #include "storage/predicate.h"
 #include "storage/types.h"
 #include "update/updatable_column.h"
-#include "util/failpoint.h"
 #include "util/logging.h"
 #include "util/macros.h"
 #include "util/query_context.h"
@@ -88,25 +81,11 @@
 namespace aidx {
 
 /// Striped read-path routing counters: how many per-shard reads answered
-/// from the shared fast path (no pending overlap), the shared overlay path
-/// (pending overlap folded into the answer without merging), or the coarse
-/// exclusive path.
+/// from the shared fast path (no pending overlap) or the coarse exclusive
+/// path (which folds the overlapping pending updates first).
 struct StripedReadPathStats {
   std::size_t fast_reads = 0;
-  std::size_t overlay_reads = 0;
   std::size_t coarse_reads = 0;
-};
-
-/// Fault-handling counters of background merging: how many merge
-/// submissions failed (pool refusal or injected fault), how many merge
-/// steps failed, how many of those were retried with backoff, and how many
-/// shards gave up and degraded to foreground merging. Probed by
-/// the chaos harness (tests/fault_schedule_test.cc) and docs/ROBUSTNESS.md.
-struct BackgroundMergeStats {
-  std::size_t submit_failures = 0;
-  std::size_t step_failures = 0;
-  std::size_t step_retries = 0;
-  std::size_t degrades = 0;
 };
 
 /// Tuning knobs for a partitioned cracker column.
@@ -125,13 +104,6 @@ struct PartitionedCrackerOptions {
   /// at construction. More stripes = fewer false conflicts between
   /// disjoint pieces, at a few hundred bytes per partition.
   std::size_t latch_stripes = 16;
-  /// Buffered writes per shard that trigger a background merge on the
-  /// borrowed pool (0 disables background merging; writes then merge on
-  /// the next coarse-path query).
-  std::size_t background_merge_threshold = 0;
-  /// Pending tuples folded per exclusive hold by a background merge; the
-  /// latch is released (and readers admitted) between chunks.
-  std::size_t background_merge_chunk = 128;
 };
 
 /// One partition's share of a fanned-out Select.
@@ -156,7 +128,7 @@ class PartitionedCrackerColumn {
   explicit PartitionedCrackerColumn(std::span<const T> base,
                                     PartitionedCrackerOptions options = {},
                                     ThreadPool* pool = nullptr)
-      : options_(options), pool_(pool), total_size_(base.size()) {
+      : options_(options), pool_(pool) {
     AIDX_CHECK(options_.num_partitions > 0);
     splitters_ = PickSplitters(base);
     const std::size_t k = splitters_.size() + 1;
@@ -178,60 +150,20 @@ class PartitionedCrackerColumn {
       per_shard.stochastic_seed += p;  // decorrelate stochastic pivots
       shards_.push_back(std::make_unique<Shard>(std::move(values[p]),
                                                 std::move(row_ids[p]), per_shard,
-                                                options_, p));
+                                                options_));
     }
     next_rid_.store(static_cast<row_id_t>(base.size()), std::memory_order_relaxed);
     live_size_.store(base.size(), std::memory_order_relaxed);
   }
 
-  /// Stops accepting background merges and waits for in-flight ones —
-  /// their tasks capture `this`, so the column must outlive them. Tasks
-  /// observe `shutting_down_` at chunk boundaries and bail early; tasks the
-  /// pool drops unstarted release their completion ticket when the closure
-  /// is destroyed, so this wait terminates under every shutdown order.
-  ~PartitionedCrackerColumn() {
-    shutting_down_.store(true, std::memory_order_release);
-    WaitForInFlightMerges();
-  }
-
-  // Atomic members rule out the defaulted moves; shards are unique_ptrs,
-  // so moving transfers them (and the latches inside) untouched. Callers
-  // must not move a column while other threads use it, as everywhere —
-  // background merge tasks count as users, so moves first make the source
-  // quiescent (the tasks capture the old `this`, and the moved-to column
-  // must not inherit updates a finished run left behind).
   AIDX_DISALLOW_COPY_AND_ASSIGN(PartitionedCrackerColumn);
-  PartitionedCrackerColumn(PartitionedCrackerColumn&& other) noexcept
-      : options_((other.WaitForBackgroundMerges(), std::move(other.options_))),
-        pool_(other.pool_),
-        total_size_(other.total_size_),
-        splitters_(std::move(other.splitters_)),
-        shards_(std::move(other.shards_)),
-        next_rid_(other.next_rid_.load(std::memory_order_relaxed)),
-        live_size_(other.live_size_.load(std::memory_order_relaxed)) {}
-  PartitionedCrackerColumn& operator=(PartitionedCrackerColumn&& other) noexcept {
-    if (this != &other) {
-      WaitForInFlightMerges();
-      other.WaitForBackgroundMerges();
-      options_ = std::move(other.options_);
-      pool_ = other.pool_;
-      total_size_ = other.total_size_;
-      splitters_ = std::move(other.splitters_);
-      shards_ = std::move(other.shards_);
-      next_rid_.store(other.next_rid_.load(std::memory_order_relaxed),
-                      std::memory_order_relaxed);
-      live_size_.store(other.live_size_.load(std::memory_order_relaxed),
-                       std::memory_order_relaxed);
-    }
-    return *this;
-  }
 
   /// Queues an insert in the partition owning `value` and returns the
   /// globally unique row id assigned to the fresh tuple. The insert routes
   /// to the owning piece under `structural` shared plus that piece's
   /// exclusive stripes and buffers in a write bucket; the tuple merges into
-  /// the cracked array when a later query (or background merge) needs its
-  /// range — the same adaptive bargain as the single-threaded pipeline.
+  /// the cracked array when a later query needs its range — the same
+  /// adaptive bargain as the single-threaded pipeline.
   /// Thread-safe.
   row_id_t Insert(T value) {
     const row_id_t rid = next_rid_.fetch_add(1, std::memory_order_relaxed);
@@ -240,7 +172,6 @@ class PartitionedCrackerColumn {
       const std::shared_lock<std::shared_mutex> structural(shard.structural);
       StripedEnqueueInsertLocked(shard, value, rid);
     }
-    MaybeTriggerBackgroundMerge(shard);
     live_size_.fetch_add(1, std::memory_order_relaxed);
     return rid;
   }
@@ -261,14 +192,11 @@ class PartitionedCrackerColumn {
     for (std::size_t p = 0; p < groups.size(); ++p) {
       if (groups[p].empty()) continue;
       Shard& shard = *shards_[p];
-      {
-        const std::shared_lock<std::shared_mutex> structural(shard.structural);
-        for (const std::size_t i : groups[p]) {
-          StripedEnqueueInsertLocked(shard, batch[i],
-                                     first_rid + static_cast<row_id_t>(i));
-        }
+      const std::shared_lock<std::shared_mutex> structural(shard.structural);
+      for (const std::size_t i : groups[p]) {
+        StripedEnqueueInsertLocked(shard, batch[i],
+                                   first_rid + static_cast<row_id_t>(i));
       }
-      MaybeTriggerBackgroundMerge(shard);
     }
     live_size_.fetch_add(batch.size(), std::memory_order_relaxed);
   }
@@ -284,7 +212,6 @@ class PartitionedCrackerColumn {
       const std::shared_lock<std::shared_mutex> structural(shard.structural);
       deleted = StripedDeleteLocked(shard, value);
     }
-    MaybeTriggerBackgroundMerge(shard);
     if (deleted) live_size_.fetch_sub(1, std::memory_order_relaxed);
     return deleted;
   }
@@ -299,13 +226,10 @@ class PartitionedCrackerColumn {
     for (std::size_t p = 0; p < groups.size(); ++p) {
       if (groups[p].empty()) continue;
       Shard& shard = *shards_[p];
-      {
-        const std::shared_lock<std::shared_mutex> structural(shard.structural);
-        for (const std::size_t i : groups[p]) {
-          deleted += StripedDeleteLocked(shard, batch[i]) ? 1 : 0;
-        }
+      const std::shared_lock<std::shared_mutex> structural(shard.structural);
+      for (const std::size_t i : groups[p]) {
+        deleted += StripedDeleteLocked(shard, batch[i]) ? 1 : 0;
       }
-      MaybeTriggerBackgroundMerge(shard);
     }
     live_size_.fetch_sub(deleted, std::memory_order_relaxed);
     return deleted;
@@ -442,129 +366,29 @@ class PartitionedCrackerColumn {
     for (const auto& shard : shards_) {
       total.fast_reads +=
           shard->fast_reads.load(std::memory_order_relaxed);
-      total.overlay_reads +=
-          shard->overlay_reads.load(std::memory_order_relaxed);
       total.coarse_reads +=
           shard->coarse_reads.load(std::memory_order_relaxed);
     }
     return total;
   }
 
-  // -- Background merging (docs/UPDATES.md) --------------------------------
-
-  /// Asks the borrowed pool to absorb partition `p`'s buffered and pending
-  /// updates off the query path. Returns false (and changes nothing) when
-  /// no run can start: no pool / no pool workers / shutting down /
-  /// degraded / a run is already in flight for the shard. Thread-safe; the
-  /// write path calls this automatically once buffered writes cross
-  /// background_merge_threshold.
-  bool RequestBackgroundMerge(std::size_t p) {
-    AIDX_CHECK(p < shards_.size());
-    if (pool_ == nullptr || pool_->num_threads() == 0) return false;
-    if (shutting_down_.load(std::memory_order_acquire)) return false;
-    Shard& shard = *shards_[p];
-    if (shard.degraded.load(std::memory_order_acquire)) return false;
-    if (AIDX_PREDICT_FALSE(
-            !failpoints::parallel_bg_submit.Inject().ok())) {
-      return NoteSubmitFailure(shard);
-    }
-    bool idle = false;
-    if (!shard.merge_in_flight.compare_exchange_strong(
-            idle, true, std::memory_order_acq_rel)) {
-      return false;  // a merge is already in flight for this shard
-    }
-    background_tasks_.fetch_add(1, std::memory_order_acq_rel);
-    // The ticket's deleter is the only place the flag clears. It runs when
-    // the last copy of the closure is destroyed: after RunBackgroundMerge
-    // returns, or when the pool refuses the closure or drops it unstarted
-    // at shutdown. So a new request is granted only once the previous
-    // closure is gone, and at most one run per shard is ever in flight.
-    auto ticket = std::shared_ptr<void>(
-        static_cast<void*>(nullptr), [this, p](void*) {
-          shards_[p]->merge_in_flight.store(false, std::memory_order_release);
-          background_tasks_.fetch_sub(1, std::memory_order_acq_rel);
-        });
-    if (!pool_->TrySubmit(
-            [this, p, ticket = std::move(ticket)] { RunBackgroundMerge(p); })) {
-      return NoteSubmitFailure(shard);
-    }
-    shard.consecutive_submit_failures.store(0, std::memory_order_relaxed);
-    return true;
-  }
-
-  /// Makes background merging quiescent: blocks until no merge task is
-  /// queued or running, then requests one more run for every shard that
-  /// still holds buffered or pending updates and waits again. Writes that
-  /// land after a run's last empty-buffer check stay below the threshold
-  /// and nothing else re-triggers them; the second pass absorbs them. It is
-  /// bounded because a run drains everything present when it starts. So
-  /// whenever background merging can run, every write that happened before
-  /// this call has been absorbed on return. When it cannot (no pool,
-  /// shutting down, degraded shard) the requests are refused and this only
-  /// waits. Callers that assert on post-merge state, and moves, use it.
-  void WaitForBackgroundMerges() {
-    WaitForInFlightMerges();
-    bool requested = false;
-    for (std::size_t p = 0; p < shards_.size(); ++p) {
-      if (HasUnmergedUpdates(*shards_[p])) {
-        requested |= RequestBackgroundMerge(p);
-      }
-    }
-    if (requested) WaitForInFlightMerges();
-  }
-
-  /// Foreground drain: waits out in-flight background merges, then folds
-  /// every buffered and pending update of every partition. Afterwards all
+  /// Folds every buffered and pending update of every partition, under
+  /// each partition's `structural` exclusive in turn. Afterwards all
   /// pending stores are empty and queries take the fast path until the
   /// next write. Thread-safe.
   void FlushPending() {
-    WaitForInFlightMerges();
     for (const auto& shard : shards_) {
       WithShardExclusive(*shard, [&] {
         DrainStripedPending(*shard);
         shard->column.MergePendingFor(RangePredicate<T>::All());
         AIDX_DCHECK(shard->column.Validate());
       });
-      // A full foreground drain is a clean slate: give previously degraded
-      // shards another shot at background merging.
-      shard->degraded.store(false, std::memory_order_release);
-      shard->consecutive_submit_failures.store(0, std::memory_order_relaxed);
     }
-  }
-
-  /// True while a background merge of partition p is granted and its
-  /// closure not yet destroyed (queued or running). Thread-safe (atomic
-  /// load); the flag can change the moment this returns.
-  bool merge_in_flight(std::size_t p) const {
-    AIDX_CHECK(p < shards_.size());
-    return shards_[p]->merge_in_flight.load(std::memory_order_acquire);
-  }
-
-  /// True when partition p has given up on background merging (after
-  /// exhausting merge-step retries or repeated submission failures) and
-  /// parks its buffered writes for foreground absorption: the next
-  /// threshold-crossing writer, coarse-path query, or FlushPending merges
-  /// them inline. No write is ever dropped. FlushPending resets the flag.
-  /// Thread-safe.
-  bool shard_degraded(std::size_t p) const {
-    AIDX_CHECK(p < shards_.size());
-    return shards_[p]->degraded.load(std::memory_order_acquire);
-  }
-
-  /// Fault counters of background merging (submission failures, merge-step
-  /// failures, backoff retries, foreground degrades). Thread-safe.
-  BackgroundMergeStats background_merge_stats() const {
-    BackgroundMergeStats s;
-    s.submit_failures = bg_submit_failures_.load(std::memory_order_relaxed);
-    s.step_failures = bg_step_failures_.load(std::memory_order_relaxed);
-    s.step_retries = bg_step_retries_.load(std::memory_order_relaxed);
-    s.degrades = bg_degrades_.load(std::memory_order_relaxed);
-    return s;
   }
 
   /// Updates not yet folded into any cracked array: striped write-bucket
   /// tuples plus the per-partition pending stores. Thread-safe, but exact
-  /// only when no writer or merger is concurrently in flight.
+  /// only when no writer or query is concurrently in flight.
   std::size_t pending_update_count() const {
     std::size_t total = 0;
     for (const auto& shard : shards_) {
@@ -578,7 +402,6 @@ class PartitionedCrackerColumn {
     }
     return total;
   }
-  // ------------------------------------------------------------------------
 
   /// Current live tuple count (base minus deletes plus inserts, including
   /// still-pending ones). Thread-safe.
@@ -650,18 +473,6 @@ class PartitionedCrackerColumn {
   static constexpr std::size_t kStripeBlockShift = 8;
   /// Splitters are equi-depth quantiles of a value sample this large.
   static constexpr std::size_t kSplitterSampleSize = 1024;
-  /// Hard ceiling on chunked exclusive holds per background merge run, so
-  /// sustained writer pressure hands the remainder to the next trigger
-  /// instead of pinning a pool worker forever.
-  static constexpr std::size_t kMaxBackgroundRounds = 1 << 16;
-  /// Consecutive merge-step (or submission) failures tolerated before a
-  /// shard degrades to foreground merging (docs/ROBUSTNESS.md ladder).
-  static constexpr int kBackgroundMergeMaxRetries = 3;
-  /// Capped exponential backoff between merge-step retries. Short on
-  /// purpose: a failing merge holds nothing, and readers keep answering
-  /// from the overlay path while it sleeps.
-  static constexpr std::uint64_t kBackgroundRetryBaseMicros = 200;
-  static constexpr std::uint64_t kBackgroundRetryCapMicros = 2000;
 
   /// A buffered striped-path write (rid is kPendingNoRid for deletes).
   struct StripedPendingTuple {
@@ -683,12 +494,10 @@ class PartitionedCrackerColumn {
 
   struct Shard {
     Shard(std::vector<T> values, std::vector<row_id_t> row_ids,
-          const CrackerColumnOptions& opts, const PartitionedCrackerOptions& parent,
-          std::size_t self_index)
+          const CrackerColumnOptions& opts, const PartitionedCrackerOptions& parent)
         : stripes(std::clamp<std::size_t>(parent.latch_stripes, 1,
                                           kMaxLatchStripes)),
           write_buckets(stripes.size()),
-          index(self_index),
           column(std::move(values), std::move(row_ids),
                  typename UpdatableCrackerColumn<T>::Options{
                      .policy = parent.merge_policy,
@@ -718,7 +527,7 @@ class PartitionedCrackerColumn {
     // -- Striped write path --------------------------------------------------
     mutable std::vector<WriteBucket> write_buckets;
     // Total tuples across this shard's buckets; a cheap zero probe for the
-    // read path and the background-merge trigger.
+    // read path.
     std::atomic<std::size_t> buffered_writes{0};
     // Conservative value bounds over every buffered tuple (inserts and
     // queued deletes): widened before the buffered_writes bump at enqueue
@@ -735,20 +544,8 @@ class PartitionedCrackerColumn {
     std::atomic<std::size_t> striped_deletes_cancelled{0};
     // Read-path routing counters (docs/CONCURRENCY.md §4).
     std::atomic<std::size_t> fast_reads{0};
-    std::atomic<std::size_t> overlay_reads{0};
     std::atomic<std::size_t> coarse_reads{0};
 
-    // -- Background merging (docs/UPDATES.md) --------------------------------
-    // Set only by the granting CAS in RequestBackgroundMerge, cleared only
-    // by that grant's ticket deleter: one run per shard at a time.
-    std::atomic<bool> merge_in_flight{false};
-    // Set when background merging gave up on this shard (retries exhausted
-    // or repeated submission failures): buffered writes then merge in the
-    // foreground instead. Reset by FlushPending.
-    std::atomic<bool> degraded{false};
-    std::atomic<int> consecutive_submit_failures{0};
-
-    const std::size_t index;  // own partition number (for merge requests)
     UpdatableCrackerColumn<T> column;
   };
 
@@ -938,94 +735,59 @@ class PartitionedCrackerColumn {
     return fn();
   }
 
-  /// Values of the pred-matching pending updates visible to one
-  /// shared-path read: the shard's internal pending stores (stable under
-  /// `structural` shared) plus its write buckets, snapshotted under their
-  /// mutexes. Every delete is value-addressed (the partitioned write
-  /// surface has no rid deletes) and claims exactly one live matching
-  /// tuple, so folding a snapshot into a Count or Sum is exact.
-  struct PendingOverlay {
-    std::vector<T> inserts;
-    std::vector<T> deletes;
-    bool empty() const { return inserts.empty() && deletes.empty(); }
-  };
-
-  /// Snapshot of every pred-matching pending update; an empty snapshot is
-  /// the gate to the shared fast path. Caller holds `structural` shared;
-  /// bucket scans take the bucket mutexes. The snapshot is the read's
+  /// True when some pending update matches `pred`: the shard's internal
+  /// pending stores (stable under `structural` shared) or its write
+  /// buckets, probed under their mutexes. Stops at the first match; a
+  /// false answer is the gate to the shared fast path and the read's
   /// linearization point (writes landing later order after the query).
-  PendingOverlay CollectMatchingPending(const Shard& shard,
-                                        const RangePredicate<T>& pred) const {
-    PendingOverlay out;
-    shard.column.ForEachPendingInsert([&](T v, row_id_t) {
-      if (pred.Matches(v)) out.inserts.push_back(v);
-    });
-    shard.column.ForEachPendingDelete([&](T v, row_id_t) {
-      if (pred.Matches(v)) out.deletes.push_back(v);
-    });
-    if (shard.buffered_writes.load(std::memory_order_acquire) == 0) return out;
+  /// Caller holds `structural` shared.
+  bool HasMatchingPending(const Shard& shard,
+                          const RangePredicate<T>& pred) const {
+    if (shard.column.AnyPendingMatches(pred)) return true;
+    if (shard.buffered_writes.load(std::memory_order_acquire) == 0) return false;
     // Range filter before any bucket mutex: the bounds were published by
     // the buffered_writes bump we just observed, and they only widen
     // between drains, so a miss here is definitive.
     if (!PredicateTouchesRange(
             pred, shard.buffered_min.load(std::memory_order_relaxed),
             shard.buffered_max.load(std::memory_order_relaxed))) {
-      return out;
+      return false;
     }
+    const auto matches = [&](const StripedPendingTuple& t) {
+      return pred.Matches(t.value);
+    };
     for (const WriteBucket& bucket : shard.write_buckets) {
       const std::lock_guard<std::mutex> bl(bucket.mu);
-      for (const StripedPendingTuple& t : bucket.inserts) {
-        if (pred.Matches(t.value)) out.inserts.push_back(t.value);
-      }
-      for (const StripedPendingTuple& t : bucket.deletes) {
-        if (pred.Matches(t.value)) out.deletes.push_back(t.value);
+      if (std::any_of(bucket.inserts.begin(), bucket.inserts.end(), matches) ||
+          std::any_of(bucket.deletes.begin(), bucket.deletes.end(), matches)) {
+        return true;
       }
     }
-    return out;
+    return false;
   }
 
   /// The striped read protocol's one skeleton, shared by Count and Sum.
-  /// Under `structural` shared:
+  /// Under `structural` shared, when no pending update matches `pred`, run
+  /// `fast(resolved range)` under the shared stripe masks of the edges —
+  /// plus the core when `core_needs_values` (Count's core is
+  /// membership-only: bounded by realized cuts, which concurrent cracks
+  /// never move, so it needs no value reads and no stripes). Otherwise
+  /// fall back to `coarse` under `structural` exclusive, which first drains
+  /// the write buckets so the inner column's policy merge sees every
+  /// buffered update.
   ///
-  ///  - no pending update matches `pred` (the CollectMatchingPending
-  ///    snapshot is empty): run `fast(resolved range)` under the shared
-  ///    stripe masks of the edges — plus the core when `core_needs_values`
-  ///    (Count's core is membership-only: bounded by realized cuts, which
-  ///    concurrent cracks never move, so it needs no value reads and no
-  ///    stripes);
-  ///  - pending updates match but background merging is enabled or a
-  ///    merge is in flight for the shard: stay on the shared path and run
-  ///    `overlay(range, snapshot)` — the answer folds the matching pending
-  ///    tuples without physically merging, so readers are never blocked by
-  ///    a background merge (requesting one on the way);
-  ///  - otherwise fall back to `coarse` under `structural` exclusive, which
-  ///    first drains the write buckets so the inner column's policy merge
-  ///    sees every buffered update.
-  ///
-  /// `fast` and `overlay` return a value, `coarse` a Result of it. `ctx`
-  /// (may be null) gates every crack of the walk on either path; on expiry
-  /// the walk's Status is returned.
-  template <typename FastFn, typename OverlayFn, typename CoarseFn>
+  /// `fast` returns a value, `coarse` a Result of it. `ctx` (may be null)
+  /// gates every crack of the walk on either path; on expiry the walk's
+  /// Status is returned.
+  template <typename FastFn, typename CoarseFn>
   auto StripedReadOrCoarse(Shard& shard, const RangePredicate<T>& pred,
                            const QueryContext* ctx, bool core_needs_values,
-                           FastFn&& fast, OverlayFn&& overlay, CoarseFn&& coarse)
+                           FastFn&& fast, CoarseFn&& coarse)
       -> decltype(coarse()) {
     {
       const std::shared_lock<std::shared_mutex> structural(shard.structural);
-      const PendingOverlay pending = CollectMatchingPending(shard, pred);
-      const bool overlaps = !pending.empty();
-      const bool in_flight =
-          shard.merge_in_flight.load(std::memory_order_acquire);
-      const bool background_capable =
-          pool_ != nullptr && pool_->num_threads() > 0 &&
-          options_.background_merge_threshold > 0;
-      if (!overlaps || background_capable || in_flight) {
-        if (overlaps) {
-          if (!in_flight) RequestBackgroundMerge(shard.index);
-          shard.overlay_reads.fetch_add(1, std::memory_order_relaxed);
-        } else {
-          shard.fast_reads.fetch_add(1, std::memory_order_relaxed);
-        }
+      if (!HasMatchingPending(shard, pred)) {
+        shard.fast_reads.fetch_add(1, std::memory_order_relaxed);
         Status abort;
         const CrackSelect sel =
             shard.column.SelectLatched(pred, StripedLatch(shard), ctx, &abort);
@@ -1033,7 +795,7 @@ class PartitionedCrackerColumn {
         const StripeLockSet lock(&shard.stripes,
                                  SelectMask(shard, sel, core_needs_values),
                                  /*exclusive=*/false);
-        return overlaps ? overlay(sel, pending) : fast(sel);
+        return fast(sel);
       }
     }
     const std::unique_lock<std::shared_mutex> structural(shard.structural);
@@ -1044,17 +806,9 @@ class PartitionedCrackerColumn {
 
   Result<std::size_t> CountShard(Shard& shard, const RangePredicate<T>& pred,
                                  const QueryContext* ctx) {
-    const auto fast = [&](const CrackSelect& sel) {
-      return shard.column.CountFrom(sel, pred);
-    };
     return StripedReadOrCoarse(
-        shard, pred, ctx, /*core_needs_values=*/false, fast,
-        [&](const CrackSelect& sel, const PendingOverlay& pending) {
-          // Every matching pending delete claims one live matching tuple
-          // that is still counted (in the array or as a pending insert),
-          // so the subtraction never underflows.
-          return fast(sel) + pending.inserts.size() - pending.deletes.size();
-        },
+        shard, pred, ctx, /*core_needs_values=*/false,
+        [&](const CrackSelect& sel) { return shard.column.CountFrom(sel, pred); },
         [&]() -> Result<std::size_t> {
           if (ctx != nullptr) return shard.column.Count(pred, *ctx);
           return shard.column.Count(pred);
@@ -1065,15 +819,9 @@ class PartitionedCrackerColumn {
   /// caller rounds once.
   Result<SumAcc<T>> SumShard(Shard& shard, const RangePredicate<T>& pred,
                              const QueryContext* ctx) {
-    const auto fast = [&](const CrackSelect& sel) {
-      return shard.column.SumFrom(sel, pred);
-    };
     return StripedReadOrCoarse(
-        shard, pred, ctx, /*core_needs_values=*/true, fast,
-        [&](const CrackSelect& sel, const PendingOverlay& pending) {
-          return SubtractValues<T>(pending.deletes,
-                                   SumValues<T>(pending.inserts, fast(sel)));
-        },
+        shard, pred, ctx, /*core_needs_values=*/true,
+        [&](const CrackSelect& sel) { return shard.column.SumFrom(sel, pred); },
         [&]() -> Result<SumAcc<T>> {
           if (ctx != nullptr) return shard.column.SumPartial(pred, *ctx);
           return shard.column.SumPartial(pred);
@@ -1249,119 +997,6 @@ class PartitionedCrackerColumn {
   }
   // ------------------------------------------------------------------------
 
-  // -- Background merging (docs/UPDATES.md) --------------------------------
-
-  void MaybeTriggerBackgroundMerge(Shard& shard) {
-    if (options_.background_merge_threshold == 0 || pool_ == nullptr) return;
-    if (shard.buffered_writes.load(std::memory_order_relaxed) <
-        options_.background_merge_threshold) {
-      return;
-    }
-    if (shard.degraded.load(std::memory_order_acquire)) {
-      // Degraded ladder rung: the writer that crossed the threshold pays
-      // for the merge inline. Slower than background absorption, but no
-      // buffered write is ever dropped and the buffer stays bounded.
-      ForegroundMerge(shard);
-      return;
-    }
-    if (shard.merge_in_flight.load(std::memory_order_relaxed)) return;
-    RequestBackgroundMerge(shard.index);
-  }
-
-  /// Spins until no background merge task is queued or running.
-  void WaitForInFlightMerges() const {
-    while (background_tasks_.load(std::memory_order_acquire) != 0) {
-      std::this_thread::yield();
-    }
-  }
-
-  /// True when the shard holds buffered writes or pending-store updates.
-  bool HasUnmergedUpdates(const Shard& shard) const {
-    if (shard.buffered_writes.load(std::memory_order_acquire) != 0) return true;
-    const std::shared_lock<std::shared_mutex> structural(shard.structural);
-    return shard.column.has_pending();
-  }
-
-  /// Foreground fallback for degraded shards: drain the write buckets and
-  /// fold every pending update under whole-partition exclusion — the same
-  /// path the coarse read takes, so correctness is shared with it.
-  void ForegroundMerge(Shard& shard) {
-    const std::unique_lock<std::shared_mutex> structural(shard.structural);
-    DrainStripedPending(shard);
-    shard.column.MergePendingFor(RangePredicate<T>::All());
-    AIDX_DCHECK(shard.column.Validate());
-  }
-
-  /// Accounting for a failed background-merge submission (injected fault
-  /// or pool refusal). Enough consecutive failures park the shard in
-  /// foreground mode so callers stop hammering a broken pool. Always
-  /// returns false (the request did not run).
-  bool NoteSubmitFailure(Shard& shard) {
-    bg_submit_failures_.fetch_add(1, std::memory_order_relaxed);
-    const int failures = shard.consecutive_submit_failures.fetch_add(
-                             1, std::memory_order_acq_rel) +
-                         1;
-    if (failures > kBackgroundMergeMaxRetries) {
-      if (!shard.degraded.exchange(true, std::memory_order_acq_rel)) {
-        bg_degrades_.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-    return false;
-  }
-
-  /// The pool-side merge task: drain + ripple-merge in chunked exclusive
-  /// holds, yielding between chunks so readers and writers interleave.
-  /// Readers that meet pending updates while the shard's merge is in
-  /// flight answer from the shared overlay path, so they are never blocked
-  /// behind the merge. The shard's `merge_in_flight` flag clears when this
-  /// task's closure is destroyed (RequestBackgroundMerge).
-  void RunBackgroundMerge(std::size_t p) {
-    Shard& shard = *shards_[p];
-    // Merge-step faults (failpoints::parallel_bg_merge_step, or any future
-    // real failure source routed through it) retry with capped exponential
-    // backoff; a run that exhausts its retries parks the shard in
-    // foreground mode. Either way every buffered write stays queued — a
-    // failed step mutates nothing — and readers keep answering from the
-    // overlay path throughout.
-    int failures = 0;
-    std::uint64_t backoff_us = kBackgroundRetryBaseMicros;
-    bool give_up = false;
-    for (std::size_t round = 0; round < kMaxBackgroundRounds; ++round) {
-      if (shutting_down_.load(std::memory_order_acquire)) break;
-      const Status step = failpoints::parallel_bg_merge_step.Inject();
-      if (AIDX_PREDICT_FALSE(!step.ok())) {
-        bg_step_failures_.fetch_add(1, std::memory_order_relaxed);
-        if (++failures > kBackgroundMergeMaxRetries) {
-          give_up = true;
-          break;
-        }
-        bg_step_retries_.fetch_add(1, std::memory_order_relaxed);
-        std::this_thread::sleep_for(std::chrono::microseconds(backoff_us));
-        backoff_us = std::min(backoff_us * 2, kBackgroundRetryCapMicros);
-        continue;
-      }
-      failures = 0;
-      backoff_us = kBackgroundRetryBaseMicros;
-      bool done;
-      {
-        const std::unique_lock<std::shared_mutex> structural(shard.structural);
-        DrainStripedPending(shard);
-        shard.column.MergePendingBudget(options_.background_merge_chunk);
-        AIDX_DCHECK(shard.column.Validate());
-        done = !shard.column.has_pending() &&
-               shard.buffered_writes.load(std::memory_order_acquire) == 0;
-      }
-      if (done) break;
-      std::this_thread::yield();
-    }
-    if (give_up) {
-      if (!shard.degraded.exchange(true, std::memory_order_acq_rel)) {
-        bg_degrades_.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-  }
-  // ------------------------------------------------------------------------
-
   /// Equi-depth splitters from a value sample; sorted and distinct, so the
   /// effective partition count is splitters.size() + 1 <= num_partitions.
   std::vector<T> PickSplitters(std::span<const T> base) {
@@ -1448,20 +1083,10 @@ class PartitionedCrackerColumn {
 
   PartitionedCrackerOptions options_;
   ThreadPool* pool_;  // borrowed; may be null
-  std::size_t total_size_;    // initial (base) size; live count is atomic below
   std::vector<T> splitters_;  // immutable after construction
   std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<row_id_t> next_rid_{0};   // globally unique fresh row ids
   std::atomic<std::size_t> live_size_{0};
-  /// In-flight background merge tasks (ticket-counted: a ticket is released
-  /// even when the pool drops the closure unstarted at shutdown).
-  mutable std::atomic<int> background_tasks_{0};
-  std::atomic<bool> shutting_down_{false};
-  // Background-merge fault counters (see background_merge_stats()).
-  std::atomic<std::size_t> bg_submit_failures_{0};
-  std::atomic<std::size_t> bg_step_failures_{0};
-  std::atomic<std::size_t> bg_step_retries_{0};
-  std::atomic<std::size_t> bg_degrades_{0};
 };
 
 }  // namespace aidx

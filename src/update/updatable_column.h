@@ -32,6 +32,7 @@
 // dropped on every write. This column keeps only its victim search.
 #pragma once
 
+#include <algorithm>
 #include <limits>
 #include <span>
 #include <utility>
@@ -234,10 +235,16 @@ class UpdatableCrackerColumn : public CrackerColumn<T> {
     return !pending_inserts_.empty() || !pending_deletes_.empty();
   }
 
-  /// Read-only enumeration of the pending stores, for the striped write
-  /// path's overlay reads and existence probes (which may only hold the
-  /// shard's structural latch shared — the stores mutate only under
-  /// structural exclusive). `fn(value, rid)` per tuple.
+  /// Read-only probes of the pending stores, for the partitioned column's
+  /// fast-path gate and existence probes (which may only hold the shard's
+  /// structural latch shared — the stores mutate only under structural
+  /// exclusive). AnyPendingMatches stops at the first match; the
+  /// enumerations call `fn(value, rid)` per tuple.
+  bool AnyPendingMatches(const RangePredicate<T>& pred) const {
+    const auto matches = [&](const PendingTuple& t) { return pred.Matches(t.value); };
+    return std::any_of(pending_inserts_.begin(), pending_inserts_.end(), matches) ||
+           std::any_of(pending_deletes_.begin(), pending_deletes_.end(), matches);
+  }
   template <typename Fn>
   void ForEachPendingInsert(Fn&& fn) const {
     for (const PendingTuple& t : pending_inserts_) fn(t.value, t.rid);
@@ -269,15 +276,6 @@ class UpdatableCrackerColumn : public CrackerColumn<T> {
     }
     pending_deletes_.push_back({value, kPendingNoRid});
     return false;
-  }
-
-  /// Merges up to `max_tuples` pending updates (oldest-first, deletes
-  /// before inserts) regardless of any predicate — the chunk primitive a
-  /// background merge runs between latch releases so readers never wait
-  /// behind one long exclusive hold.
-  void MergePendingBudget(std::size_t max_tuples) {
-    if (max_tuples == 0) return;
-    MergeMatching([](const PendingTuple&) { return false; }, max_tuples);
   }
 
   std::size_t num_pending_inserts() const { return pending_inserts_.size(); }

@@ -17,7 +17,7 @@
 // `;`- or `,`-separated list of `name=mode` entries parsed at startup,
 // e.g.
 //
-//   AIDX_FAILPOINTS="parallel.bg_merge_step=error;crack.piece=delay(200)"
+//   AIDX_FAILPOINTS="threadpool.submit=error;crack.piece=delay(200)"
 //
 // Mode grammar: `off`, `error`, `error(<code>)`, `delay(<micros>)`,
 // `prob(<p>)`, `prob(<p>,<code>)`, each optionally suffixed `*N` to
@@ -186,16 +186,6 @@ inline Failpoint organizer_step{"organizer.step"};
 /// Error- and callback-capable; fires before any mutation, so a fired
 /// error aborts the whole row with no torn state.
 inline Failpoint engine_dml_validate{"engine.dml_validate"};
-
-/// Just before a background-merge task is handed to the pool. An injected
-/// error simulates submission failure: the column must degrade to
-/// foreground merging.
-inline Failpoint parallel_bg_submit{"parallel.bg_submit"};
-
-/// Each chunk round of a running background merge. An injected error fails
-/// the merge attempt: the column retries with capped exponential backoff,
-/// then degrades to foreground. Buffered writes are never lost.
-inline Failpoint parallel_bg_merge_step{"parallel.bg_merge_step"};
 
 /// ThreadPool::TrySubmit; an injected error makes it return false.
 inline Failpoint threadpool_submit{"threadpool.submit"};

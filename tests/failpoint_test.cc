@@ -2,7 +2,7 @@
 // delay, probabilistic, callback, max-hits auto-disarm), the registry's
 // spec grammar and pending-spec queue, QueryContext's deadline/cancel
 // contract, the ResourceGovernor's soft-budget arithmetic, and ThreadPool
-// shutdown semantics that background merging depends on.
+// shutdown semantics that ParallelFor's fewer-helpers fallback depends on.
 #include "util/failpoint.h"
 
 #include <gtest/gtest.h>
@@ -157,9 +157,9 @@ TEST_F(FailpointTest, ResetCountersClearsWithoutDisarming) {
 TEST_F(FailpointTest, RegistryFindsEveryCatalogPoint) {
   auto& registry = FailpointRegistry::Instance();
   for (const char* name :
-       {"crack.piece", "organizer.step", "engine.dml_validate", "parallel.bg_submit",
-        "parallel.bg_merge_step", "threadpool.submit", "sideways.select",
-        "sideways.ripple", "storage.add_column", "storage.commit_row"}) {
+       {"crack.piece", "organizer.step", "engine.dml_validate", "threadpool.submit",
+        "sideways.select", "sideways.ripple", "storage.add_column",
+        "storage.commit_row"}) {
     Failpoint* point = registry.Find(name);
     ASSERT_NE(point, nullptr) << name;
     EXPECT_STREQ(point->name(), name);

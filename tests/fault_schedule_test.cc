@@ -4,13 +4,10 @@
 // burst — ValidatePieces on every cracked structure, live counts and
 // checksums against a scan oracle, and sideways clone alignment.
 //
-// The two acceptance pins live here:
-//  - a query cancelled / deadline-expired mid-crack returns Cancelled /
-//    DeadlineExceeded, the index stays ValidatePieces-clean, and every
-//    crack already performed is KEPT (incremental investment);
-//  - an injected background-merge failure retries with backoff and then
-//    degrades to foreground merging without losing a single buffered
-//    write.
+// The acceptance pin lives here: a query cancelled / deadline-expired
+// mid-crack returns Cancelled / DeadlineExceeded, the index stays
+// ValidatePieces-clean, and every crack already performed is KEPT
+// (incremental investment).
 //
 // Environment knobs (CI's fault-schedule job sets both):
 //   AIDX_FAULT_SCHEDULE  named schedule for the randomized test
@@ -65,7 +62,7 @@ class FaultScheduleTest : public ::testing::Test {
 };
 
 // ---------------------------------------------------------------------------
-// Acceptance pin 1: cancellation / deadline expiry mid-crack.
+// Acceptance pin: cancellation / deadline expiry mid-crack.
 // ---------------------------------------------------------------------------
 
 // The callback cancels the token and returns OK, so the crack the gate
@@ -211,116 +208,6 @@ TEST_F(FaultScheduleTest, DeadlinePropagatesThroughTheDatabaseFacade) {
                          .strategy = StrategyConfig::Crack()});
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(*after, ScanCount<std::int64_t>(values, pred));
-}
-
-// ---------------------------------------------------------------------------
-// Acceptance pin 2: background-merge faults retry, then degrade, and
-// never lose a buffered write.
-// ---------------------------------------------------------------------------
-
-using ParallelColumn = PartitionedCrackerColumn<std::int64_t>;
-
-PartitionedCrackerOptions MachineOptions(std::size_t threshold) {
-  PartitionedCrackerOptions options;
-  options.num_partitions = 2;
-  options.background_merge_threshold = threshold;
-  options.background_merge_chunk = 128;
-  return options;
-}
-
-TEST_F(FaultScheduleTest, BackgroundMergeRetriesTransientFaultsWithBackoff) {
-  const auto base = RandomValues(2000, 1000, 109);
-  ThreadPool pool(2);
-  ParallelColumn col(base, MachineOptions(/*threshold=*/4), &pool);
-  // Two step faults total, then the point auto-disarms: the merge task
-  // retries through both and completes without degrading anything.
-  ASSERT_TRUE(Configure("parallel.bg_merge_step=error*2").ok());
-
-  Rng rng(110);
-  for (int i = 0; i < 64; ++i) {
-    col.Insert(static_cast<std::int64_t>(rng.NextBounded(1000)));
-  }
-  col.WaitForBackgroundMerges();
-
-  const BackgroundMergeStats stats = col.background_merge_stats();
-  EXPECT_EQ(stats.step_failures, 2u);
-  EXPECT_EQ(stats.step_retries, 2u);
-  EXPECT_EQ(stats.degrades, 0u);
-  for (std::size_t p = 0; p < col.num_partitions(); ++p) {
-    EXPECT_FALSE(col.shard_degraded(p)) << "shard " << p;
-  }
-  EXPECT_EQ(col.Count(Pred::All()), base.size() + 64);
-  EXPECT_TRUE(col.ValidatePieces());
-}
-
-TEST_F(FaultScheduleTest, PersistentMergeFaultsDegradeToForegroundWithoutWriteLoss) {
-  const auto base = RandomValues(2000, 1000, 113);
-  ThreadPool pool(2);
-  ParallelColumn col(base, MachineOptions(/*threshold=*/4), &pool);
-  // Every merge step fails: the first task burns its retry budget
-  // (base 200us doubling to the 2ms cap), gives up, and flags the shard.
-  ASSERT_TRUE(Configure("parallel.bg_merge_step=error").ok());
-
-  Rng rng(114);
-  std::size_t inserted = 0;
-  // Keep writing until some shard has degraded; later threshold
-  // crossings on that shard merge in the foreground (which never touches
-  // the bg_merge_step point), so writes keep landing while the fault is
-  // still armed.
-  while (col.background_merge_stats().degrades == 0) {
-    col.Insert(static_cast<std::int64_t>(rng.NextBounded(1000)));
-    ++inserted;
-    col.WaitForBackgroundMerges();
-    ASSERT_LT(inserted, 10000u) << "no degrade after many faulted merges";
-  }
-  for (int i = 0; i < 32; ++i) {
-    col.Insert(static_cast<std::int64_t>(rng.NextBounded(1000)));
-    ++inserted;
-  }
-
-  const BackgroundMergeStats stats = col.background_merge_stats();
-  EXPECT_GE(stats.step_failures, 4u) << "retry budget is 3 retries per task";
-  EXPECT_GE(stats.step_retries, 3u);
-  EXPECT_GE(stats.degrades, 1u);
-  bool any_degraded = false;
-  for (std::size_t p = 0; p < col.num_partitions(); ++p) {
-    any_degraded |= col.shard_degraded(p);
-  }
-  EXPECT_TRUE(any_degraded);
-
-  // Not a single write was lost, with the fault STILL armed.
-  EXPECT_EQ(col.Count(Pred::All()), base.size() + inserted);
-  EXPECT_TRUE(col.ValidatePieces());
-
-  // Recovery: a coarse flush clears the degraded flag and the shard
-  // resumes background merging once the fault is gone.
-  FailpointRegistry::Instance().DisarmAll();
-  col.FlushPending();
-  for (std::size_t p = 0; p < col.num_partitions(); ++p) {
-    EXPECT_FALSE(col.shard_degraded(p)) << "shard " << p;
-  }
-  EXPECT_EQ(col.Count(Pred::All()), base.size() + inserted);
-}
-
-TEST_F(FaultScheduleTest, SubmitFailuresDegradeTheShard) {
-  const auto base = RandomValues(2000, 1000, 127);
-  ThreadPool pool(2);
-  ParallelColumn col(base, MachineOptions(/*threshold=*/4), &pool);
-  ASSERT_TRUE(Configure("parallel.bg_submit=error").ok());
-
-  // Smallest value always lands in partition 0, so every buffered write
-  // past the threshold re-attempts (and re-fails) that shard's submit.
-  for (int i = 0; i < 16; ++i) col.Insert(-1);
-  const BackgroundMergeStats stats = col.background_merge_stats();
-  EXPECT_GE(stats.submit_failures, 4u);
-  EXPECT_TRUE(col.shard_degraded(0));
-  // Foreground merging carried the shard: all writes visible, index clean.
-  EXPECT_EQ(col.Count(Pred::All()), base.size() + 16);
-  EXPECT_TRUE(col.ValidatePieces());
-
-  FailpointRegistry::Instance().DisarmAll();
-  col.FlushPending();
-  EXPECT_FALSE(col.shard_degraded(0));
 }
 
 // ---------------------------------------------------------------------------
@@ -545,8 +432,7 @@ std::string ScheduleSpec(const std::string& name) {
            "storage.commit_row=delay(20);organizer.step=delay(10)";
   }
   if (name == "errors") {
-    return "parallel.bg_merge_step=prob(0.2);parallel.bg_submit=prob(0.1);"
-           "crack.piece=prob(0.05)";
+    return "threadpool.submit=prob(0.1);crack.piece=prob(0.05)";
   }
   if (name == "dist") {
     // Aimed at the sharded serving layer (tests/sharded_db_test.cc picks
@@ -556,7 +442,7 @@ std::string ScheduleSpec(const std::string& name) {
            "dist.migrate_piece=prob(0.1);crack.piece=delay(10)";
   }
   // mixed (default)
-  return "crack.piece=prob(0.02);parallel.bg_merge_step=prob(0.05);"
+  return "crack.piece=prob(0.02);threadpool.submit=prob(0.05);"
          "sideways.ripple=delay(30);storage.commit_row=delay(10)";
 }
 

@@ -8,9 +8,6 @@
 //    deterministic, so after joining, the flushed column must equal the
 //    union of the per-thread logs — for any interleaving the scheduler
 //    produced;
-//  - the same interleavings run again with background merges enabled, so
-//    the per-shard merge grant (set, run, clear on closure destruction)
-//    races real traffic under TSan;
 //  - multi-column arm: row-atomic DML on a 3-column Database against a
 //    row-store oracle, across strategies and merge policies, sequentially
 //    and with 8 threads interleaving through the documented external
@@ -38,7 +35,6 @@
 #include "parallel/partitioned_cracker_column.h"
 #include "pcrack_view.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace aidx {
 namespace {
@@ -68,11 +64,9 @@ Pred RandomPredicate(Rng* rng) {
   return Pred{a, kind(), a + width, kind()};
 }
 
-PartitionedCrackerOptions StressOptions(std::size_t background_threshold = 0) {
+PartitionedCrackerOptions StressOptions() {
   PartitionedCrackerOptions options;
   options.num_partitions = 4;
-  options.background_merge_threshold = background_threshold;
-  options.background_merge_chunk = 64;  // small chunks: more mode cycles
   return options;
 }
 
@@ -199,19 +193,6 @@ TEST_P(RandomizedOpsStress, InterleavedOpsConvergeToLogUnion) {
   Column col(base, StressOptions());
   const auto expect = RunInterleavedOps(&col, base, seed, 8, 250);
   EXPECT_EQ(col.size(), expect.size()) << "seed " << seed;
-  EXPECT_EQ(FlushedValues(col, Pred::All()), expect) << "seed " << seed;
-  EXPECT_TRUE(col.ValidatePieces()) << "seed " << seed;
-}
-
-TEST_P(RandomizedOpsStress, InterleavedOpsWithBackgroundMerges) {
-  const std::uint64_t seed = GetParam();
-  const auto base = RandomValues(8000, seed ^ 0xFEED);
-  ThreadPool pool(3);
-  // A low threshold keeps merge tasks cycling for the whole run, racing
-  // the writers and readers below.
-  Column col(base, StressOptions(/*background_threshold=*/16), &pool);
-  const auto expect = RunInterleavedOps(&col, base, seed, 8, 250);
-  col.WaitForBackgroundMerges();
   EXPECT_EQ(FlushedValues(col, Pred::All()), expect) << "seed " << seed;
   EXPECT_TRUE(col.ValidatePieces()) << "seed " << seed;
 }

@@ -513,6 +513,42 @@ TEST_F(ShardedDbTest, DeleteRemovesTheLowestRidDuplicate) {
   }
 }
 
+// Delete on a column that is not the routing key probes the shards in
+// ascending order and removes the lowest-rid match on the first shard that
+// has one, so a younger row on a lower shard goes before an older row on a
+// higher one. Value 7 of `tag` sits on shards 0, 2 and 3 (range routing,
+// boundaries 250/500/750); payloads are distinct powers of two, so each
+// drop in Sum(v) names the row that went.
+TEST_F(ShardedDbTest, NonRoutingDeleteTakesTheLowestShardFirst) {
+  ShardedDatabase db;  // four shards
+  ASSERT_TRUE(db.CreateTable("t", SpecFor(RoutingKind::kRange, db.num_shards())).ok());
+  ASSERT_TRUE(db.AddColumn("t", "k").ok());
+  ASSERT_TRUE(db.AddColumn("t", "tag").ok());
+  ASSERT_TRUE(db.AddColumn("t", "v").ok());
+  // Rows (k, tag, v) in insertion order: the oldest tag-7 row lands on the
+  // highest shard.
+  const std::vector<std::int64_t> rows = {900, 7, 1,  10, 7, 2,  600, 3, 64,
+                                          20,  7, 4,  500, 7, 8};
+  ASSERT_TRUE(db.InsertBatch("t", rows).ok());
+  const Pred tag7 = Pred::Between(7, 7);
+  const std::size_t per_shard[] = {2, 0, 1, 1};
+  for (std::size_t s = 0; s < db.num_shards(); ++s) {
+    ASSERT_EQ(*db.shard(s).Count(Req("t", "tag", tag7)), per_shard[s]) << "shard " << s;
+  }
+  const auto payload_sum = [&] {
+    return static_cast<std::int64_t>(*db.Sum(Req("t", "v", Pred::All())));
+  };
+  std::int64_t sum = payload_sum();
+  for (const std::int64_t victim : {2, 4, 8, 1}) {
+    ASSERT_TRUE(*db.Delete("t", "tag", 7)) << "victim " << victim;
+    const std::int64_t now = payload_sum();
+    EXPECT_EQ(sum - now, victim);
+    sum = now;
+  }
+  EXPECT_FALSE(*db.Delete("t", "tag", 7));
+  EXPECT_EQ(sum, 64);  // only the tag-3 row survives
+}
+
 // ---------------------------------------------------------------------------
 // Exact Sum across shards.
 // ---------------------------------------------------------------------------
@@ -965,15 +1001,14 @@ std::string ScheduleSpec(const std::string& name) {
            "storage.commit_row=delay(20);organizer.step=delay(10)";
   }
   if (name == "errors") {
-    return "parallel.bg_merge_step=prob(0.2);parallel.bg_submit=prob(0.1);"
-           "crack.piece=prob(0.05)";
+    return "threadpool.submit=prob(0.1);crack.piece=prob(0.05)";
   }
   if (name == "dist") {
     return "dist.route=prob(0.03);dist.scatter=prob(0.05);"
            "dist.migrate_piece=prob(0.1);crack.piece=delay(10)";
   }
   // mixed (default)
-  return "crack.piece=prob(0.02);parallel.bg_merge_step=prob(0.05);"
+  return "crack.piece=prob(0.02);threadpool.submit=prob(0.05);"
          "sideways.ripple=delay(30);storage.commit_row=delay(10)";
 }
 

@@ -9,9 +9,8 @@
 //  - stripe collisions: with a 1- or 2-entry latch table every piece maps
 //    to the same stripe(s), so disjoint-piece cracks serialize through
 //    latch collisions — answers must stay exact under full contention;
-//  - high-thread mixed read/write stress with foreground and with
-//    background merging, with ValidatePieces() and exact total balancing
-//    afterwards;
+//  - high-thread mixed read/write stress with the fan-out inline and on a
+//    pool, with ValidatePieces() and exact total balancing afterwards;
 //  - same-partition concurrent cracking (num_partitions = 1): the exact
 //    contention the striped table exists to relieve — every query cracks
 //    the one partition, results checked against a scan oracle.
@@ -239,23 +238,20 @@ TEST(StripedLatchTest, SamePartitionConcurrentCrackStress) {
 }
 
 // §5's "invariants survive" check: high-thread mixed read/write stress,
-// then ValidatePieces() — in both merge modes: foreground (no pool; pending
-// updates fold on the coarse read path) and background (a pool-run merge
-// merge absorbing buffered writes while readers use the overlay path).
-// Writers insert fresh values above the base domain (so only their inserter
+// then ValidatePieces() — in both fan-out modes: inline (no pool) and on a
+// pool, whose workers answer partitions while pending updates fold on the
+// coarse read path. Writers insert fresh values above the base domain (so only their inserter
 // deletes them), readers count throughout; afterwards totals must balance
 // exactly and every piece invariant must hold.
 TEST(StripedLatchTest, ValidatePiecesAfterMixedStressBothModes) {
-  for (const std::size_t threshold : {std::size_t{0}, std::size_t{16}}) {
+  for (const bool with_pool : {false, true}) {
     constexpr std::size_t kWriters = 4;
     constexpr std::size_t kReaders = 4;
     constexpr int kOpsPerThread = 300;
     constexpr std::int64_t kDomain = 2000;
     const auto base = RandomValues(16000, kDomain, 79);
     ThreadPool pool(2);
-    PartitionedCrackerOptions options = StripedOptions(8);
-    options.background_merge_threshold = threshold;
-    Column col(base, options, threshold > 0 ? &pool : nullptr);
+    Column col(base, StripedOptions(8), with_pool ? &pool : nullptr);
 
     std::atomic<std::size_t> inserted{0};
     std::atomic<std::size_t> deleted{0};
@@ -300,12 +296,11 @@ TEST(StripedLatchTest, ValidatePiecesAfterMixedStressBothModes) {
       });
     }
     for (auto& thread : threads) thread.join();
-    col.WaitForBackgroundMerges();
-    EXPECT_EQ(failures.load(), 0) << "threshold " << threshold;
+    EXPECT_EQ(failures.load(), 0) << "pool " << with_pool;
     EXPECT_EQ(col.size(), base.size() + inserted.load() - deleted.load())
-        << "threshold " << threshold;
-    EXPECT_EQ(col.Count(Pred::All()), col.size()) << "threshold " << threshold;
-    EXPECT_TRUE(col.ValidatePieces()) << "threshold " << threshold;
+        << "pool " << with_pool;
+    EXPECT_EQ(col.Count(Pred::All()), col.size()) << "pool " << with_pool;
+    EXPECT_TRUE(col.ValidatePieces()) << "pool " << with_pool;
   }
 }
 
@@ -512,18 +507,17 @@ TEST(StripedLatchTest, StrategyKnobsAreDistinct) {
   EXPECT_FALSE(striped == wide);
 }
 
-// Both merge modes (foreground, and background on the path's own pool)
-// through the shared kParallelCrack access path, writers in the mix,
-// including the racy lazy-construction moment.
+// Both fan-out modes (inline, and on the path's own pool) through the
+// shared kParallelCrack access path, writers in the mix, including the
+// racy lazy-construction moment.
 TEST(StripedLatchTest, AccessPathMixedStressBothModes) {
-  for (const std::size_t threshold : {std::size_t{0}, std::size_t{16}}) {
+  for (const std::size_t path_threads : {std::size_t{1}, std::size_t{2}}) {
     constexpr std::size_t kThreads = 6;
     constexpr int kOpsPerThread = 150;
     constexpr std::int64_t kDomain = 1500;
     const auto base = RandomValues(12000, kDomain, 89);
-    StrategyConfig config = StrategyConfig::ParallelCrack(8, 2);
-    config.background_merge_threshold = threshold;
-    const auto path = MakeAccessPath<std::int64_t>(base, config);
+    const auto path = MakeAccessPath<std::int64_t>(
+        base, StrategyConfig::ParallelCrack(8, path_threads));
 
     std::atomic<int> failures{0};
     std::vector<std::thread> threads;
@@ -554,7 +548,7 @@ TEST(StripedLatchTest, AccessPathMixedStressBothModes) {
       });
     }
     for (auto& thread : threads) thread.join();
-    EXPECT_EQ(failures.load(), 0) << "threshold " << threshold;
+    EXPECT_EQ(failures.load(), 0) << "threads " << path_threads;
   }
 }
 

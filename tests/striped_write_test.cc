@@ -11,7 +11,10 @@
 //    multiset must match regardless of interleaving;
 //  - write accounting: striped enqueues land in AggregatedUpdateStats with
 //    exact queued/cancelled/merged totals, and the stats probes run beside
-//    readers and writers and are exact once the column is quiet.
+//    readers and writers and are exact once the column is quiet;
+//  - read routing: a read overlapping pending updates folds them on the
+//    coarse path, with or without a pool, and reads disjoint from every
+//    pending key stay on the shared fast path under every merge policy.
 //
 // Runs under ThreadSanitizer via the `concurrency` ctest label
 // (scripts/check.sh --tsan).
@@ -124,46 +127,33 @@ TYPED_TEST(StripedWriteDifferentialTest, MixedWorkloadAllMergePolicies) {
 
 TEST(StripedWriteTest, MaterializeValuesMatchesModelMidPending) {
   constexpr std::int64_t kDomain = 900;
-  // Without a pool an overlapping read folds pending writes on the coarse
-  // path; with background merging enabled it answers from the shared
-  // overlay instead, so both read paths meet the same model.
-  ThreadPool pool(2);
-  for (const std::size_t threshold : {std::size_t{0}, std::size_t{16}}) {
-    auto model = RandomValues<std::int64_t>(4000, kDomain, 91);
-    PartitionedCrackerOptions options = StripedWriteOptions();
-    options.background_merge_threshold = threshold;
-    PartitionedCrackerColumn<std::int64_t> col(model, options,
-                                               threshold > 0 ? &pool : nullptr);
-    Rng rng(92);
-    for (int step = 0; step < 300; ++step) {
-      const auto dice = rng.NextBounded(6);
-      if (dice < 2) {
-        const auto v = static_cast<std::int64_t>(rng.NextBounded(kDomain));
-        col.Insert(v);
-        model.push_back(v);
-      } else if (dice < 3 && !model.empty()) {
-        const std::size_t pick = rng.NextBounded(model.size());
-        ASSERT_TRUE(col.Delete(model[pick])) << "threshold " << threshold;
-        model[pick] = model.back();
-        model.pop_back();
-      } else {
-        // Read WITHOUT flushing first: buffered writes must fold into the
-        // answer, not get lost.
-        const auto p = RandomPredicate<std::int64_t>(&rng, kDomain);
-        ASSERT_EQ(col.Count(p), ScanCount<std::int64_t>(model, p))
-            << "threshold " << threshold << " step " << step << " " << p.ToString();
-        ASSERT_EQ(col.Sum(p), ScanSum<std::int64_t>(model, p))
-            << "threshold " << threshold << " step " << step << " " << p.ToString();
-      }
+  auto model = RandomValues<std::int64_t>(4000, kDomain, 91);
+  PartitionedCrackerColumn<std::int64_t> col(model, StripedWriteOptions());
+  Rng rng(92);
+  for (int step = 0; step < 300; ++step) {
+    const auto dice = rng.NextBounded(6);
+    if (dice < 2) {
+      const auto v = static_cast<std::int64_t>(rng.NextBounded(kDomain));
+      col.Insert(v);
+      model.push_back(v);
+    } else if (dice < 3 && !model.empty()) {
+      const std::size_t pick = rng.NextBounded(model.size());
+      ASSERT_TRUE(col.Delete(model[pick]));
+      model[pick] = model.back();
+      model.pop_back();
+    } else {
+      // Read WITHOUT flushing first: buffered writes must fold into the
+      // answer, not get lost.
+      const auto p = RandomPredicate<std::int64_t>(&rng, kDomain);
+      ASSERT_EQ(col.Count(p), ScanCount<std::int64_t>(model, p))
+          << "step " << step << " " << p.ToString();
+      ASSERT_EQ(col.Sum(p), ScanSum<std::int64_t>(model, p))
+          << "step " << step << " " << p.ToString();
     }
-    if (threshold > 0) {
-      EXPECT_GT(col.AggregatedReadPathStats().overlay_reads, 0u);
-    }
-    std::sort(model.begin(), model.end());
-    EXPECT_EQ(FlushedValues(col, RangePredicate<std::int64_t>::All()), model)
-        << "threshold " << threshold;
-    EXPECT_TRUE(col.ValidatePieces()) << "threshold " << threshold;
   }
+  std::sort(model.begin(), model.end());
+  EXPECT_EQ(FlushedValues(col, RangePredicate<std::int64_t>::All()), model);
+  EXPECT_TRUE(col.ValidatePieces());
 }
 
 TEST(StripedWriteTest, RowIdsSurviveStripedBuffering) {
@@ -477,15 +467,6 @@ TEST(StripedWriteTest, DeleteClaimsAreExactAcrossDuplicates) {
   EXPECT_TRUE(col.ValidatePieces());
 }
 
-TEST(StripedWriteTest, DisplayNamesExposeWriteKnobs) {
-  StrategyConfig config = StrategyConfig::ParallelCrack(8, 4);
-  EXPECT_EQ(config.DisplayName(), "pcrack(8x4)");  // defaults stay terse
-  config.background_merge_threshold = 64;
-  EXPECT_EQ(config.DisplayName(), "pcrack(8x4-bg64)");
-  // Knob variants must be distinct configs (the Database caches on this).
-  EXPECT_FALSE(config == StrategyConfig::ParallelCrack(8, 4));
-}
-
 TEST(StripedWriteTest, AccessPathStripedWritesMatchOracle) {
   constexpr std::int64_t kDomain = 500;
   auto base = RandomValues<std::int64_t>(4000, kDomain, 109);
@@ -510,6 +491,103 @@ TEST(StripedWriteTest, AccessPathStripedWritesMatchOracle) {
     }
   }
   EXPECT_EQ(path->Count(RangePredicate<std::int64_t>::All()), model.size());
+}
+
+// Overlap-only merge decisions for every policy: traffic disjoint from all
+// pending keys must never leave the shared fast path, so the coarse-read
+// counter stays zero.
+TEST(StripedWriteTest, DisjointQueriesKeepFullFastPathHitRate) {
+  using Pred = RangePredicate<std::int64_t>;
+  for (const MergePolicy policy :
+       {MergePolicy::kRipple, MergePolicy::kComplete, MergePolicy::kGradual}) {
+  for (const bool in_inner_stores : {false, true}) {
+    // Pending tuples sit either in the write buckets, or in the internal
+    // per-shard stores, where a policy-aware gate would short-circuit to
+    // "merge everything" under kComplete/kGradual.
+    // Neither location may tax disjoint reads. Under kComplete any merge
+    // folds every pending tuple, so drained tuples never rest in its inner
+    // stores.
+    if (in_inner_stores && policy == MergePolicy::kComplete) continue;
+    const auto base = RandomValues<std::int64_t>(8000, 1000, 41);
+    PartitionedCrackerOptions options = StripedWriteOptions(2);
+    options.merge_policy = policy;
+    // kGradual then merges only what a query needs, like kRipple.
+    if (in_inner_stores) options.gradual_budget = 0;
+    PartitionedCrackerColumn<std::int64_t> col(base, options);
+    // Warm up the cracked structure, then buffer writes far above the
+    // query domain: every pending key is >= 5000, every query is < 1000.
+    (void)col.Count(Pred::Between(100, 900));
+    for (std::int64_t v = 0; v < 50; ++v) col.Insert(5000 + v);
+    if (in_inner_stores) {
+      // A raw Select over the top partition drains its write buckets into
+      // the inner stores under exclusion; disjoint from every pending key,
+      // it merges none of them.
+      (void)col.Select(Pred::Between(900, 999));
+    }
+    ASSERT_EQ(col.pending_update_count(), 50u);
+    const StripedReadPathStats before = col.AggregatedReadPathStats();
+    Rng rng(42);
+    for (int q = 0; q < 200; ++q) {
+      const auto a = rng.NextInRange(0, 900);
+      const Pred p = Pred::Between(a, a + rng.NextInRange(0, 80));
+      ASSERT_EQ(col.Count(p), ScanCount<std::int64_t>(base, p))
+          << MergePolicyName(policy) << " " << p.ToString();
+    }
+    const StripedReadPathStats after = col.AggregatedReadPathStats();
+    EXPECT_EQ(after.coarse_reads, before.coarse_reads)
+        << MergePolicyName(policy)
+        << ": disjoint queries must not take the exclusive fallback";
+    EXPECT_GT(after.fast_reads, before.fast_reads) << MergePolicyName(policy);
+    // The buffered writes are still there — nothing forced them to merge.
+    EXPECT_GT(col.pending_update_count(), 0u) << MergePolicyName(policy);
+  }
+  }
+}
+
+// Pending updates fold only on the query path, pool or not: with a
+// fan-out pool, a read overlapping buffered writes takes the coarse path
+// and leaves none of them pending in its range, while a later read
+// disjoint from every pending key stays on the shared fast path.
+TEST(StripedWriteTest, OverlappingReadWithPoolFoldsPendingOnTheCoarsePath) {
+  using Pred = RangePredicate<std::int64_t>;
+  const auto base = RandomValues<std::int64_t>(8000, 1000, 43);
+  ThreadPool pool(2);
+  PartitionedCrackerColumn<std::int64_t> col(base, StripedWriteOptions(4),
+                                             &pool);
+  auto model = base;
+  (void)col.Count(Pred::All());  // warm every partition
+  // Pending keys at both ends of the domain: 10..49 and 950..989.
+  for (std::int64_t v = 0; v < 40; ++v) {
+    for (const std::int64_t value : {10 + v, 950 + v}) {
+      col.Insert(value);
+      model.push_back(value);
+    }
+  }
+  const std::int64_t victim =
+      *std::find_if(base.begin(), base.end(), [](std::int64_t v) { return v < 100; });
+  ASSERT_TRUE(col.Delete(victim));
+  model.erase(std::find(model.begin(), model.end(), victim));
+  const std::size_t pending_before = col.pending_update_count();
+  ASSERT_EQ(pending_before, 81u);
+
+  const Pred low = Pred::Between(0, 99);
+  const StripedReadPathStats before = col.AggregatedReadPathStats();
+  ASSERT_EQ(col.Count(low), ScanCount<std::int64_t>(model, low));
+  const StripedReadPathStats overlapped = col.AggregatedReadPathStats();
+  EXPECT_GT(overlapped.coarse_reads, before.coarse_reads)
+      << "an overlapping read must fold on the coarse path";
+  // The fold left none of the 41 pending tuples in its range behind (the
+  // ripple policy merges exactly those), and the 40 outside it wait.
+  EXPECT_EQ(col.pending_update_count(), pending_before - 41);
+
+  const Pred middle = Pred::Between(300, 700);
+  ASSERT_EQ(col.Count(middle), ScanCount<std::int64_t>(model, middle));
+  const StripedReadPathStats disjoint = col.AggregatedReadPathStats();
+  EXPECT_EQ(disjoint.coarse_reads, overlapped.coarse_reads)
+      << "a read disjoint from every pending key must stay on the fast path";
+  EXPECT_GT(disjoint.fast_reads, overlapped.fast_reads);
+  EXPECT_EQ(col.Sum(Pred::All()), ScanSum<std::int64_t>(model, Pred::All()));
+  EXPECT_TRUE(col.ValidatePieces());
 }
 
 }  // namespace
