@@ -13,7 +13,8 @@
 // delete hits all three columns' cached paths plus the sideways cracker
 // maps (maintained incrementally, docs/UPDATES.md §5) — and emits the
 // `multicol_write_mix` JSON rows and headline that
-// scripts/compare_bench.py gates.
+// scripts/compare_bench.py gates. Each row carries `delete_us_mean`, the
+// mean wall time of one Database::Delete call in the mix.
 #include <array>
 #include <iostream>
 #include <vector>
@@ -80,10 +81,13 @@ struct MulticolRun {
   double total_seconds = 0;
   std::uint64_t checksum = 0;
   std::size_t final_rows = 0;
+  /// Wall time inside Database::Delete, and the calls made.
+  double delete_seconds = 0;
+  std::size_t deletes = 0;
 };
 
 /// The multi-column write-mix: `ops` operations on a 3-column table,
-/// `write_pct`% row-atomic writes (2/3 inserts, 1/3 first-match deletes),
+/// `write_pct`% row-atomic writes (2/3 inserts, 1/3 lowest-rid deletes),
 /// the rest range counts rotating over the columns through this policy's
 /// cached crack paths, with a periodic SelectProject keeping the sideways
 /// maps hot so their incremental maintenance is inside the measured
@@ -114,7 +118,11 @@ MulticolRun RunMulticolWriteMix(const std::vector<std::int64_t>& base,
       } else {
         const auto v = static_cast<std::int64_t>(
             rng.NextBounded(static_cast<std::uint64_t>(domain)));
-        AIDX_CHECK_OK(db.Delete("t", columns[rng.NextBounded(3)], v).status());
+        const char* const column = columns[rng.NextBounded(3)];
+        WallTimer delete_timer;
+        AIDX_CHECK_OK(db.Delete("t", column, v).status());
+        out.delete_seconds += delete_timer.ElapsedSeconds();
+        ++out.deletes;
       }
     } else if (op % 16 == 15) {
       const auto lo = static_cast<std::int64_t>(
@@ -227,7 +235,7 @@ int main(int argc, char** argv) {
   std::cout << "\nmulti-column write mix: 3-column table, 20% row-atomic "
                "writes (N="
             << multicol_n << ", ops=" << multicol_ops << ")\n";
-  TablePrinter multicol_table({"policy", "total", "ops/s", "final rows"});
+  TablePrinter multicol_table({"policy", "total", "ops/s", "delete us", "final rows"});
   double best_qps = 0;
   std::string best_policy;
   std::uint64_t multicol_checksum = 0;
@@ -248,16 +256,20 @@ int main(int argc, char** argv) {
     }
     const double qps =
         run.total_seconds > 0 ? multicol_ops / run.total_seconds : 0;
+    const double delete_us =
+        run.deletes > 0 ? run.delete_seconds * 1e6 / static_cast<double>(run.deletes) : 0;
     multicol_table.AddRow({MergePolicyName(policy),
                            FormatSeconds(run.total_seconds),
                            std::to_string(static_cast<std::size_t>(qps)),
+                           std::to_string(static_cast<std::size_t>(delete_us + 0.5)),
                            std::to_string(run.final_rows)});
     json.AddRow("multicol_write_mix")
         .Set("policy", MergePolicyName(policy))
         .Set("write_pct", std::size_t{20})
         .Set("columns", std::size_t{3})
         .Set("total_s", run.total_seconds)
-        .Set("ops_per_s", qps);
+        .Set("ops_per_s", qps)
+        .Set("delete_us_mean", delete_us);
     if (qps > best_qps) {
       best_qps = qps;
       best_policy = MergePolicyName(policy);

@@ -30,6 +30,7 @@
 
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -324,40 +325,44 @@ struct CrackWalk {
 //
 // Inserting into piece k, or deleting from it, moves one element per
 // downstream piece boundary instead of shifting the whole array tail, and
-// shifts every later cut by one. `payloads` rides in tandem and may be null
-// (a column kept without row ids). Both return the element moves made.
+// shifts every later cut by one. One in-order walk over the later cuts does
+// both: each visit moves the element at the cut's old position and then
+// shifts the cut, so a tuple costs one tree walk and O(pieces) moves.
+// `payloads` rides in tandem and may be null (a column kept without row
+// ids). Both return the element moves made; an empty piece (two cuts at one
+// position) moves nothing.
 
-/// Inserts (value, payload) into the piece that admits `value`: each
-/// downstream piece hands its first element to the slot past its end.
+/// Inserts (value, payload) into the piece that admits `value`: the tuple
+/// takes the first slot past that piece, and each downstream piece's
+/// displaced first element takes the first slot past its own piece — the
+/// last one a new slot at the end of the array.
 template <ColumnValue T, typename Payload>
 std::size_t RippleInsert(std::vector<T>& values, std::vector<Payload>* payloads,
                          CrackerIndex<T>& index, T value, const Payload& payload) {
   const std::size_t old_size = values.size();
   const PieceInfo<T> piece = index.PieceForValue(value);
-  // Start positions of every piece to the right of the target piece.
-  std::vector<std::size_t> boundaries;
+  // The tuple in hand: first the new one, then each piece's displaced
+  // first element, carried left to right into the next piece's slot.
+  T carry = value;
+  Payload carry_payload = payload;
+  std::size_t moves = 0;
+  std::optional<std::size_t> last;  // the slot written last
+  const auto place = [&](std::size_t slot) {
+    if (last == slot) return;  // an empty piece: its slot was just written
+    std::swap(carry, values[slot]);
+    if (payloads != nullptr) std::swap(carry_payload, (*payloads)[slot]);
+    if (last.has_value()) ++moves;
+    last = slot;
+  };
+  values.push_back(value);  // the new slot; overwritten by the last carry
+  if (payloads != nullptr) payloads->push_back(payload);
   if (piece.upper.has_value()) {
     index.VisitCutsFrom(*piece.upper, [&](const Cut<T>&, std::size_t& pos) {
-      boundaries.push_back(pos);
+      place(pos);
+      ++pos;
     });
   }
-  values.push_back(value);  // placeholder; overwritten unless no cascade
-  if (payloads != nullptr) payloads->push_back(payload);
-  std::size_t moves = 0;
-  std::size_t hole = old_size;
-  for (auto it = boundaries.rbegin(); it != boundaries.rend(); ++it) {
-    if (hole != *it) {
-      values[hole] = values[*it];
-      if (payloads != nullptr) (*payloads)[hole] = (*payloads)[*it];
-      ++moves;
-    }
-    hole = *it;
-  }
-  values[hole] = value;
-  if (payloads != nullptr) (*payloads)[hole] = payload;
-  if (piece.upper.has_value()) {
-    index.VisitCutsFrom(*piece.upper, [](const Cut<T>&, std::size_t& pos) { ++pos; });
-  }
+  place(old_size);
   index.set_column_size(old_size + 1);
   return moves;
 }
@@ -372,14 +377,9 @@ std::size_t RippleDelete(std::vector<T>& values, std::vector<Payload>* payloads,
                          CrackerIndex<T>& index, const PieceInfo<T>& piece,
                          std::size_t pos) {
   const std::size_t old_size = values.size();
-  std::vector<std::size_t> boundaries;
-  if (piece.upper.has_value()) {
-    index.VisitCutsFrom(*piece.upper, [&](const Cut<T>&, std::size_t& p) {
-      boundaries.push_back(p);
-    });
-  }
   std::size_t moves = 0;
   std::size_t hole = pos;
+  // Moves the last element before `end` (a piece's end) into the hole.
   const auto move_last = [&](std::size_t end) {
     if (hole != end - 1) {
       values[hole] = values[end - 1];
@@ -388,16 +388,15 @@ std::size_t RippleDelete(std::vector<T>& values, std::vector<Payload>* payloads,
     }
     hole = end - 1;
   };
-  move_last(boundaries.empty() ? old_size : boundaries.front());
-  for (std::size_t j = 0; j < boundaries.size(); ++j) {
-    move_last(j + 1 < boundaries.size() ? boundaries[j + 1] : old_size);
+  if (piece.upper.has_value()) {
+    index.VisitCutsFrom(*piece.upper, [&](const Cut<T>&, std::size_t& p) {
+      move_last(p);
+      --p;
+    });
   }
-  AIDX_DCHECK(hole == old_size - 1);
+  move_last(old_size);
   values.pop_back();
   if (payloads != nullptr) payloads->pop_back();
-  if (piece.upper.has_value()) {
-    index.VisitCutsFrom(*piece.upper, [](const Cut<T>&, std::size_t& p) { --p; });
-  }
   index.set_column_size(old_size - 1);
   return moves;
 }

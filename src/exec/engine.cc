@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <limits>
 
 #include "util/failpoint.h"
 
@@ -198,10 +199,23 @@ Result<bool> Database::Delete(std::string_view table, std::string_view column,
   std::vector<TypedColumn<std::int64_t>*> cols;
   AIDX_ASSIGN_OR_RETURN(Table * t, PrepareRowDml(table, &cols));
   AIDX_ASSIGN_OR_RETURN(const std::size_t key, KeyIndex(*t, column));
+  // How many rows hold `value`: the key column's first cached path answers
+  // the [value, value] count from the index reads built (and refines it, as
+  // any read would), which bounds the base scan below. With no cached path
+  // the scan reads the whole column.
+  std::size_t matches = std::numeric_limits<std::size_t>::max();
+  if (const ColumnState* state = StateOf(cols[key]);
+      state != nullptr && !state->paths.empty()) {
+    matches = state->paths.front().second->Count(
+        RangePredicate<std::int64_t>::Between(value, value));
+    if (matches == 0) return false;  // no row matches: no-op
+  }
   const auto key_values = cols[key]->Values();
-  const auto victim = std::find(key_values.begin(), key_values.end(), value);
-  if (victim == key_values.end()) return false;  // no row matches: no-op
-  const std::size_t pos = static_cast<std::size_t>(victim - key_values.begin());
+  const auto row_ids = t->row_ids();
+  const std::size_t pos = LowestRidPosition<std::int64_t>(key_values, row_ids, value, matches);
+  AIDX_DCHECK(pos == LowestRidPosition<std::int64_t>(key_values, row_ids, value))
+      << "the path's count of " << value << " disagrees with the base";
+  if (pos == key_values.size()) return false;  // no row matches: no-op
   ApplyErase(t, cols, std::span<const std::size_t>(&pos, 1));
   return true;
 }

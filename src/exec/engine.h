@@ -20,7 +20,8 @@
 //
 // DML is **row-atomic**: Insert/InsertBatch take whole rows (one value per
 // column, column_names() order), Delete removes the matching row with the
-// lowest row id, and each row mutation applies to *all* of the
+// lowest row id (erases swap-remove, so base positions do not follow row
+// ids), and each row mutation applies to *all* of the
 // table's columns, cached access paths, and sideways cracker maps, or to
 // none of them. One row id is allocated per row (storage/table.h) and
 // shared by every structure. The partial-failure contract: every fallible
@@ -194,18 +195,20 @@ class Database {
                      std::span<const std::int64_t> rows);
 
   /// Deletes the row with the lowest row id whose `column` value equals
-  /// `value` (rows keep row-id order in the base, so it is the first match
-  /// there), row-atomically across all columns, cached paths, and
-  /// sideways maps. Returns ok(false) when no row matches — the table is
-  /// untouched in that case.
+  /// `value`, row-atomically across all columns, cached paths, and
+  /// sideways maps. The key column's first cached path counts the matches
+  /// ([value, value], refining its index as a read would), and the base
+  /// scan for the victim stops after that many; without a cached path it
+  /// reads the whole column. Returns ok(false) when no row matches — the
+  /// table is untouched in that case.
   Result<bool> Delete(std::string_view table, std::string_view column,
                       std::int64_t value);
 
   /// Deletes *every* base row whose `column` value matches `pred`,
-  /// row-atomically (same validate-then-apply contract as Delete, one
-  /// bulk compaction pass over the base). Returns the number of rows
-  /// removed. The dist layer's rebalance uses this to evacuate a migrated
-  /// key range from the source shard.
+  /// row-atomically (same validate-then-apply contract as Delete; a scan
+  /// of the key column, then one swap-remove per row). Returns the number
+  /// of rows removed. The dist layer's rebalance uses this to evacuate a
+  /// migrated key range from the source shard.
   Result<std::size_t> DeleteWhere(std::string_view table,
                                   std::string_view column,
                                   const RangePredicate<std::int64_t>& pred);
@@ -312,7 +315,9 @@ class Database {
       const std::vector<TypedColumn<std::int64_t>*>& cols);
   /// The apply phase shared by Delete and DeleteWhere: removes the rows at
   /// `positions` (strictly ascending) from every cached path, logs them to
-  /// every sideways cracker, then erases them from the base. Cannot fail.
+  /// every sideways cracker, then erases them from the base by
+  /// swap-remove (Table::EraseRows), which reorders the survivors. Cannot
+  /// fail.
   void ApplyErase(Table* t, const std::vector<TypedColumn<std::int64_t>*>& cols,
                   std::span<const std::size_t> positions);
   /// Logs one appended row into `cracker` (head value + tails in the
@@ -329,7 +334,8 @@ class Database {
   std::size_t SidewaysBytes() const;
   std::size_t PendingBytes() const;
   /// Scan-plus-crack-later projection: answers σ_pred(head) ⋉ tails by
-  /// scanning the base columns, materializing no sideways map.
+  /// scanning the base columns, materializing no sideways map. Rows come
+  /// in base position order, which is unspecified once a row was erased.
   Result<ProjectionResult<std::int64_t>> ScanProject(
       std::string_view table, std::string_view head,
       const RangePredicate<std::int64_t>& pred,

@@ -21,6 +21,11 @@
 // scalar form computing the identical value; the host's cpuid picks one
 // (util/simd.h), there is no knob. The masked variant serves the crack
 // edges and the scan fallback.
+//
+// Victim search (LowestRidPosition): the base position of the oldest row
+// holding a value, the row a single-row delete removes. It follows the
+// same scalar/AVX2 dispatch and stops once it has seen as many matches as
+// the caller says exist.
 #pragma once
 
 #include <algorithm>
@@ -212,6 +217,79 @@ Int128 SumValuesAvx2(std::span<const T> values, const RangePredicate<T>& pred,
 
 #endif  // AIDX_SIMD_AVX2
 
+/// The victim search's step: folds occurrence `i` of the value into the
+/// lowest-rid position so far (`*best`, values.size() while none).
+inline void TakeMatch(std::size_t i, std::span<const row_id_t> rids, std::size_t none,
+                      std::size_t* best, std::size_t* seen) {
+  if (*best == none || rids[i] < rids[*best]) *best = i;
+  ++*seen;
+}
+
+/// Scalar victim search over positions [from, values.size()), continuing
+/// from `*best` and `*seen`.
+template <ColumnValue T>
+void TakeMatchesScalar(std::span<const T> values, std::span<const row_id_t> rids,
+                       T value, std::size_t matches, std::size_t from,
+                       std::size_t* best, std::size_t* seen) {
+  for (std::size_t i = from; i < values.size() && *seen < matches; ++i) {
+    if (values[i] == value) TakeMatch(i, rids, values.size(), best, seen);
+  }
+}
+
+/// Portable form of LowestRidPosition.
+template <ColumnValue T>
+std::size_t LowestRidPositionScalar(std::span<const T> values,
+                                    std::span<const row_id_t> rids, T value,
+                                    std::size_t matches) {
+  std::size_t best = values.size();
+  std::size_t seen = 0;
+  TakeMatchesScalar(values, rids, value, matches, 0, &best, &seen);
+  return best;
+}
+
+#if defined(AIDX_SIMD_AVX2)
+
+/// Bit j set when lane j of the vector at `p` equals `needle`'s (lanes of
+/// T's width).
+template <ColumnValue T>
+AIDX_TARGET_AVX2 inline unsigned EqualLanes(const T* p, __m256i needle) {
+  const __m256i x = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
+  if constexpr (sizeof(T) == 8) {
+    return static_cast<unsigned>(
+        _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpeq_epi64(x, needle))));
+  } else {
+    return static_cast<unsigned>(
+        _mm256_movemask_ps(_mm256_castsi256_ps(_mm256_cmpeq_epi32(x, needle))));
+  }
+}
+
+/// AVX2 form of LowestRidPosition for integer columns: one vector compare
+/// per lane group, lane bits folded in position order; callers check
+/// SimdKernelAvailable() first.
+template <ColumnValue T>
+  requires std::is_integral_v<T>
+AIDX_TARGET_AVX2 std::size_t LowestRidPositionAvx2(std::span<const T> values,
+                                                   std::span<const row_id_t> rids,
+                                                   T value, std::size_t matches) {
+  constexpr std::size_t kLanes = 32 / sizeof(T);
+  const std::size_t n = values.size();
+  const __m256i needle = Broadcast<T>(value);
+  std::size_t best = n;
+  std::size_t seen = 0;
+  std::size_t i = 0;
+  for (; n - i >= kLanes && seen < matches; i += kLanes) {
+    // Lane bit j flags position i + j; take them in position order.
+    for (unsigned lanes = EqualLanes<T>(values.data() + i, needle);
+         lanes != 0 && seen < matches; lanes &= lanes - 1) {
+      TakeMatch(i + static_cast<std::size_t>(__builtin_ctz(lanes)), rids, n, &best, &seen);
+    }
+  }
+  TakeMatchesScalar(values, rids, value, matches, i, &best, &seen);
+  return best;
+}
+
+#endif  // AIDX_SIMD_AVX2
+
 }  // namespace internal
 
 /// Adds every value to `acc` (see the exactness contract at the top).
@@ -237,6 +315,25 @@ SumAcc<T> SumValues(std::span<const T> values, const RangePredicate<T>& pred,
   }
 #endif
   return internal::SumValuesScalar<T>(values, pred, acc);
+}
+
+/// The position of the lowest row id among the positions holding `value`
+/// (rids[i] is the row id at position i); values.size() when none does.
+/// Only the first `matches` occurrences in position order are considered:
+/// pass the exact count an index already knows and the scan stops at the
+/// last one, or leave the default and it reads the whole column.
+template <ColumnValue T>
+std::size_t LowestRidPosition(std::span<const T> values, std::span<const row_id_t> rids,
+                              T value,
+                              std::size_t matches = std::numeric_limits<std::size_t>::max()) {
+#if defined(AIDX_SIMD_AVX2)
+  if constexpr (std::is_integral_v<T>) {
+    if (internal::SimdKernelAvailable()) {
+      return internal::LowestRidPositionAvx2<T>(values, rids, value, matches);
+    }
+  }
+#endif
+  return internal::LowestRidPositionScalar<T>(values, rids, value, matches);
 }
 
 /// Adds at(0), ..., at(n - 1) to `acc` for values that are not contiguous

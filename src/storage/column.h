@@ -1,7 +1,6 @@
 // Columns: fixed-width dense arrays, the storage unit of the substrate.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <memory>
 #include <span>
@@ -20,26 +19,6 @@ namespace aidx {
 template <ColumnValue T>
 class TypedColumn;
 
-/// Order-preserving erase of `sorted_positions` (strictly ascending, in
-/// range) from `values`: one block move per surviving run, so erasing one
-/// position costs what vector::erase does and erasing many is one pass.
-template <typename V>
-void EraseSortedPositions(std::vector<V>* values,
-                          std::span<const std::size_t> sorted_positions) {
-  if (sorted_positions.empty()) return;
-  const auto at = [values](std::size_t pos) {
-    return values->begin() + static_cast<std::ptrdiff_t>(pos);
-  };
-  auto write = at(sorted_positions.front());
-  for (std::size_t v = 0; v < sorted_positions.size(); ++v) {
-    const auto run_end = v + 1 < sorted_positions.size()
-                             ? at(sorted_positions[v + 1])
-                             : values->end();
-    write = std::copy(at(sorted_positions[v] + 1), run_end, write);
-  }
-  values->erase(write, values->end());
-}
-
 /// Type-erased handle to a column. Concrete storage lives in TypedColumn<T>.
 class Column {
  public:
@@ -52,12 +31,11 @@ class Column {
   /// Bytes of value payload held by this column.
   virtual std::size_t MemoryUsageBytes() const = 0;
 
-  /// Erases the values at `sorted_positions` (strictly ascending, in
-  /// range), order-preserving. Type-erased so Table::EraseRows can remove
-  /// rows across heterogeneous columns in lock step (row-atomic DML), in one
-  /// compaction pass — the bulk primitive shard rebalance uses to evacuate
-  /// a key range in O(n) instead of O(rows_moved * n).
-  virtual void EraseRows(std::span<const std::size_t> sorted_positions) = 0;
+  /// Removes the value at `pos` (in range) by moving the last value into
+  /// its slot: O(1), not order-preserving. Type-erased so Table::EraseRows
+  /// can remove rows across heterogeneous columns in lock step (row-atomic
+  /// DML).
+  virtual void SwapRemove(std::size_t pos) = 0;
 
   /// Down-casts to the typed column; returns an error on a type mismatch.
   template <ColumnValue T>
@@ -100,8 +78,10 @@ class TypedColumn final : public Column {
   void AppendMany(std::span<const T> values) {
     values_.insert(values_.end(), values.begin(), values.end());
   }
-  void EraseRows(std::span<const std::size_t> sorted_positions) override {
-    EraseSortedPositions(&values_, sorted_positions);
+  void SwapRemove(std::size_t pos) override {
+    AIDX_DCHECK(pos < values_.size());
+    values_[pos] = values_.back();
+    values_.pop_back();
   }
 
   /// Unchecked element access (hot paths); bounds are the caller's contract.

@@ -81,8 +81,15 @@ Status Table::EraseRows(std::span<const std::size_t> sorted_positions) {
     }
   }
   EnsureRowIds();
-  for (auto& [_, col] : columns_) col->EraseRows(sorted_positions);
-  EraseSortedPositions(&row_ids_, sorted_positions);
+  for (auto& [_, col] : columns_) {
+    for (auto it = sorted_positions.rbegin(); it != sorted_positions.rend(); ++it) {
+      col->SwapRemove(*it);
+    }
+  }
+  for (auto it = sorted_positions.rbegin(); it != sorted_positions.rend(); ++it) {
+    row_ids_[*it] = row_ids_.back();
+    row_ids_.pop_back();
+  }
   return Status::OK();
 }
 

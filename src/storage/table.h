@@ -26,7 +26,8 @@ struct NameHash {
 };
 
 /// A table is a bag of equal-length columns addressed by name, plus one row
-/// identity per position. Positions shift as rows are erased; row ids are
+/// identity per position. An erase moves the last row into the freed
+/// position, so position order is not row-id order; row ids are
 /// stable for a row's lifetime and unique for the table's — they are what
 /// lets cached structures (sideways cracker maps) address tuples across
 /// base reorganizations. The table allocates ids; the Database facade is
@@ -69,7 +70,9 @@ class Table {
   const std::vector<std::string>& column_names() const { return order_; }
 
   /// Row ids by position (lazily initialized to 0..num_rows-1 the first
-  /// time row identity is needed). Invalidated by the next DML call.
+  /// time row identity is needed). Ascending only until the first erase
+  /// swaps a younger row into an older one's position. Invalidated by the
+  /// next DML call.
   std::span<const row_id_t> row_ids();
 
   /// Hands out the next fresh row id (one allocation per row, shared by
@@ -80,15 +83,17 @@ class Table {
   /// column. Call exactly once per row, after the appends.
   void CommitAppendedRow(row_id_t rid);
 
-  /// Erases the row at `pos` from every column (order-preserving) and
-  /// retires its id.
+  /// Erases the row at `pos` from every column and retires its id: the
+  /// last row moves into `pos` (swap-remove, O(columns)).
   Status EraseRow(std::size_t pos) {
     return EraseRows(std::span<const std::size_t>(&pos, 1));
   }
 
-  /// Erases the rows at `sorted_positions` (strictly ascending) from every
-  /// column in one compaction pass each, retiring their ids — the bulk
-  /// form shard rebalance uses to evacuate a migrated key range.
+  /// Erases the rows at `sorted_positions` (strictly ascending, validated)
+  /// from every column, retiring their ids: a swap-remove per row from the
+  /// highest position down, so every row moved into a freed position is a
+  /// survivor, and the cost is O(rows erased * columns) — the one erase
+  /// Database::Delete and DeleteWhere share.
   Status EraseRows(std::span<const std::size_t> sorted_positions);
 
   /// Total payload bytes across columns.

@@ -713,7 +713,7 @@ TEST(SumKernelDoubleTest, KeepsTheSequentialLongDoubleLoop) {
   EXPECT_EQ(ScanSum<double>(values, pred), masked);
 }
 
-TEST(SumKernelHelpersTest, StagedAndSubtractedSumsStayExact) {
+TEST(SumKernelHelpersTest, StagedSumsStayExact) {
   Rng rng(8);
   const std::vector<std::int64_t> values = FullRangeValues<std::int64_t>(1000, &rng);
   Int128 want = 0;
@@ -721,6 +721,80 @@ TEST(SumKernelHelpersTest, StagedAndSubtractedSumsStayExact) {
   const Int128 staged = SumEach<std::int64_t>(
       values.size(), [&](std::size_t i) { return values[values.size() - 1 - i]; });
   EXPECT_TRUE(staged == want) << Int128String(staged) << " want " << Int128String(want);
+}
+
+// -- Victim search (LowestRidPosition) ---------------------------------------
+
+/// Every form of the victim search over `values` against the reference:
+/// the lowest rid among the first `matches` occurrences of `value`.
+template <typename T>
+void ExpectVictimScanExact(std::span<const T> values, std::span<const row_id_t> rids,
+                           T value, std::size_t matches, const std::string& label) {
+  std::size_t want = values.size();
+  std::size_t seen = 0;
+  for (std::size_t i = 0; i < values.size() && seen < matches; ++i) {
+    if (values[i] != value) continue;
+    if (want == values.size() || rids[i] < rids[want]) want = i;
+    ++seen;
+  }
+  EXPECT_EQ(internal::LowestRidPositionScalar<T>(values, rids, value, matches), want)
+      << label << " scalar";
+  EXPECT_EQ(LowestRidPosition<T>(values, rids, value, matches), want) << label;
+#if defined(AIDX_SIMD_AVX2)
+  if (internal::SimdKernelAvailable()) {
+    EXPECT_EQ(internal::LowestRidPositionAvx2<T>(values, rids, value, matches), want)
+        << label << " avx2";
+  }
+#endif
+}
+
+/// Lengths 0..40 cover every AVX2 tail length for both lane widths; the
+/// searched value sits at every position, with up to two more copies
+/// elsewhere, each case under fresh shuffled rids, scanned with every
+/// bound from 1 to the copy count and with none.
+template <typename T>
+void CheckVictimScan() {
+  constexpr T kValue = 7;
+  constexpr std::size_t kAll = std::numeric_limits<std::size_t>::max();
+  Rng rng(31);
+  for (std::size_t n = 0; n <= 40; ++n) {
+    std::vector<T> filler(n);
+    for (auto& v : filler) v = static_cast<T>(100 + rng.NextBounded(50));
+    std::vector<row_id_t> rids(n);
+    const auto shuffle_rids = [&] {
+      for (std::size_t i = 0; i < n; ++i) rids[i] = static_cast<row_id_t>(i);
+      for (std::size_t i = n; i > 1; --i) std::swap(rids[i - 1], rids[rng.NextBounded(i)]);
+    };
+    shuffle_rids();
+    const std::string length = "n=" + std::to_string(n);
+    EXPECT_EQ(LowestRidPosition<T>(filler, rids, kValue), n) << length << " absent";
+    ExpectVictimScanExact<T>(filler, rids, kValue, kAll, length + " absent");
+    for (std::size_t pos = 0; pos < n; ++pos) {
+      for (std::size_t copies = 1; copies <= std::min<std::size_t>(3, n); ++copies) {
+        std::vector<T> values = filler;
+        values[pos] = kValue;
+        for (std::size_t placed = 1; placed < copies;) {
+          const std::size_t at = rng.NextBounded(n);
+          if (values[at] == kValue) continue;
+          values[at] = kValue;
+          ++placed;
+        }
+        shuffle_rids();
+        const std::string label = length + " pos=" + std::to_string(pos) +
+                                  " copies=" + std::to_string(copies);
+        ExpectVictimScanExact<T>(values, rids, kValue, kAll, label);
+        for (std::size_t bound = 1; bound <= copies; ++bound) {
+          ExpectVictimScanExact<T>(values, rids, kValue, bound,
+                                   label + " bound=" + std::to_string(bound));
+        }
+      }
+    }
+  }
+}
+
+TEST(VictimScanTest, FormsAgreeAtEveryLengthPositionAndBound) {
+  CheckVictimScan<std::int64_t>();
+  CheckVictimScan<std::int32_t>();
 }
 
 }  // namespace

@@ -35,7 +35,6 @@
 #include "util/failpoint.h"
 #include "util/query_context.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace aidx {
 namespace {
@@ -474,7 +473,6 @@ TEST_F(FaultScheduleTest, RandomizedScheduleKeepsEveryInvariant) {
       StrategyConfig::AdaptiveMerge(700),
       StrategyConfig::ParallelCrack(4, 2),
   };
-  ThreadPool pool(2);
 
   Rng rng(seed);
   for (int burst = 0; burst < 30; ++burst) {

@@ -513,6 +513,55 @@ TEST_F(ShardedDbTest, DeleteRemovesTheLowestRidDuplicate) {
   }
 }
 
+// Delete's erase swaps the base's last row into the freed position, so
+// after the first delete position order is no longer row-id order and the
+// first match in the base is not the victim. Rows (k, v) in row-id order;
+// each delete below would take a younger row if it went by position. The
+// first delete (key 9) moves the youngest key-5 row to the front. Run with
+// a cached crack path on k (its count bounds the base scan) and without
+// one (the scan reads the whole key column); a range-routed
+// ShardedDatabase keeps every key on shard 0.
+TEST_F(ShardedDbTest, DeleteTakesTheLowestRidOnceSwapsReorderTheBase) {
+  const std::vector<std::int64_t> rows = {9, 1,  5, 2,  3, 4,  5, 8,
+                                          3, 16, 5, 32, 3, 64, 5, 128};
+  const std::vector<std::int64_t> keys = {9, 5, 3, 5, 5, 3, 3, 5};
+  const std::vector<std::int64_t> victims = {1, 2, 4, 8, 32, 16, 64, 128};
+  const auto check = [&](auto& db, bool warm_key_path, const std::string& label) {
+    ASSERT_TRUE(db.InsertBatch("t", rows).ok()) << label;
+    if (warm_key_path) {
+      ASSERT_EQ(*db.Count(Req("t", "k", Pred::Between(5, 5))), 4u) << label;
+    }
+    const auto payload_sum = [&] {
+      return static_cast<std::int64_t>(*db.Sum(Req("t", "v", Pred::All())));
+    };
+    std::int64_t sum = payload_sum();
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      ASSERT_TRUE(*db.Delete("t", "k", keys[i])) << label << " delete " << i;
+      const std::int64_t now = payload_sum();
+      EXPECT_EQ(sum - now, victims[i]) << label << " delete " << i;
+      sum = now;
+    }
+    EXPECT_EQ(sum, 0) << label;
+    EXPECT_FALSE(*db.Delete("t", "k", 5)) << label;
+  };
+  for (const bool warm : {true, false}) {
+    const std::string path = warm ? " with a key path" : " without a key path";
+    Database single;
+    ASSERT_TRUE(single.CreateTable("t").ok());
+    ASSERT_TRUE(single.AddColumn("t", "k", {}).ok());
+    ASSERT_TRUE(single.AddColumn("t", "v", {}).ok());
+    check(single, warm, "Database" + path);
+
+    ShardedDatabase sharded;
+    ASSERT_TRUE(
+        sharded.CreateTable("t", SpecFor(RoutingKind::kRange, sharded.num_shards())).ok());
+    ASSERT_TRUE(sharded.AddColumn("t", "k").ok());
+    ASSERT_TRUE(sharded.AddColumn("t", "v").ok());
+    check(sharded, warm, "ShardedDatabase" + path);
+    EXPECT_EQ(sharded.shard(0).num_cached_paths(), warm ? 2u : 1u) << path;
+  }
+}
+
 // Delete on a column that is not the routing key probes the shards in
 // ascending order and removes the lowest-rid match on the first shard that
 // has one, so a younger row on a lower shard goes before an older row on a

@@ -258,7 +258,9 @@ struct TableFixture {
     const row_id_t rid = table.row_ids()[pos];
     cracker->ApplyDelete(rid, oracle[pos][0]);
     AIDX_CHECK_OK(table.EraseRow(pos));
-    oracle.erase(oracle.begin() + static_cast<std::ptrdiff_t>(pos));
+    // Table::EraseRow swap-removes: the last row takes `pos`.
+    oracle[pos] = oracle.back();
+    oracle.pop_back();
   }
 
   std::vector<std::vector<std::int64_t>> OracleProject(const Pred& p) const {

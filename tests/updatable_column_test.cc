@@ -125,6 +125,46 @@ TEST(UpdatableColumnTest, RippleMovesFarFewerElementsThanColumnSize) {
   EXPECT_TRUE(col.Validate());
 }
 
+// The ripple cascade's element moves for a fixed op stream, pinned: at
+// most one move per non-empty piece downstream of each merged tuple. A
+// delete saves a move when its victim is its piece's last element, so the
+// count depends on the layout inside pieces; the crack kernel is pinned to
+// the branchy sweep, which every host runs the same way. The figure is
+// what the cascade made when it walked the cuts twice per tuple.
+TEST(UpdatableColumnTest, RippleMovesForAFixedStreamArePinned) {
+  const auto base = RandomValues(20000, 10000, 41);
+  Column::Options options;
+  options.crack.kernel = CrackKernel::kBranchy;
+  Column col(base, options);
+  Rng rng(43);
+  std::vector<std::int64_t> model = base;
+  for (int q = 0; q < 200; ++q) {
+    const auto a = static_cast<std::int64_t>(rng.NextBounded(10000));
+    col.Count(Pred::Between(a, a + 50));
+  }
+  for (int op = 0; op < 3000; ++op) {
+    const std::uint64_t dice = rng.NextBounded(4);
+    if (dice == 0) {
+      const auto v = static_cast<std::int64_t>(rng.NextBounded(10000));
+      col.Insert(v);
+      model.push_back(v);
+    } else if (dice == 1) {
+      const std::size_t at = rng.NextBounded(model.size());
+      ASSERT_TRUE(col.DeleteValue(model[at]));
+      model[at] = model.back();
+      model.pop_back();
+    } else {
+      const auto a = static_cast<std::int64_t>(rng.NextBounded(10000));
+      const auto p = Pred::Between(a, a + 100);
+      ASSERT_EQ(col.Count(p), ScanCount<std::int64_t>(model, p));
+    }
+  }
+  ASSERT_EQ(col.Count(Pred::All()), model.size());
+  EXPECT_EQ(col.num_pending_inserts() + col.num_pending_deletes(), 0u);
+  EXPECT_EQ(col.update_stats().ripple_element_moves, 1725795u);
+  EXPECT_TRUE(col.Validate());
+}
+
 struct PolicyParam {
   MergePolicy policy;
   std::size_t budget;
