@@ -16,10 +16,17 @@
 //                   below the min-piece threshold all kernels run branchy)
 //   convergence     full random-range workloads through CrackerColumn
 //                   (crack and stochastic), per kernel
+//   converged_sum   ns per Sum on a converged int64 column, the core summed
+//                   from the cracker index's cached piece sums (SumIndexed)
+//                   vs streamed (SumFrom), at cores of 92, 1,835 and 14,680
+//                   values (engine_bench's serve, write_mix and converge
+//                   legs) and at kIndexedSumMinCore, the crossover
+//                   SumPartial switches at
 //   headline        the acceptance metrics on uniform-random int32:
 //                   unrolled vs branchy (PR 4), simd vs unrolled (PR 8) and
 //                   single-pass vs two-pass three-way, both at the kernel
-//                   kAuto resolves to; `note`
+//                   kAuto resolves to, plus converged_sum_speedup (stream
+//                   ns / index ns at the 14,680-value core); `note`
 //                   documents the outcome either way so a regression (or
 //                   vector-hostile hardware) is visible in the recorded
 //                   JSON, not silent
@@ -298,6 +305,66 @@ void ConvergenceSection(bench::JsonReport* json, TablePrinter* table) {
   }
 }
 
+/// Sum on a converged column, index against stream. The column (int64,
+/// domain n, so a range of width w holds about w values) is converged by
+/// n/128 random-range Sums answered as SumPartial answers them, which
+/// leaves pieces of about 64 values with most piece sums cached. Each timed
+/// Sum then resolves a fresh random range, so both legs pay the same select
+/// (a crack of the two boundary pieces) and differ only in how the core is
+/// summed; the index leg also fills the sums those cracks dropped. The
+/// legs alternate in blocks. Returns stream ns / index ns at 14,680 values.
+double ConvergedSumSection(std::size_t n, bench::JsonReport* json,
+                           TablePrinter* table) {
+  using T = std::int64_t;
+  const auto base = UniformValues<T>(n, n, 19);
+  CrackerColumn<T> col(base, {.with_row_ids = false});
+  Rng rng(29);
+  const auto random_range = [&](std::size_t width) {
+    const auto lo = static_cast<T>(rng.NextBounded(n - width));
+    return RangePredicate<T>::Between(lo, lo + static_cast<T>(width) - 1);
+  };
+  for (std::size_t q = 0; q < n / 128; ++q) {
+    col.SumPartial(random_range(1 + rng.NextBounded(std::min<std::size_t>(n / 4, 16384))));
+  }
+  constexpr int kBlocks = 10;
+  constexpr int kPerBlock = 200;
+  Int128 sink = 0;
+  double speedup_at_converge = 0;
+  for (const std::size_t width :
+       {std::size_t{92}, std::size_t{1835}, kIndexedSumMinCore, std::size_t{14680}}) {
+    double seconds[2] = {0, 0};  // stream, index
+    for (int block = 0; block < 2 * kBlocks; ++block) {
+      const bool index = block % 2 == 1;
+      WallTimer timer;
+      for (int i = 0; i < kPerBlock; ++i) {
+        const RangePredicate<T> pred = random_range(width);
+        const CrackSelect sel = col.Select(pred);
+        sink += index ? col.SumIndexed(sel, pred) : col.SumFrom(sel, pred);
+      }
+      seconds[index ? 1 : 0] += timer.ElapsedSeconds();
+    }
+    const double sums = kBlocks * kPerBlock;
+    const double stream_ns = seconds[0] / sums * 1e9;
+    const double index_ns = seconds[1] / sums * 1e9;
+    for (const bool index : {false, true}) {
+      json->AddRow("converged_sum")
+          .Set("core_values", width)
+          .Set("mode", index ? "index" : "stream")
+          .Set("rows", n)
+          .Set("sums", sums)
+          .Set("ns_per_sum", index ? index_ns : stream_ns);
+    }
+    const double speedup = index_ns > 0 ? stream_ns / index_ns : 0;
+    if (width == 14680) speedup_at_converge = speedup;
+    table->AddRow({std::to_string(width), std::to_string(static_cast<long long>(stream_ns)),
+                   std::to_string(static_cast<long long>(index_ns)),
+                   std::to_string(speedup)});
+  }
+  // `sink` keeps the sums live; it is the same every run.
+  std::cout << "(checksum " << static_cast<long double>(sink) << ")\n";
+  return speedup_at_converge;
+}
+
 /// Cost contract of the fault-injection framework (docs/ROBUSTNESS.md):
 /// the piece gate on the crack path is one relaxed atomic load when
 /// disarmed, and CI holds the implied end-to-end overhead at <= 2% of
@@ -412,6 +479,14 @@ int main(int argc, char** argv) {
   ConvergenceSection(&json, &conv);
   conv.Print(std::cout);
 
+  std::cout << "\nconverged Sum, ns per Sum (min index core "
+            << kIndexedSumMinCore << "):\n";
+  TablePrinter sums({"core", "stream ns", "index ns", "stream/index"});
+  // At least 2^16 rows, so a 14,680-value range fits four times over.
+  const double converged_sum_speedup =
+      ConvergedSumSection(std::max(raw_n, std::size_t{1} << 16), &json, &sums);
+  sums.Print(std::cout);
+
   double gate_ns = 0;
   double failpoint_overhead_pct = 0;
   FailpointOverheadSection(&json, &gate_ns, &failpoint_overhead_pct);
@@ -463,13 +538,16 @@ int main(int argc, char** argv) {
       // of cracked-query time (compare_bench.py holds the bound).
       .Set("failpoint_gate_ns", gate_ns)
       .Set("failpoint_overhead_pct", failpoint_overhead_pct)
+      .Set("converged_sum_speedup", converged_sum_speedup)
       .Set("note", note);
   std::cout << "\nheadline: unrolled/branchy speedup on int32 = " << speedup
             << (wins ? " (unrolled wins)" : " — see note in JSON output")
             << "\nheadline: simd/unrolled crack-in-two on int32 = "
             << simd_vs_unrolled << (simd_active ? "" : " (scalar fallback)")
             << "\nheadline: single-pass/two-pass crack-in-three = "
-            << three_way_speedup << "\n";
+            << three_way_speedup
+            << "\nheadline: converged Sum stream/index at 14,680 values = "
+            << converged_sum_speedup << "\n";
 
   json.Write();
   return 0;

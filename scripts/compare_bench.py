@@ -64,6 +64,12 @@ HEADLINE_REQUIREMENTS = {
         ("failpoint_overhead", "gate_ns", "number"),
         ("failpoint_overhead", "gates_evaluated", "number"),
         ("headline", "failpoint_overhead_pct", "bounded:2"),
+        # Converged Sums: ns per Sum with the core summed from the cracker
+        # index's cached piece sums vs streamed, and the stream/index ratio
+        # at the 14,680-value core. Positivity only: the ratio is recorded,
+        # not gated.
+        ("converged_sum", "ns_per_sum", "positive"),
+        ("headline", "converged_sum_speedup", "positive"),
     ],
     "e11_parallel_scaling": [
         ("headline", "striped_qps", "positive"),

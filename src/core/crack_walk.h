@@ -330,7 +330,8 @@ struct CrackWalk {
 // shifts the cut, so a tuple costs one tree walk and O(pieces) moves.
 // `payloads` rides in tandem and may be null (a column kept without row
 // ids). Both return the element moves made; an empty piece (two cuts at one
-// position) moves nothing.
+// position) moves nothing. Moved elements stay in their pieces, so only the
+// landing piece's cached sum changes, by the tuple's value.
 
 /// Inserts (value, payload) into the piece that admits `value`: the tuple
 /// takes the first slot past that piece, and each downstream piece's
@@ -356,6 +357,7 @@ std::size_t RippleInsert(std::vector<T>& values, std::vector<Payload>* payloads,
   };
   values.push_back(value);  // the new slot; overwritten by the last carry
   if (payloads != nullptr) payloads->push_back(payload);
+  index.AdjustPieceSum(piece, value, +1);
   if (piece.upper.has_value()) {
     index.VisitCutsFrom(*piece.upper, [&](const Cut<T>&, std::size_t& pos) {
       place(pos);
@@ -377,6 +379,7 @@ std::size_t RippleDelete(std::vector<T>& values, std::vector<Payload>* payloads,
                          CrackerIndex<T>& index, const PieceInfo<T>& piece,
                          std::size_t pos) {
   const std::size_t old_size = values.size();
+  index.AdjustPieceSum(piece, values[pos], -1);
   std::size_t moves = 0;
   std::size_t hole = pos;
   // Moves the last element before `end` (a piece's end) into the hole.

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <numeric>
 #include <span>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -33,6 +34,11 @@ namespace aidx {
 
 template <ColumnValue T>
 class SegmentOrganizer;  // core/organizer.h; friend of CrackerColumn
+
+/// Integer Sums whose core holds at least this many values read the
+/// index's piece sums (SumIndexed); shorter cores stream (SumFrom). It is
+/// bench_e12's converged_sum crossover (docs/BENCHMARKS.md).
+inline constexpr std::size_t kIndexedSumMinCore = 4096;
 
 template <ColumnValue T>
 class CrackerColumn {
@@ -82,6 +88,7 @@ class CrackerColumn {
     const long double mn = static_cast<long double>(*mn_it);
     const long double mx = static_cast<long double>(*mx_it);
     if (!(mn < mx)) return;  // single distinct value: nothing to cluster
+    index_.InvalidateSums();
     const long double span = mx - mn;
     const auto bucket_of = [&](T v) {
       const auto b = static_cast<std::size_t>(
@@ -177,14 +184,15 @@ class CrackerColumn {
   }
 
   /// Sum before its one rounding step, for callers that combine partials
-  /// (SumAcc, index/scan.h).
+  /// (SumAcc, index/scan.h). A long integer core is summed from the index
+  /// (SumIndexed), anything else streams (SumFrom).
   SumAcc<T> SumPartial(const RangePredicate<T>& pred) {
-    return SumFrom(Select(pred), pred);
+    return SumSelected(Select(pred), pred);
   }
 
   Result<SumAcc<T>> SumPartial(const RangePredicate<T>& pred, const QueryContext& ctx) {
     AIDX_ASSIGN_OR_RETURN(const CrackSelect sel, Select(pred, ctx));
-    return SumFrom(sel, pred);
+    return SumSelected(sel, pred);
   }
 
   /// Count of a resolved select: the core, plus each edge's matches.
@@ -197,13 +205,26 @@ class CrackerColumn {
   }
 
   /// Sum of a resolved select: the core range in one kernel pass, each
-  /// edge piece through the masked kernel.
+  /// edge piece through the masked kernel. A pure read of the array.
   SumAcc<T> SumFrom(const CrackSelect& sel, const RangePredicate<T>& pred) const {
     SumAcc<T> sum = SumValues<T>(ValuesIn(sel.core));
     for (int i = 0; i < sel.num_edges; ++i) {
       sum += SumValues<T>(ValuesIn(sel.edges[i]), pred);
     }
     return sum;
+  }
+
+  /// SumFrom, but the core's whole pieces are added from the index's
+  /// cached piece sums, filling those not yet known (CrackerIndex::
+  /// SumPieces). Writes the cache, so it needs the column to itself.
+  SumAcc<T> SumIndexed(const CrackSelect& sel, const RangePredicate<T>& pred)
+    requires std::is_integral_v<T>
+  {
+    const SumAcc<T> core = index_.SumPieces(sel.core, values_);
+    AIDX_DCHECK(core == SumValues<T>(ValuesIn(sel.core))) << "index sum != stream";
+    CrackSelect edges = sel;
+    edges.core = {};
+    return core + SumFrom(edges, pred);
   }
 
   /// Appends matching values to `out` in storage order.
@@ -256,6 +277,13 @@ class CrackerColumn {
  private:
   std::span<const T> ValuesIn(PositionRange r) const {
     return std::span<const T>(values_).subspan(r.begin, r.end - r.begin);
+  }
+
+  SumAcc<T> SumSelected(const CrackSelect& sel, const RangePredicate<T>& pred) {
+    if constexpr (std::is_integral_v<T>) {
+      if (sel.core.size() >= kIndexedSumMinCore) return SumIndexed(sel, pred);
+    }
+    return SumFrom(sel, pred);
   }
 
   CrackerColumnOptions options_;

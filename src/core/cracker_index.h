@@ -5,14 +5,18 @@
 // records realized cuts, and supports the position-shifting walks the
 // update algorithms (SIGMOD 2007) need.
 //
-// Ownership: a CrackerIndex stores only (cut, position) bookkeeping — it
-// never owns or touches the cracked array itself. It is owned by exactly
-// one physical container (CrackerColumn or CrackerMap), which is
-// responsible for keeping positions consistent with the array it manages:
-// the contract is that AddCut(cut, p) is called only after the owner has
-// physically partitioned the enclosing piece at p, and set_column_size /
-// the mutable VisitCuts walks are reserved for the update pipeline that
-// shifts positions in lock step with ripple moves.
+// For integer columns it caches exact piece sums (SumPieces fills them).
+//
+// Ownership: a CrackerIndex stores only (cut, position) bookkeeping and
+// those sums — it never owns or permutes the cracked array, and reads it
+// only to fill sums. It is owned by exactly one physical container
+// (CrackerColumn or CrackerMap), which is responsible for keeping it
+// consistent with the array it manages: the contract is that
+// AddCut(cut, p) is called only after the owner has physically
+// partitioned the enclosing piece at p; set_column_size, the mutable
+// VisitCuts walks and AdjustPieceSum are reserved for the update pipeline
+// that shifts positions in lock step with ripple moves; and any other
+// edit of the array is followed by InvalidateSums (or Clear).
 //
 // Usage (the cracking inner loop):
 //   CutLookup<T> look = index.Lookup(cut);
@@ -23,11 +27,14 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <optional>
 #include <span>
+#include <type_traits>
 
 #include "core/cut.h"
 #include "index/avl_tree.h"
+#include "index/scan.h"
 #include "storage/types.h"
 #include "util/logging.h"
 #include "util/macros.h"
@@ -55,6 +62,11 @@ struct CutLookup {
   PieceInfo<T> piece;
 };
 
+/// The known bit of a cached sum, spelled as a value: -2^127, which no
+/// sum of fewer than 2^64 int64 values reaches.
+inline constexpr Int128 kUnknownSum =
+    static_cast<Int128>(static_cast<unsigned __int128>(1) << 127);
+
 template <ColumnValue T>
 class CrackerIndex {
  public:
@@ -70,49 +82,46 @@ class CrackerIndex {
   std::size_t num_cuts() const { return tree_.size(); }
   std::size_t num_pieces() const { return tree_.size() + 1; }
 
-  /// Probes for `cut`; either finds it realized or identifies the enclosing
-  /// piece that a crack would have to reorganize.
+  /// Probes for `cut` in one descent: either finds it realized or bounds the
+  /// enclosing piece a crack would reorganize by the nearest cuts around it.
   CutLookup<T> Lookup(const Cut<T>& cut) const {
     CutLookup<T> out;
-    const Node* exact = tree_.Find(cut);
-    if (exact != nullptr) {
-      out.exact = true;
-      out.position = exact->value;
-      return out;
+    const Node* below = nullptr;
+    const Node* above = nullptr;
+    const Node* n = tree_.Root();
+    while (n != nullptr) {
+      if (cut < n->key) {
+        above = n;
+        n = n->left;
+      } else if (n->key < cut) {
+        below = n;
+        n = n->right;
+      } else {
+        out.exact = true;
+        out.position = n->value.position;
+        return out;
+      }
     }
-    out.piece = PieceAround(cut);
+    out.piece = PieceBetween(below, above);
     return out;
   }
 
   /// Records a realized cut. The position must lie inside the enclosing
-  /// piece identified by Lookup (checked in debug builds).
+  /// piece identified by Lookup (checked in debug builds). The piece it
+  /// splits loses its sum.
   void AddCut(const Cut<T>& cut, std::size_t position) {
     AIDX_DCHECK(position <= column_size_);
-    const auto [node, inserted] = tree_.Insert(cut, position);
+    const auto mark_split = [&](Node* successor) {
+      if (successor != nullptr) {
+        Set(successor, &Sums::piece, kUnknownSum);
+      } else {
+        tail_sum_ = kUnknownSum;
+      }
+    };
+    const auto [node, inserted] =
+        tree_.Insert(cut, CutSlot{position, nullptr}, mark_split);
     AIDX_CHECK(inserted) << "cut " << cut.ToString() << " already realized";
     (void)node;
-  }
-
-  /// The piece that would contain a not-yet-realized cut. (Also correct for
-  /// realized cuts: returns the zero-or-more-width piece to its left.)
-  PieceInfo<T> PieceAround(const Cut<T>& cut) const {
-    PieceInfo<T> piece;
-    const Node* floor = tree_.FindFloor(cut);
-    const Node* ceil = tree_.FindAbove(cut);
-    if (floor != nullptr) {
-      piece.begin = floor->value;
-      piece.lower = floor->key;
-    } else {
-      piece.begin = 0;
-    }
-    if (ceil != nullptr) {
-      piece.end = ceil->value;
-      piece.upper = ceil->key;
-    } else {
-      piece.end = column_size_;
-    }
-    if (piece.end < piece.begin) piece.end = piece.begin;  // zero-width tolerance
-    return piece;
   }
 
   /// The piece whose value interval admits value `v` — where an insert of
@@ -124,45 +133,38 @@ class CrackerIndex {
     // (v, kLessEq) is the greatest cut candidate with !Below(v) semantics
     // boundary: cut (v', k') has Below(v) false iff (v',k') <= (v, kLess) is
     // not quite right for duplicates, so search directly:
-    PieceInfo<T> piece;
     const Node* last_false = nullptr;
     const Node* first_true = nullptr;
     const Node* n = tree_.Root();
     while (n != nullptr) {
       if (n->key.Below(v)) {
         first_true = n;
-        n = LeftOf(n);
+        n = n->left;
       } else {
         last_false = n;
-        n = RightOf(n);
+        n = n->right;
       }
     }
-    if (last_false != nullptr) {
-      piece.begin = last_false->value;
-      piece.lower = last_false->key;
-    }
-    piece.end = first_true != nullptr ? first_true->value : column_size_;
-    if (first_true != nullptr) piece.upper = first_true->key;
-    if (piece.end < piece.begin) piece.end = piece.begin;
-    return piece;
+    return PieceBetween(last_false, first_true);
   }
 
   /// Visits cuts in ascending order; `fn(const Cut<T>&, std::size_t& pos)`
   /// may mutate positions (update algorithms shift suffix cuts).
   template <typename Fn>
   void VisitCuts(Fn&& fn) {
-    tree_.VisitInOrder([&](Node& node) { fn(node.key, node.value); });
+    tree_.VisitInOrder([&](Node& node) { fn(node.key, node.value.position); });
   }
   template <typename Fn>
   void VisitCuts(Fn&& fn) const {
-    const_cast<AvlTree<Cut<T>, std::size_t>&>(tree_).VisitInOrder(
-        [&](Node& node) { fn(node.key, static_cast<const std::size_t&>(node.value)); });
+    const_cast<Tree&>(tree_).VisitInOrder([&](Node& node) {
+      fn(node.key, static_cast<const std::size_t&>(node.value.position));
+    });
   }
 
   /// Visits cuts with key >= from, ascending; positions mutable.
   template <typename Fn>
   void VisitCutsFrom(const Cut<T>& from, Fn&& fn) {
-    tree_.VisitFrom(from, [&](Node& node) { fn(node.key, node.value); });
+    tree_.VisitFrom(from, [&](Node& node) { fn(node.key, node.value.position); });
   }
 
   /// Visits every piece left to right.
@@ -183,13 +185,18 @@ class CrackerIndex {
     fn(current);
   }
 
-  /// Drops a realized cut (piece merge; used by update algorithms).
-  bool EraseCut(const Cut<T>& cut) { return tree_.Erase(cut); }
+  /// Drops a realized cut (piece merge), and with it every cached sum.
+  bool EraseCut(const Cut<T>& cut) {
+    const bool erased = tree_.Erase(cut);
+    if (erased) InvalidateSums();
+    return erased;
+  }
 
-  /// Deep copy (the type is otherwise move-only). Sideways cracking clones
-  /// a fully-aligned sibling's index when a map joins its cohort after
-  /// updates: copying the cuts along with the layout is what keeps a later
-  /// Select from re-cracking — and thereby re-permuting — the clone.
+  /// Deep copy (the type is otherwise move-only) of the cuts, not the
+  /// sums. Sideways cracking clones a fully-aligned sibling's index when a
+  /// map joins its cohort after updates: copying the cuts along with the
+  /// layout is what keeps a later Select from re-cracking — and thereby
+  /// re-permuting — the clone.
   CrackerIndex Clone() const {
     CrackerIndex out(column_size_);
     VisitCuts([&](const Cut<T>& cut, const std::size_t& pos) {
@@ -198,7 +205,102 @@ class CrackerIndex {
     return out;
   }
 
-  void Clear() { tree_.Clear(); }
+  void Clear() {
+    tree_.Clear();
+    tail_sum_ = kUnknownSum;
+  }
+
+  /// Forgets every sum: for array edits other than cracks and ripples.
+  void InvalidateSums() {
+    tree_.VisitInOrder([](Node& n) { n.value.sums.reset(); });
+    tail_sum_ = kUnknownSum;
+  }
+
+  /// The ripple cascade (core/crack_walk.h) added `v` to `piece` (sign
+  /// +1) or removed it (-1): every other element it moves stays in its own
+  /// piece, so only this piece's sum and the subtree sums above it change.
+  void AdjustPieceSum(const PieceInfo<T>& piece, T v, int sign) {
+    if constexpr (std::is_integral_v<T>) {
+      const Int128 delta = sign * static_cast<Int128>(v);
+      if (!piece.upper.has_value()) {
+        tail_sum_ = AddKnown(tail_sum_, delta);
+        return;
+      }
+      // The search path to the piece's upper cut is that cut's ancestors.
+      for (Node* n = tree_.Root(); n != nullptr;) {
+        Set(n, &Sums::subtree, AddKnown(Get(n, &Sums::subtree), delta));
+        if (*piece.upper < n->key) {
+          n = n->left;
+        } else if (n->key < *piece.upper) {
+          n = n->right;
+        } else {
+          Set(n, &Sums::piece, AddKnown(Get(n, &Sums::piece), delta));
+          return;
+        }
+      }
+      AIDX_DCHECK(false) << "piece bound " << piece.upper->ToString() << " not a cut";
+    }
+  }
+
+  /// Exact sum of `values` (the array this index covers) over `range`,
+  /// which starts and ends on piece boundaries as a select's core does: a
+  /// descent to the highest cut inside it, then one down each side adding
+  /// whole subtrees by their sums. Each sum met unknown is computed and
+  /// stored, so the caller needs the index to itself. Integers only.
+  Int128 SumPieces(PositionRange range, std::span<const T> values)
+    requires std::is_integral_v<T>
+  {
+    AIDX_DCHECK(values.size() == column_size_ && range.end <= column_size_);
+    const std::size_t b = range.begin;
+    const std::size_t e = range.end;
+    if (b >= e) return 0;
+    Int128 total = 0;
+    if (e == column_size_) {
+      if (tail_sum_ == kUnknownSum) {
+        const Node* last = tree_.Max();
+        tail_sum_ =
+            SumValues<T>(values.subspan(last != nullptr ? last->value.position : 0));
+      }
+      total += tail_sum_;
+    }
+    // The cuts at positions in (b, e] are exactly those whose pieces lie in
+    // the range. `lo` tracks where the current subtree's first piece begins.
+    std::size_t lo = 0;
+    Node* split = tree_.Root();
+    while (split != nullptr) {
+      if (split->value.position <= b) {
+        lo = split->value.position;
+        split = split->right;
+      } else if (split->value.position > e) {
+        split = split->left;
+      } else {
+        break;
+      }
+    }
+    if (split == nullptr) return total;
+    total += PieceSum(*split, lo, values);
+    for (Node* m = split->left; m != nullptr;) {
+      if (m->value.position > b) {
+        total += PieceSum(*m, lo, values) +
+                 SubtreeSum(m->right, m->value.position, values);
+        m = m->left;
+      } else {
+        lo = m->value.position;
+        m = m->right;
+      }
+    }
+    lo = split->value.position;
+    for (Node* m = split->right; m != nullptr;) {
+      if (m->value.position <= e) {
+        total += SubtreeSum(m->left, lo, values) + PieceSum(*m, lo, values);
+        lo = m->value.position;
+        m = m->right;
+      } else {
+        m = m->left;
+      }
+    }
+    return total;
+  }
 
   /// Invariants: AVL shape, cut-position monotonicity, positions within the
   /// array. O(n); tests only.
@@ -213,9 +315,9 @@ class CrackerIndex {
     return ok;
   }
 
-  /// Validate(), plus the array-side invariant: the index covers exactly
-  /// `values`, and each piece's values respect its bound cuts. O(n); tests
-  /// only.
+  /// Validate(), plus the array-side invariants: the index covers exactly
+  /// `values`, each piece's values respect its bound cuts, and every known
+  /// piece, subtree and tail sum is exact. O(n); tests only.
   bool ValidateOver(std::span<const T> values) const {
     if (!Validate() || column_size_ != values.size()) return false;
     bool ok = true;
@@ -225,20 +327,122 @@ class CrackerIndex {
         if (piece.upper && !piece.upper->Below(values[i])) ok = false;
       }
     });
+    if constexpr (std::is_integral_v<T>) {  // double columns cache no sum
+      std::size_t cursor = 0;
+      CheckSums(tree_.Root(), values, &cursor, &ok);
+      if (!SumHolds(tail_sum_, SumValues<T>(values.subspan(cursor)))) ok = false;
+    }
     return ok;
   }
 
   int tree_height() const { return tree_.height(); }
 
  private:
-  using Tree = AvlTree<Cut<T>, std::size_t>;
+  /// A cut's cached sums: of the piece just below it (from the previous
+  /// cut's position, or 0) and of the pieces below every cut of its
+  /// subtree. Allocated when one first becomes known, so a node stays one
+  /// cache line wherever sums go unused.
+  struct Sums {
+    Int128 piece = kUnknownSum;
+    Int128 subtree = kUnknownSum;
+  };
+  struct CutSlot {
+    std::size_t position = 0;
+    std::unique_ptr<Sums> sums;
+  };
+
+  static Int128 AddKnown(Int128 a, Int128 b) {
+    return a == kUnknownSum || b == kUnknownSum ? kUnknownSum : a + b;
+  }
+
+  /// The tree's augmentation: a subtree sum is known when its cut's piece
+  /// sum and both child subtree sums are.
+  struct SubtreeSums {
+    template <typename N>
+    static void Recombine(N& n) {
+      const Int128 children =
+          AddKnown(Get(n.left, &Sums::subtree), Get(n.right, &Sums::subtree));
+      Set(&n, &Sums::subtree, AddKnown(Get(&n, &Sums::piece), children));
+    }
+  };
+
+  using Tree = AvlTree<Cut<T>, CutSlot, std::less<Cut<T>>, SubtreeSums>;
   using Node = typename Tree::Node;
 
-  static const Node* LeftOf(const Node* n) { return n->left; }
-  static const Node* RightOf(const Node* n) { return n->right; }
+  /// A cached sum; an absent subtree's is 0.
+  static Int128 Get(const Node* n, Int128 Sums::*which) {
+    if (n == nullptr) return 0;
+    return n->value.sums != nullptr ? n->value.sums.get()->*which : kUnknownSum;
+  }
+  static void Set(Node* n, Int128 Sums::*which, Int128 sum) {
+    if (n->value.sums == nullptr) {
+      if (sum == kUnknownSum) return;
+      n->value.sums = std::make_unique<Sums>();
+    }
+    n->value.sums.get()->*which = sum;
+  }
+
+  /// The piece between two neighbouring cuts (either may be absent).
+  PieceInfo<T> PieceBetween(const Node* lower, const Node* upper) const {
+    PieceInfo<T> piece;
+    if (lower != nullptr) {
+      piece.begin = lower->value.position;
+      piece.lower = lower->key;
+    }
+    piece.end = upper != nullptr ? upper->value.position : column_size_;
+    if (upper != nullptr) piece.upper = upper->key;
+    if (piece.end < piece.begin) piece.end = piece.begin;  // zero-width tolerance
+    return piece;
+  }
+
+  /// `m`'s piece sum, filled from `values` when unknown; `lo` is where the
+  /// first piece of m's subtree begins.
+  static Int128 PieceSum(Node& m, std::size_t lo, std::span<const T> values) {
+    Int128 sum = Get(&m, &Sums::piece);
+    if (sum == kUnknownSum) {
+      const Node* pred = m.left;  // the rightmost cut below m, if any
+      while (pred != nullptr && pred->right != nullptr) pred = pred->right;
+      const std::size_t begin = pred != nullptr ? pred->value.position : lo;
+      sum = SumValues<T>(values.subspan(begin, m.value.position - begin));
+      Set(&m, &Sums::piece, sum);
+    }
+    return sum;
+  }
+
+  /// `x`'s subtree sum (0 for none), filled bottom-up when unknown.
+  static Int128 SubtreeSum(Node* x, std::size_t lo, std::span<const T> values) {
+    if (x == nullptr) return 0;
+    Int128 sum = Get(x, &Sums::subtree);
+    if (sum == kUnknownSum) {
+      sum = SubtreeSum(x->left, lo, values) + PieceSum(*x, lo, values) +
+            SubtreeSum(x->right, x->value.position, values);
+      Set(x, &Sums::subtree, sum);
+    }
+    return sum;
+  }
+
+  static bool SumHolds(Int128 cached, Int128 exact) {
+    return cached == kUnknownSum || cached == exact;
+  }
+
+  /// In-order sum check of n's subtree for ValidateOver; `*cursor` is where
+  /// its first piece begins on entry and where its last piece ends on exit.
+  static Int128 CheckSums(const Node* n, std::span<const T> values,
+                          std::size_t* cursor, bool* ok) {
+    if (n == nullptr) return 0;
+    Int128 sum = CheckSums(n->left, values, cursor, ok);
+    const Int128 piece =
+        SumValues<T>(values.subspan(*cursor, n->value.position - *cursor));
+    if (!SumHolds(Get(n, &Sums::piece), piece)) *ok = false;
+    *cursor = n->value.position;
+    sum += piece + CheckSums(n->right, values, cursor, ok);
+    if (!SumHolds(Get(n, &Sums::subtree), sum)) *ok = false;
+    return sum;
+  }
 
   Tree tree_;
   std::size_t column_size_;
+  Int128 tail_sum_ = kUnknownSum;
 };
 
 }  // namespace aidx

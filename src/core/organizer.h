@@ -123,6 +123,7 @@ class SegmentOrganizer {
         }
       }
       crack_.mutable_index().set_column_size(vals.size());
+      crack_.mutable_index().InvalidateSums();
       return;
     }
     vals.insert(vals.end(), values.begin(), values.end());
@@ -147,6 +148,7 @@ class SegmentOrganizer {
       }
       vals.erase(it);
       crack_.mutable_index().set_column_size(vals.size());
+      crack_.mutable_index().InvalidateSums();
       return true;
     }
     const auto it = std::find(vals.begin(), vals.end(), v);

@@ -17,18 +17,28 @@
 
 namespace aidx {
 
+/// The default node augmentation: nothing derived from the subtree.
+struct NoAugment {
+  template <typename Node>
+  static void Recombine(Node&) {}
+};
+
 /// Ordered map with guaranteed O(log n) height (AVL balancing).
 ///
-/// Keys are unique under the comparator. Not thread-safe.
-template <typename K, typename V, typename Compare = std::less<K>>
+/// Keys are unique under the comparator. Not thread-safe. Update() calls
+/// Augment::Recombine(node) wherever a node's children may have changed,
+/// children first, so a subtree aggregate kept in the values stays exact.
+template <typename K, typename V, typename Compare = std::less<K>,
+          typename Augment = NoAugment>
 class AvlTree {
  public:
+  // The fields every descent, walk and rebalance reads come first.
   struct Node {
     K key;
-    V value;
     Node* left = nullptr;
     Node* right = nullptr;
     int height = 1;
+    V value;
 
     Node(K k, V v) : key(std::move(k)), value(std::move(v)) {}
   };
@@ -57,8 +67,10 @@ class AvlTree {
   int height() const { return Height(root_); }
 
   /// Root node for callers that run custom descents (e.g. the cracker
-  /// index's monotone-predicate search); nullptr when empty.
+  /// index's monotone-predicate search); nullptr when empty. Through the
+  /// mutable form values may change, keys must not.
   const Node* Root() const { return root_; }
+  Node* Root() { return root_; }
 
   void Clear() {
     DeleteSubtree(root_);
@@ -68,10 +80,15 @@ class AvlTree {
 
   /// Inserts (key, value); if the key exists, leaves the map unchanged and
   /// returns the existing node. The bool is true when insertion happened.
-  std::pair<Node*, bool> Insert(K key, V value) {
+  /// `on_link(successor)` runs once a new node is linked in, before the
+  /// path's Recombine: the successor (nullptr for the greatest key) is on
+  /// that path, so an augmented tree can revise it first.
+  template <typename OnLink = void (*)(Node*)>
+  std::pair<Node*, bool> Insert(K key, V value, OnLink&& on_link = [](Node*) {}) {
     Node* found = nullptr;
     bool inserted = false;
-    root_ = InsertRec(root_, std::move(key), std::move(value), &found, &inserted);
+    root_ = InsertRec(root_, std::move(key), std::move(value), nullptr, on_link,
+                      &found, &inserted);
     if (inserted) ++size_;
     return {found, inserted};
   }
@@ -200,6 +217,7 @@ class AvlTree {
   }
   static void Update(Node* n) {
     n->height = 1 + std::max(Height(n->left), Height(n->right));
+    Augment::Recombine(*n);
   }
 
   static Node* RotateRight(Node* y) {
@@ -233,16 +251,23 @@ class AvlTree {
     return n;
   }
 
-  Node* InsertRec(Node* n, K&& key, V&& value, Node** found, bool* inserted) {
+  /// `successor`: the last node the descent went left at.
+  template <typename OnLink>
+  Node* InsertRec(Node* n, K&& key, V&& value, Node* successor, OnLink& on_link,
+                  Node** found, bool* inserted) {
     if (n == nullptr) {
       *found = new Node(std::move(key), std::move(value));
       *inserted = true;
+      Update(*found);
+      on_link(successor);
       return *found;
     }
     if (cmp_(key, n->key)) {
-      n->left = InsertRec(n->left, std::move(key), std::move(value), found, inserted);
+      n->left = InsertRec(n->left, std::move(key), std::move(value), n, on_link,
+                          found, inserted);
     } else if (cmp_(n->key, key)) {
-      n->right = InsertRec(n->right, std::move(key), std::move(value), found, inserted);
+      n->right = InsertRec(n->right, std::move(key), std::move(value), successor,
+                           on_link, found, inserted);
     } else {
       *found = n;
       *inserted = false;

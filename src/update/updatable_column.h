@@ -157,34 +157,15 @@ class UpdatableCrackerColumn : public CrackerColumn<T> {
     }
     const auto point = RangePredicate<T>::Between(value, value);
     const CrackSelect sel = CrackerColumn<T>::Select(point);
-    std::vector<std::size_t> positions;  // live occurrences of `value`
-    for (std::size_t p = sel.core.begin; p < sel.core.end; ++p) {
-      positions.push_back(p);
-    }
-    for (int e = 0; e < sel.num_edges; ++e) {
-      for (std::size_t p = sel.edges[e].begin; p < sel.edges[e].end; ++p) {
-        if (this->values()[p] == value) positions.push_back(p);
-      }
-    }
-    // Count queued deletes that can actually claim one of those tuples:
-    // value-addressed ones always can; rid-addressed ones only when their
-    // rid is present (a rid-delete of a nonexistent tuple — dropped
-    // silently at merge time — must not block a real delete).
+    // Queued deletes that claim a live occurrence: value-addressed ones
+    // always; rid-addressed ones (row-id columns only) when their rid is
+    // live, so a rid-delete of a nonexistent tuple blocks nothing.
     std::size_t already_claimed = 0;
     for (const PendingTuple& d : pending_deletes_) {
       if (d.value != value) continue;
-      if (d.rid == kPendingNoRid) {
-        ++already_claimed;
-        continue;
-      }
-      for (const std::size_t p : positions) {
-        if (this->row_ids()[p] == d.rid) {
-          ++already_claimed;
-          break;
-        }
-      }
+      if (d.rid == kPendingNoRid || RidSelected(sel, value, d.rid)) ++already_claimed;
     }
-    if (positions.size() <= already_claimed) return false;
+    if (this->CountFrom(sel, point) <= already_claimed) return false;
     pending_deletes_.push_back({value, kPendingNoRid});
     ++stats_.deletes_queued;
     return true;
@@ -375,6 +356,21 @@ class UpdatableCrackerColumn : public CrackerColumn<T> {
   void RippleInsert(T value, row_id_t rid) {
     stats_.ripple_element_moves += aidx::RippleInsert(
         this->mutable_values(), TandemRowIds(), this->mutable_index(), value, rid);
+  }
+
+  /// True when row id `rid` holds `value` at a position `sel` resolved.
+  bool RidSelected(const CrackSelect& sel, T value, row_id_t rid) const {
+    const std::span<const T> values = this->values();
+    const std::span<const row_id_t> rids = this->row_ids();
+    for (std::size_t p = sel.core.begin; p < sel.core.end; ++p) {
+      if (rids[p] == rid) return true;
+    }
+    for (int e = 0; e < sel.num_edges; ++e) {
+      for (std::size_t p = sel.edges[e].begin; p < sel.edges[e].end; ++p) {
+        if (values[p] == value && rids[p] == rid) return true;
+      }
+    }
+    return false;
   }
 
   /// True when some pending rid-addressed delete targets row id `rid`

@@ -5,6 +5,7 @@
 
 #include <map>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "util/rng.h"
@@ -184,6 +185,54 @@ TEST(AvlTreeTest, DifferentialAgainstStdMap) {
   tree.VisitInOrder([&](auto& n) { tree_entries.emplace_back(n.key, n.value); });
   std::vector<std::pair<int, int>> model_entries(model.begin(), model.end());
   EXPECT_EQ(tree_entries, model_entries);
+}
+
+// The augmentation hook keeps a subtree aggregate exact through every
+// insert, erase (including the two-children successor swap) and rotation;
+// on_link sees each new key's in-order successor.
+struct SubtreeCount {
+  template <typename Node>
+  static void Recombine(Node& n) {
+    n.value.second = 1 + (n.left != nullptr ? n.left->value.second : 0) +
+                     (n.right != nullptr ? n.right->value.second : 0);
+  }
+};
+
+template <typename Node>
+int CheckedCount(const Node* n, bool* ok) {
+  if (n == nullptr) return 0;
+  const int count = 1 + CheckedCount(n->left, ok) + CheckedCount(n->right, ok);
+  if (n->value.second != count) *ok = false;
+  return count;
+}
+
+TEST(AvlTreeTest, AugmentationStaysExactThroughRotationsAndErases) {
+  using Tree = AvlTree<int, std::pair<int, int>, std::less<int>, SubtreeCount>;
+  Tree tree;
+  std::map<int, int> model;
+  Rng rng(77);
+  for (int op = 0; op < 4000; ++op) {
+    const int key = static_cast<int>(rng.NextBounded(500));
+    if (rng.NextBounded(3) != 0) {
+      const Tree::Node* successor = nullptr;
+      const bool linked = tree.Insert(key, {key, 0}, [&](Tree::Node* s) { successor = s; })
+                              .second;
+      ASSERT_EQ(linked, model.emplace(key, key).second);
+      if (linked) {
+        const auto next = model.upper_bound(key);
+        ASSERT_EQ(successor != nullptr, next != model.end());
+        if (successor != nullptr) {
+          ASSERT_EQ(successor->key, next->first);
+        }
+      }
+    } else {
+      ASSERT_EQ(tree.Erase(key), model.erase(key) == 1);
+    }
+    bool ok = true;
+    ASSERT_EQ(CheckedCount(tree.Root(), &ok), static_cast<int>(model.size()));
+    ASSERT_TRUE(ok) << "op " << op;
+  }
+  EXPECT_TRUE(tree.Validate());
 }
 
 }  // namespace

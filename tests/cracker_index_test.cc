@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <span>
 #include <vector>
+
+#include "index/avl_tree.h"
+#include "index/scan.h"
+#include "util/rng.h"
 
 namespace aidx {
 namespace {
@@ -157,4 +164,161 @@ TEST(CrackerIndexTest, EmptyColumn) {
 }
 
 }  // namespace
+// One-descent Lookup against the three-descent answer it replaces:
+// Find for the exact hit, then FindFloor and FindAbove for the piece, on a
+// plain AVL tree holding the same cuts. Few distinct values make
+// duplicate values under both kinds the common case.
+TEST(CrackerIndexTest, OneDescentLookupMatchesThreeDescents) {
+  Rng rng(2024);
+  for (int trial = 0; trial < 40; ++trial) {
+    const std::size_t n = 1000;
+    Index idx(n);
+    AvlTree<I64Cut, std::size_t> mirror;
+    const int cuts = static_cast<int>(rng.NextBounded(60));
+    for (int c = 0; c < cuts; ++c) {
+      const I64Cut cut{static_cast<std::int64_t>(rng.NextBounded(20)),
+                       rng.NextBounded(2) == 0 ? CutKind::kLess : CutKind::kLessEq};
+      if (mirror.Contains(cut)) continue;
+      mirror.Insert(cut, 0);
+    }
+    // Positions ascending in cut order, as a cracked array has them.
+    std::size_t pos = 0;
+    mirror.VisitInOrder([&](AvlTree<I64Cut, std::size_t>::Node& node) {
+      pos += rng.NextBounded(3) * 10;  // repeats make empty pieces
+      node.value = std::min(pos, n);
+      idx.AddCut(node.key, node.value);
+    });
+    for (std::int64_t v = -1; v <= 20; ++v) {
+      for (const CutKind kind : {CutKind::kLess, CutKind::kLessEq}) {
+        const I64Cut probe{v, kind};
+        const CutLookup<std::int64_t> look = idx.Lookup(probe);
+        const auto* exact = mirror.Find(probe);
+        ASSERT_EQ(look.exact, exact != nullptr) << probe.ToString();
+        if (exact != nullptr) {
+          EXPECT_EQ(look.position, exact->value);
+          continue;
+        }
+        const auto* floor = mirror.FindFloor(probe);
+        const auto* above = mirror.FindAbove(probe);
+        EXPECT_EQ(look.piece.begin, floor != nullptr ? floor->value : 0u);
+        EXPECT_EQ(look.piece.end, above != nullptr ? above->value : n);
+        EXPECT_EQ(look.piece.lower.has_value(), floor != nullptr);
+        if (floor != nullptr) {
+          EXPECT_EQ(*look.piece.lower, floor->key);
+        }
+        EXPECT_EQ(look.piece.upper.has_value(), above != nullptr);
+        if (above != nullptr) {
+          EXPECT_EQ(*look.piece.upper, above->key);
+        }
+      }
+    }
+  }
+}
+
+/// Sorted values 0..n-1 with a cut at every multiple of `step`, so each
+/// cut's position equals its value.
+Index SortedIndex(std::size_t n, std::size_t step) {
+  Index idx(n);
+  for (std::size_t p = step; p < n; p += step) {
+    idx.AddCut({static_cast<std::int64_t>(p), CutKind::kLess}, p);
+  }
+  return idx;
+}
+
+std::vector<std::int64_t> Iota(std::size_t n) {
+  std::vector<std::int64_t> v(n);
+  for (std::size_t i = 0; i < n; ++i) v[i] = static_cast<std::int64_t>(i);
+  return v;
+}
+
+Int128 Stream(std::span<const std::int64_t> values, std::size_t b, std::size_t e) {
+  return SumValues<std::int64_t>(values.subspan(b, e - b));
+}
+
+TEST(CrackerIndexTest, SumPiecesMatchesStreamAndFillsTheCache) {
+  const auto values = Iota(1000);
+  Index idx = SortedIndex(values.size(), 10);  // 70 and 130 are boundaries
+  // Every boundary pair, twice: the first pass fills, the second reads.
+  for (int pass = 0; pass < 2; ++pass) {
+    for (std::size_t b = 0; b <= 1000; b += 70) {
+      for (std::size_t e = b; e <= 1000; e += 130) {
+        ASSERT_EQ(idx.SumPieces({b, e}, values), Stream(values, b, e)) << b << ".." << e;
+      }
+    }
+    EXPECT_TRUE(idx.ValidateOver(values));
+  }
+}
+
+TEST(CrackerIndexTest, AddCutDropsOnlyTheSplitPieceSums) {
+  const auto values = Iota(100);
+  Index idx = SortedIndex(values.size(), 20);
+  EXPECT_EQ(idx.SumPieces({0, 100}, values), Stream(values, 0, 100));
+  idx.AddCut({50, CutKind::kLess}, 50);  // splits [40, 60)
+  idx.AddCut({95, CutKind::kLess}, 95);  // splits the tail [80, 100)
+  EXPECT_TRUE(idx.ValidateOver(values));
+  EXPECT_EQ(idx.SumPieces({0, 100}, values), Stream(values, 0, 100));
+  EXPECT_EQ(idx.SumPieces({50, 95}, values), Stream(values, 50, 95));
+  EXPECT_TRUE(idx.ValidateOver(values));
+}
+
+TEST(CrackerIndexTest, ValidateOverCatchesAStaleSum) {
+  auto values = Iota(100);
+  Index idx = SortedIndex(values.size(), 20);
+  EXPECT_EQ(idx.SumPieces({0, 100}, values), Stream(values, 0, 100));
+  values[30] = 31;  // an edit the index was not told about
+  EXPECT_FALSE(idx.ValidateOver(values));
+  idx.InvalidateSums();
+  EXPECT_TRUE(idx.ValidateOver(values));
+}
+
+TEST(CrackerIndexTest, PieceAdjustmentsKeepKnownSumsExact) {
+  auto values = Iota(100);
+  Index idx = SortedIndex(values.size(), 20);
+  EXPECT_EQ(idx.SumPieces({0, 100}, values), Stream(values, 0, 100));
+  // Change a value within its piece [20, 40), telling the index.
+  const PieceInfo<std::int64_t> piece = idx.PieceForValue(values[25]);
+  idx.AdjustPieceSum(piece, values[25], -1);
+  values[25] = 26;
+  idx.AdjustPieceSum(piece, values[25], +1);
+  EXPECT_TRUE(idx.ValidateOver(values));
+  // The tail piece is adjusted through its own sum.
+  const PieceInfo<std::int64_t> tail = idx.PieceForValue(values[90]);
+  EXPECT_FALSE(tail.upper.has_value());
+  idx.AdjustPieceSum(tail, values[90], -1);
+  values[90] = 91;
+  idx.AdjustPieceSum(tail, values[90], +1);
+  EXPECT_TRUE(idx.ValidateOver(values));
+  EXPECT_EQ(idx.SumPieces({0, 100}, values), Stream(values, 0, 100));
+}
+
+TEST(CrackerIndexTest, EraseCloneAndClearLeaveSumsUnknown) {
+  const auto values = Iota(200);
+  Index idx = SortedIndex(values.size(), 25);
+  EXPECT_EQ(idx.SumPieces({0, 200}, values), Stream(values, 0, 200));
+  ASSERT_TRUE(idx.EraseCut({100, CutKind::kLess}));
+  EXPECT_TRUE(idx.ValidateOver(values));
+  EXPECT_EQ(idx.SumPieces({75, 125}, values), Stream(values, 75, 125));
+  Index copy = idx.Clone();
+  EXPECT_TRUE(copy.ValidateOver(values));
+  EXPECT_EQ(copy.SumPieces({25, 200}, values), Stream(values, 25, 200));
+  idx.Clear();
+  EXPECT_TRUE(idx.ValidateOver(values));
+  EXPECT_EQ(idx.SumPieces({0, 200}, values), Stream(values, 0, 200));
+}
+
+TEST(CrackerIndexTest, SumPiecesIsExactAtTheInt64Extremes) {
+  using Lim = std::numeric_limits<std::int64_t>;
+  std::vector<std::int64_t> values(64);
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    values[i] = i < 32 ? Lim::min() : Lim::max();
+  }
+  Index idx(values.size());
+  idx.AddCut({0, CutKind::kLess}, 32);
+  idx.AddCut({Lim::max(), CutKind::kLess}, 32);
+  EXPECT_EQ(idx.SumPieces({0, 32}, values), Stream(values, 0, 32));
+  EXPECT_EQ(idx.SumPieces({32, 64}, values), Stream(values, 32, 64));
+  EXPECT_EQ(idx.SumPieces({0, 64}, values), Stream(values, 0, 64));
+  EXPECT_TRUE(idx.ValidateOver(values));
+}
+
 }  // namespace aidx

@@ -494,6 +494,67 @@ TEST(PartitionedCrackerTest, ConcurrentWriterStress) {
   EXPECT_EQ(stats.inserts_queued, inserted.load());
 }
 
+// Long-core Sums (above kIndexedSumMinCore, so the coarse path answers them
+// from the cracker index's piece sums and fills the cache) from three
+// threads beside writers whose values overlap every read range: fills run
+// only under `structural` exclusive, the shared fast path only streams.
+// Base values are even and never deleted; writers insert and delete odd
+// values only.
+TEST(PartitionedCrackerTest, ConcurrentLongCoreSumsBesideWriters) {
+  constexpr std::size_t kWriters = 2;
+  constexpr std::size_t kReaders = 3;
+  constexpr int kOps = 300;
+  constexpr std::int64_t kDomain = 8000;
+  auto base = RandomValues(6 * kIndexedSumMinCore, kDomain / 2, 71);
+  for (auto& v : base) v *= 2;
+  Column col(base, {.num_partitions = 2});
+
+  std::atomic<int> failures{0};
+  std::atomic<std::size_t> long_sums{0};
+  std::vector<std::vector<std::int64_t>> kept(kWriters);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kWriters; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(5000 + t);
+      std::vector<std::int64_t>& own = kept[t];
+      for (int i = 0; i < kOps; ++i) {
+        if (own.empty() || rng.NextBounded(3) != 0) {
+          const auto v = static_cast<std::int64_t>(2 * rng.NextBounded(kDomain / 2) + 1);
+          col.Insert(v);
+          own.push_back(v);
+        } else {
+          const std::size_t pick = rng.NextBounded(own.size());
+          if (!col.Delete(own[pick])) failures.fetch_add(1);
+          own[pick] = own.back();
+          own.pop_back();
+        }
+      }
+    });
+  }
+  for (std::size_t t = 0; t < kReaders; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(6000 + t);
+      for (int q = 0; q < kOps; ++q) {
+        const auto lo = static_cast<std::int64_t>(rng.NextBounded(kDomain / 4));
+        const Pred p = Pred::Between(lo, lo + kDomain / 2);
+        const Int128 floor = SumValues<std::int64_t>(base, p);
+        long_sums.fetch_add(ScanCount<std::int64_t>(base, p) >= kIndexedSumMinCore ? 1 : 0);
+        // Inserted values are positive, so the sum never drops below the
+        // base's.
+        if (col.SumPartial(p) < floor) failures.fetch_add(1);
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_GT(long_sums.load(), kReaders * kOps / 2);
+  std::vector<std::int64_t> oracle = base;
+  for (const auto& own : kept) oracle.insert(oracle.end(), own.begin(), own.end());
+  EXPECT_EQ(col.SumPartial(Pred::All()), SumValues<std::int64_t>(oracle));
+  EXPECT_GT(col.AggregatedReadPathStats().coarse_reads, 0u);
+  EXPECT_TRUE(col.ValidatePieces());
+}
+
 // Same through the shared kParallelCrack access path, including the racy
 // lazy-construction moment with writers in the mix.
 TEST(PartitionedCrackerTest, ConcurrentMixedAccessPathStress) {

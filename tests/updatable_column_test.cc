@@ -68,6 +68,23 @@ TEST(UpdatableColumnTest, DoubleDeleteRejected) {
   EXPECT_EQ(col.Count(Pred::All()), 2u);
 }
 
+// Without row ids every pending delete is value-addressed, so a delete
+// succeeds while the live occurrences outnumber the pending claims, and is
+// refused once every duplicate is claimed.
+TEST(UpdatableColumnTest, ValueDeleteRefusedOnceEveryDuplicateIsClaimed) {
+  for (const std::size_t min_piece : {std::size_t{0}, std::size_t{8}}) {
+    std::vector<std::int64_t> base = RandomValues(200, 50, 9);
+    base.insert(base.end(), {1000, 1000, 1000});
+    Column col(base, {.crack = {.with_row_ids = false, .min_piece_size = min_piece}});
+    for (int i = 0; i < 3; ++i) EXPECT_TRUE(col.DeleteValue(1000)) << i;
+    EXPECT_FALSE(col.DeleteValue(1000));
+    EXPECT_FALSE(col.DeleteValue(999));
+    EXPECT_EQ(col.Count(Pred::Between(1000, 1000)), 0u);
+    EXPECT_FALSE(col.DeleteValue(1000));
+    EXPECT_TRUE(col.Validate());
+  }
+}
+
 TEST(UpdatableColumnTest, RippleOnlyMergesQueriedRange) {
   const auto base = RandomValues(2000, 1000, 3);
   Column col(base, {.policy = MergePolicy::kRipple});
