@@ -18,15 +18,19 @@
 //                   (crack and stochastic), per kernel
 //   converged_sum   ns per Sum on a converged int64 column, the core summed
 //                   from the cracker index's cached piece sums (SumIndexed)
-//                   vs streamed (SumFrom), at cores of 92, 1,835 and 14,680
-//                   values (engine_bench's serve, write_mix and converge
-//                   legs) and at kIndexedSumMinCore, the crossover
-//                   SumPartial switches at
+//                   vs streamed (SumFrom), each with the select of a fresh
+//                   range, and SumIndexed alone on its first and on a
+//                   repeated Sum of a just-cracked range, at cores of 92,
+//                   1,835 and 14,680 values (engine_bench's serve,
+//                   write_mix and converge legs) and at kIndexedSumMinCore,
+//                   where SumPartial switches
 //   headline        the acceptance metrics on uniform-random int32:
 //                   unrolled vs branchy (PR 4), simd vs unrolled (PR 8) and
 //                   single-pass vs two-pass three-way, both at the kernel
 //                   kAuto resolves to, plus converged_sum_speedup (stream
-//                   ns / index ns at the 14,680-value core); `note`
+//                   ns / index ns at the 14,680-value core) and
+//                   converged_sum_first_vs_repeat (first ns / repeat ns
+//                   there); `note`
 //                   documents the outcome either way so a regression (or
 //                   vector-hostile hardware) is visible in the recorded
 //                   JSON, not silent
@@ -308,13 +312,21 @@ void ConvergenceSection(bench::JsonReport* json, TablePrinter* table) {
 /// Sum on a converged column, index against stream. The column (int64,
 /// domain n, so a range of width w holds about w values) is converged by
 /// n/128 random-range Sums answered as SumPartial answers them, which
-/// leaves pieces of about 64 values with most piece sums cached. Each timed
-/// Sum then resolves a fresh random range, so both legs pay the same select
-/// (a crack of the two boundary pieces) and differ only in how the core is
-/// summed; the index leg also fills the sums those cracks dropped. The
-/// legs alternate in blocks. Returns stream ns / index ns at 14,680 values.
-double ConvergedSumSection(std::size_t n, bench::JsonReport* json,
-                           TablePrinter* table) {
+/// leaves pieces of about 64 values with most piece sums cached. The stream
+/// and index legs each time a Select of a fresh random range plus its Sum,
+/// so both pay the same select (a crack of the two boundary pieces) and
+/// differ only in how the core is summed; a crack of a summed piece keeps
+/// both halves' sums, so the index leg refills nothing. The first and
+/// repeat legs time SumIndexed alone, each after an untimed select: the
+/// first Sum of a fresh range, after the select that cracked it, and a
+/// repeat of the same range. The block kinds alternate. Returns the
+/// ratios at 14,680 values.
+struct ConvergedSumRatios {
+  double speedup = 0;          // stream ns / index ns
+  double first_vs_repeat = 0;  // first ns / repeat ns
+};
+ConvergedSumRatios ConvergedSumSection(std::size_t n, bench::JsonReport* json,
+                                       TablePrinter* table) {
   using T = std::int64_t;
   const auto base = UniformValues<T>(n, n, 19);
   CrackerColumn<T> col(base, {.with_row_ids = false});
@@ -328,41 +340,60 @@ double ConvergedSumSection(std::size_t n, bench::JsonReport* json,
   }
   constexpr int kBlocks = 10;
   constexpr int kPerBlock = 200;
+  enum Leg { kStream, kIndex, kFirst, kRepeat, kLegs };
+  constexpr const char* kLegNames[kLegs] = {"stream", "index", "first", "repeat"};
   Int128 sink = 0;
-  double speedup_at_converge = 0;
+  ConvergedSumRatios at_converge;
+  std::vector<RangePredicate<T>> preds(kPerBlock);
   for (const std::size_t width :
        {std::size_t{92}, std::size_t{1835}, kIndexedSumMinCore, std::size_t{14680}}) {
-    double seconds[2] = {0, 0};  // stream, index
-    for (int block = 0; block < 2 * kBlocks; ++block) {
-      const bool index = block % 2 == 1;
-      WallTimer timer;
-      for (int i = 0; i < kPerBlock; ++i) {
-        const RangePredicate<T> pred = random_range(width);
-        const CrackSelect sel = col.Select(pred);
-        sink += index ? col.SumIndexed(sel, pred) : col.SumFrom(sel, pred);
+    double seconds[kLegs] = {0, 0, 0, 0};
+    for (int block = 0; block < 3 * kBlocks; ++block) {
+      for (RangePredicate<T>& pred : preds) pred = random_range(width);
+      if (block % 3 != 2) {
+        const bool index = block % 3 == 1;
+        WallTimer timer;
+        for (const RangePredicate<T>& pred : preds) {
+          const CrackSelect sel = col.Select(pred);
+          sink += index ? col.SumIndexed(sel, pred) : col.SumFrom(sel, pred);
+        }
+        seconds[index ? kIndex : kStream] += timer.ElapsedSeconds();
+        continue;
       }
-      seconds[index ? 1 : 0] += timer.ElapsedSeconds();
+      // Each Sum is timed alone, right after its own select (the first
+      // one cracks, the repeat finds both cuts realized), so both read a
+      // path the select has just walked.
+      for (const RangePredicate<T>& pred : preds) {
+        for (const Leg leg : {kFirst, kRepeat}) {
+          const CrackSelect sel = col.Select(pred);
+          WallTimer timer;
+          sink += col.SumIndexed(sel, pred);
+          seconds[leg] += timer.ElapsedSeconds();
+        }
+      }
     }
-    const double sums = kBlocks * kPerBlock;
-    const double stream_ns = seconds[0] / sums * 1e9;
-    const double index_ns = seconds[1] / sums * 1e9;
-    for (const bool index : {false, true}) {
+    double ns[kLegs] = {};
+    for (int leg = 0; leg < kLegs; ++leg) {
+      ns[leg] = seconds[leg] / (kBlocks * kPerBlock) * 1e9;
       json->AddRow("converged_sum")
           .Set("core_values", width)
-          .Set("mode", index ? "index" : "stream")
+          .Set("mode", kLegNames[leg])
           .Set("rows", n)
-          .Set("sums", sums)
-          .Set("ns_per_sum", index ? index_ns : stream_ns);
+          .Set("sums", std::size_t{kBlocks * kPerBlock})
+          .Set("ns_per_sum", ns[leg]);
     }
-    const double speedup = index_ns > 0 ? stream_ns / index_ns : 0;
-    if (width == 14680) speedup_at_converge = speedup;
-    table->AddRow({std::to_string(width), std::to_string(static_cast<long long>(stream_ns)),
-                   std::to_string(static_cast<long long>(index_ns)),
-                   std::to_string(speedup)});
+    const double speedup = ns[kIndex] > 0 ? ns[kStream] / ns[kIndex] : 0;
+    const double first_vs_repeat = ns[kRepeat] > 0 ? ns[kFirst] / ns[kRepeat] : 0;
+    if (width == 14680) at_converge = {speedup, first_vs_repeat};
+    std::vector<std::string> cells{std::to_string(width)};
+    for (const double v : ns) cells.push_back(std::to_string(static_cast<long long>(v)));
+    cells.push_back(std::to_string(speedup));
+    cells.push_back(std::to_string(first_vs_repeat));
+    table->AddRow(cells);
   }
   // `sink` keeps the sums live; it is the same every run.
   std::cout << "(checksum " << static_cast<long double>(sink) << ")\n";
-  return speedup_at_converge;
+  return at_converge;
 }
 
 /// Cost contract of the fault-injection framework (docs/ROBUSTNESS.md):
@@ -481,9 +512,10 @@ int main(int argc, char** argv) {
 
   std::cout << "\nconverged Sum, ns per Sum (min index core "
             << kIndexedSumMinCore << "):\n";
-  TablePrinter sums({"core", "stream ns", "index ns", "stream/index"});
+  TablePrinter sums({"core", "stream ns", "index ns", "first ns", "repeat ns",
+                      "stream/index", "first/repeat"});
   // At least 2^16 rows, so a 14,680-value range fits four times over.
-  const double converged_sum_speedup =
+  const ConvergedSumRatios converged_sum =
       ConvergedSumSection(std::max(raw_n, std::size_t{1} << 16), &json, &sums);
   sums.Print(std::cout);
 
@@ -538,7 +570,8 @@ int main(int argc, char** argv) {
       // of cracked-query time (compare_bench.py holds the bound).
       .Set("failpoint_gate_ns", gate_ns)
       .Set("failpoint_overhead_pct", failpoint_overhead_pct)
-      .Set("converged_sum_speedup", converged_sum_speedup)
+      .Set("converged_sum_speedup", converged_sum.speedup)
+      .Set("converged_sum_first_vs_repeat", converged_sum.first_vs_repeat)
       .Set("note", note);
   std::cout << "\nheadline: unrolled/branchy speedup on int32 = " << speedup
             << (wins ? " (unrolled wins)" : " — see note in JSON output")
@@ -547,7 +580,9 @@ int main(int argc, char** argv) {
             << "\nheadline: single-pass/two-pass crack-in-three = "
             << three_way_speedup
             << "\nheadline: converged Sum stream/index at 14,680 values = "
-            << converged_sum_speedup << "\n";
+            << converged_sum.speedup
+            << "\nheadline: converged SumIndexed first/repeat at 14,680 values = "
+            << converged_sum.first_vs_repeat << "\n";
 
   json.Write();
   return 0;

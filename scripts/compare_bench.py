@@ -65,11 +65,13 @@ HEADLINE_REQUIREMENTS = {
         ("failpoint_overhead", "gates_evaluated", "number"),
         ("headline", "failpoint_overhead_pct", "bounded:2"),
         # Converged Sums: ns per Sum with the core summed from the cracker
-        # index's cached piece sums vs streamed, and the stream/index ratio
-        # at the 14,680-value core. Positivity only: the ratio is recorded,
-        # not gated.
+        # index's cached piece sums vs streamed, the stream/index ratio at
+        # the 14,680-value core, and there the first SumIndexed after a
+        # fresh range's cracks against a repeat. Positivity only: the
+        # ratios are recorded, not gated.
         ("converged_sum", "ns_per_sum", "positive"),
         ("headline", "converged_sum_speedup", "positive"),
+        ("headline", "converged_sum_first_vs_repeat", "positive"),
     ],
     "e11_parallel_scaling": [
         ("headline", "striped_qps", "positive"),

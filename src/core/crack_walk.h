@@ -32,12 +32,14 @@
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "core/crack_ops.h"
 #include "core/cracker_index.h"
 #include "core/cut.h"
+#include "index/scan.h"
 #include "storage/predicate.h"
 #include "storage/types.h"
 #include "util/failpoint.h"
@@ -208,10 +210,12 @@ struct CrackWalk {
   bool TryCrackInThree(const Cut<T>& lo_cut, const Cut<T>& hi_cut,
                        CrackSelect* out) {
     PieceInfo<T> piece;
+    Int128 piece_sum = kUnknownSum;
     const auto one_piece = [&] {
       const CutLookup<T> lo = index.Lookup(lo_cut);
       const CutLookup<T> hi = index.Lookup(hi_cut);
       piece = lo.piece;
+      piece_sum = lo.piece_sum;
       return !lo.exact && !hi.exact && SamePiece(lo.piece, hi.piece);
     };
     if (!latch.Read(one_piece) || PieceBelowThreshold(piece)) return false;
@@ -229,9 +233,13 @@ struct CrackWalk {
         ValuesIn(piece), PayloadsIn(piece), lo_cut, hi_cut, options.kernel);
     const std::size_t lower_pos = piece.begin + split.lower_end;
     const std::size_t upper_pos = piece.begin + split.middle_end;
+    const auto sums =
+        SplitSums<4>(piece_sum, {piece.begin, lower_pos, upper_pos, piece.end});
+    // Above the first cut lie the last two pieces.
+    const Int128 above_lo = sums[0] == kUnknownSum ? kUnknownSum : sums[1] + sums[2];
     claim.Publish([&] {
-      index.AddCut(lo_cut, lower_pos);
-      index.AddCut(hi_cut, upper_pos);
+      index.AddCut(lo_cut, lower_pos, sums[0], above_lo);
+      index.AddCut(hi_cut, upper_pos, sums[1], sums[2]);
     });
     latch.Add(stats.num_crack_in_three, 1);
     latch.Add(stats.values_touched,
@@ -248,6 +256,7 @@ struct CrackWalk {
       const CutLookup<T> look = latch.Read([&] { return index.Lookup(cut); });
       if (look.exact) return look.position;
       PieceInfo<T> piece = look.piece;
+      Int128 piece_sum = look.piece_sum;
       if (PieceBelowThreshold(piece)) {
         AddEdge(out, {piece.begin, piece.end});
         // Core excludes the whole undecided piece.
@@ -261,14 +270,17 @@ struct CrackWalk {
             claim.Read([&] { return index.Lookup(cut); });
         if (again.exact) return again.position;
         if (!SamePiece(again.piece, piece)) continue;
+        piece_sum = again.piece_sum;
       }
-      if (!MaybeStochasticPreCrack(cut, &piece, claim) || !PieceGate()) {
+      if (!MaybeStochasticPreCrack(cut, &piece, &piece_sum, claim) ||
+          !PieceGate()) {
         return is_lower ? piece.end : piece.begin;
       }
       const std::size_t split =
           piece.begin + CrackInTwo<T, Payload>(ValuesIn(piece), PayloadsIn(piece),
                                                cut, options.kernel);
-      claim.Publish([&] { index.AddCut(cut, split); });
+      const auto sums = SplitSums<3>(piece_sum, {piece.begin, split, piece.end});
+      claim.Publish([&] { index.AddCut(cut, split, sums[0], sums[1]); });
       latch.Add(stats.num_crack_in_two, 1);
       latch.Add(stats.values_touched, piece.end - piece.begin);
       return split;
@@ -278,10 +290,11 @@ struct CrackWalk {
   /// Stochastic cracking: repeatedly split oversized pieces at a random
   /// data-driven pivot before the exact crack, so no query leaves a huge
   /// unorganized piece behind (fixes sequential-pattern degeneration).
-  /// Narrows `piece` to the half still holding `target`; the claim on the
-  /// original piece covers every half it carves. False on a gate failure.
+  /// Narrows `piece` and its sum `*piece_sum` to the half still holding
+  /// `target`; the claim on the original piece covers every half it
+  /// carves. False on a gate failure.
   bool MaybeStochasticPreCrack(const Cut<T>& target, PieceInfo<T>* piece,
-                               Claim& claim) {
+                               Int128* piece_sum, Claim& claim) {
     if (options.stochastic_threshold == 0) return true;
     while (piece->end - piece->begin > options.stochastic_threshold) {
       if (!PieceGate()) return false;
@@ -295,7 +308,8 @@ struct CrackWalk {
       const std::size_t split =
           piece->begin + CrackInTwo<T, Payload>(ValuesIn(*piece), PayloadsIn(*piece),
                                                 random_cut, options.kernel);
-      claim.Publish([&] { index.AddCut(random_cut, split); });
+      const auto sums = SplitSums<3>(*piece_sum, {piece->begin, split, piece->end});
+      claim.Publish([&] { index.AddCut(random_cut, split, sums[0], sums[1]); });
       latch.Add(stats.num_stochastic_cracks, 1);
       latch.Add(stats.values_touched, span_size);
       // All-duplicates (or extreme-pivot) pieces make no progress; stop.
@@ -303,13 +317,43 @@ struct CrackWalk {
       if (random_cut < target) {
         piece->begin = split;
         piece->lower = random_cut;
+        *piece_sum = sums[1];
       } else {
         piece->end = split;
         piece->upper = random_cut;
+        *piece_sum = sums[0];
       }
       if (no_progress) break;
     }
     return true;
+  }
+
+  /// The sums of the pieces between consecutive `bounds`, which a crack
+  /// of a piece with sum `whole` just made: when `whole` is known, every
+  /// piece but the largest is streamed (the crack just rewrote it, so it
+  /// is in cache) and the largest is the difference. All kUnknownSum
+  /// otherwise, and always for double.
+  template <std::size_t N>
+  std::array<Int128, N - 1> SplitSums(Int128 whole,
+                                      const std::array<std::size_t, N>& bounds) const {
+    std::array<Int128, N - 1> sums;
+    sums.fill(kUnknownSum);
+    if constexpr (std::is_integral_v<T>) {
+      if (whole == kUnknownSum) return sums;
+      std::size_t largest = 0;
+      for (std::size_t i = 1; i + 1 < N; ++i) {
+        if (bounds[i + 1] - bounds[i] > bounds[largest + 1] - bounds[largest]) {
+          largest = i;
+        }
+      }
+      for (std::size_t i = 0; i + 1 < N; ++i) {
+        if (i == largest) continue;
+        sums[i] = SumValues<T>(values.subspan(bounds[i], bounds[i + 1] - bounds[i]));
+        whole -= sums[i];
+      }
+      sums[largest] = whole;
+    }
+    return sums;
   }
 
   static void AddEdge(CrackSelect* out, PositionRange edge) {

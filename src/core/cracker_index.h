@@ -5,25 +5,28 @@
 // records realized cuts, and supports the position-shifting walks the
 // update algorithms (SIGMOD 2007) need.
 //
-// For integer columns it caches exact piece sums (SumPieces fills them).
+// For integer columns it caches exact piece sums: SumPieces fills them,
+// and a crack of a piece whose sum is known passes both halves' sums to
+// AddCut, so cracking keeps them known.
 //
 // Ownership: a CrackerIndex stores only (cut, position) bookkeeping and
 // those sums — it never owns or permutes the cracked array, and reads it
 // only to fill sums. It is owned by exactly one physical container
 // (CrackerColumn or CrackerMap), which is responsible for keeping it
 // consistent with the array it manages: the contract is that
-// AddCut(cut, p) is called only after the owner has physically
-// partitioned the enclosing piece at p; set_column_size, the mutable
-// VisitCuts walks and AdjustPieceSum are reserved for the update pipeline
-// that shifts positions in lock step with ripple moves; and any other
-// edit of the array is followed by InvalidateSums (or Clear).
+// AddCut(cut, p, ...) is called only after the owner has physically
+// partitioned the enclosing piece at p, with sums that are exact or
+// kUnknownSum; set_column_size, the mutable VisitCuts walks and
+// AdjustPieceSum are reserved for the update pipeline that shifts
+// positions in lock step with ripple moves; and any other edit of the
+// array is followed by InvalidateSums (or Clear).
 //
 // Usage (the cracking inner loop):
 //   CutLookup<T> look = index.Lookup(cut);
 //   if (!look.exact) {                       // piece [begin, end) must crack
 //     std::size_t p = /* CrackInTwo over look.piece */;
-//     index.AddCut(cut, p);
-//   }                                        // look.position / p is the answer
+//     index.AddCut(cut, p);                  // or with both sides' sums when
+//   }                                        // look.piece_sum is known
 #pragma once
 
 #include <cstddef>
@@ -51,21 +54,23 @@ struct PieceInfo {
   std::optional<Cut<T>> upper;  // values in the piece are  upper->Below(v)
 };
 
-/// Result of probing the index with a cut.
-template <ColumnValue T>
-struct CutLookup {
-  /// True when the cut is already realized; `position` is then exact and
-  /// `piece` is meaningless.
-  bool exact = false;
-  std::size_t position = 0;
-  /// The piece that must be cracked to realize the cut.
-  PieceInfo<T> piece;
-};
-
 /// The known bit of a cached sum, spelled as a value: -2^127, which no
 /// sum of fewer than 2^64 int64 values reaches.
 inline constexpr Int128 kUnknownSum =
     static_cast<Int128>(static_cast<unsigned __int128>(1) << 127);
+
+/// Result of probing the index with a cut.
+template <ColumnValue T>
+struct CutLookup {
+  /// True when the cut is already realized; `position` is then exact and
+  /// `piece` and `piece_sum` are meaningless.
+  bool exact = false;
+  std::size_t position = 0;
+  /// The piece that must be cracked to realize the cut.
+  PieceInfo<T> piece;
+  /// That piece's cached sum, or kUnknownSum (always for double).
+  Int128 piece_sum = kUnknownSum;
+};
 
 template <ColumnValue T>
 class CrackerIndex {
@@ -103,23 +108,32 @@ class CrackerIndex {
       }
     }
     out.piece = PieceBetween(below, above);
+    out.piece_sum = above != nullptr ? Get(above, &Sums::piece) : tail_sum_;
     return out;
   }
 
   /// Records a realized cut. The position must lie inside the enclosing
-  /// piece identified by Lookup (checked in debug builds). The piece it
-  /// splits loses its sum.
-  void AddCut(const Cut<T>& cut, std::size_t position) {
+  /// piece identified by Lookup (checked in debug builds). `below_sum` and
+  /// `above_sum` are the sums of the two pieces it splits that piece into,
+  /// each exact or kUnknownSum: the new cut's node takes the first, the
+  /// split piece's upper cut (or the tail) the second, and the path's
+  /// Recombine keeps every subtree sum above them exact.
+  void AddCut(const Cut<T>& cut, std::size_t position,
+              Int128 below_sum = kUnknownSum, Int128 above_sum = kUnknownSum) {
     AIDX_DCHECK(position <= column_size_);
-    const auto mark_split = [&](Node* successor) {
+    const auto seed_split = [&](Node* successor) {
       if (successor != nullptr) {
-        Set(successor, &Sums::piece, kUnknownSum);
+        Set(successor, &Sums::piece, above_sum);
       } else {
-        tail_sum_ = kUnknownSum;
+        tail_sum_ = above_sum;
       }
     };
+    std::unique_ptr<Sums> sums;
+    if (below_sum != kUnknownSum) {
+      sums = std::make_unique<Sums>(Sums{below_sum, kUnknownSum});
+    }
     const auto [node, inserted] =
-        tree_.Insert(cut, CutSlot{position, nullptr}, mark_split);
+        tree_.Insert(cut, CutSlot{position, std::move(sums)}, seed_split);
     AIDX_CHECK(inserted) << "cut " << cut.ToString() << " already realized";
     (void)node;
   }
@@ -183,13 +197,6 @@ class CrackerIndex {
     current.end = column_size_;
     current.upper.reset();
     fn(current);
-  }
-
-  /// Drops a realized cut (piece merge), and with it every cached sum.
-  bool EraseCut(const Cut<T>& cut) {
-    const bool erased = tree_.Erase(cut);
-    if (erased) InvalidateSums();
-    return erased;
   }
 
   /// Deep copy (the type is otherwise move-only) of the cuts, not the

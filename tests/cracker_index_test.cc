@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <limits>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "index/avl_tree.h"
@@ -116,18 +117,6 @@ TEST(CrackerIndexTest, VisitCutsFromShiftsPositions) {
   EXPECT_EQ(idx.Lookup({10, CutKind::kLess}).position, 10u);
   EXPECT_EQ(idx.Lookup({20, CutKind::kLess}).position, 25u);
   EXPECT_EQ(idx.Lookup({30, CutKind::kLess}).position, 35u);
-}
-
-TEST(CrackerIndexTest, EraseCutMergesPieces) {
-  Index idx(100);
-  idx.AddCut({30, CutKind::kLess}, 25);
-  idx.AddCut({70, CutKind::kLess}, 80);
-  EXPECT_TRUE(idx.EraseCut({30, CutKind::kLess}));
-  EXPECT_FALSE(idx.EraseCut({30, CutKind::kLess}));
-  EXPECT_EQ(idx.num_pieces(), 2u);
-  const auto look = idx.Lookup({50, CutKind::kLess});
-  EXPECT_EQ(look.piece.begin, 0u);
-  EXPECT_EQ(look.piece.end, 80u);
 }
 
 TEST(CrackerIndexTest, ValidateCatchesNonMonotonePositions) {
@@ -291,19 +280,75 @@ TEST(CrackerIndexTest, PieceAdjustmentsKeepKnownSumsExact) {
   EXPECT_EQ(idx.SumPieces({0, 100}, values), Stream(values, 0, 100));
 }
 
-TEST(CrackerIndexTest, EraseCloneAndClearLeaveSumsUnknown) {
+// SumPieces over an array of the same length with other values reads a
+// sum from that array exactly where the index's own is unknown.
+TEST(CrackerIndexTest, CloneAndClearLeaveSumsUnknown) {
   const auto values = Iota(200);
+  const std::vector<std::int64_t> ones(values.size(), 1);
   Index idx = SortedIndex(values.size(), 25);
   EXPECT_EQ(idx.SumPieces({0, 200}, values), Stream(values, 0, 200));
-  ASSERT_TRUE(idx.EraseCut({100, CutKind::kLess}));
-  EXPECT_TRUE(idx.ValidateOver(values));
-  EXPECT_EQ(idx.SumPieces({75, 125}, values), Stream(values, 75, 125));
   Index copy = idx.Clone();
+  EXPECT_EQ(copy.num_cuts(), idx.num_cuts());
   EXPECT_TRUE(copy.ValidateOver(values));
-  EXPECT_EQ(copy.SumPieces({25, 200}, values), Stream(values, 25, 200));
+  EXPECT_EQ(copy.SumPieces({25, 200}, ones), 175);
+  EXPECT_EQ(idx.SumPieces({25, 200}, ones), Stream(values, 25, 200));
   idx.Clear();
+  EXPECT_EQ(idx.num_pieces(), 1u);
   EXPECT_TRUE(idx.ValidateOver(values));
-  EXPECT_EQ(idx.SumPieces({0, 200}, values), Stream(values, 0, 200));
+  EXPECT_EQ(idx.SumPieces({0, 200}, ones), 200);
+}
+
+TEST(CrackerIndexTest, AddCutStoresTheSplitPiecesSums) {
+  const auto values = Iota(100);
+  const std::vector<std::int64_t> zeros(values.size(), 0);
+  Index idx = SortedIndex(values.size(), 20);
+  EXPECT_EQ(idx.Lookup({50, CutKind::kLess}).piece_sum, kUnknownSum);
+  EXPECT_EQ(idx.SumPieces({0, 100}, values), Stream(values, 0, 100));
+  EXPECT_EQ(idx.Lookup({50, CutKind::kLess}).piece_sum, Stream(values, 40, 60));
+  EXPECT_EQ(idx.Lookup({95, CutKind::kLess}).piece_sum, Stream(values, 80, 100));
+  idx.AddCut({50, CutKind::kLess}, 50, Stream(values, 40, 50), Stream(values, 50, 60));
+  idx.AddCut({95, CutKind::kLess}, 95, Stream(values, 80, 95), Stream(values, 95, 100));
+  EXPECT_TRUE(idx.ValidateOver(values));
+  EXPECT_EQ(idx.Lookup({45, CutKind::kLess}).piece_sum, Stream(values, 40, 50));
+  EXPECT_EQ(idx.Lookup({97, CutKind::kLess}).piece_sum, Stream(values, 95, 100));
+  // Every sum stayed known, so none is read from `zeros`.
+  for (const auto& [b, e] : {std::pair<std::size_t, std::size_t>{0, 100}, {50, 95},
+                            {40, 50}, {95, 100}, {20, 60}}) {
+    EXPECT_EQ(idx.SumPieces({b, e}, zeros), Stream(values, b, e)) << b << ".." << e;
+  }
+}
+
+// Cuts added in random order with their pieces' sums, as cracks of summed
+// pieces add them: every subtree sum stays known and exact through the
+// rotations the inserts cause.
+TEST(CrackerIndexTest, SeededCutsKeepSubtreeSumsExactThroughRotations) {
+  const auto values = Iota(1000);
+  const std::vector<std::int64_t> zeros(values.size(), 0);
+  Rng rng(77);
+  for (int trial = 0; trial < 10; ++trial) {
+    Index idx(values.size());
+    EXPECT_EQ(idx.SumPieces({0, 1000}, values), Stream(values, 0, 1000));
+    for (int c = 0; c < 200; ++c) {
+      const std::size_t p = rng.NextBounded(values.size() + 1);
+      const I64Cut cut{static_cast<std::int64_t>(p), CutKind::kLess};
+      const CutLookup<std::int64_t> look = idx.Lookup(cut);
+      if (look.exact) continue;
+      ASSERT_EQ(look.piece_sum, Stream(values, look.piece.begin, look.piece.end));
+      idx.AddCut(cut, p, Stream(values, look.piece.begin, p),
+                 Stream(values, p, look.piece.end));
+    }
+    ASSERT_TRUE(idx.ValidateOver(values));
+    for (int q = 0; q < 50; ++q) {
+      std::size_t b = 0;
+      std::size_t e = values.size();
+      // Boundaries on cut positions, as a select's core has them.
+      idx.VisitCuts([&](const I64Cut&, const std::size_t& pos) {
+        if (rng.NextBounded(8) == 0) (rng.NextBounded(2) == 0 ? b : e) = pos;
+      });
+      if (e < b) std::swap(b, e);
+      ASSERT_EQ(idx.SumPieces({b, e}, zeros), Stream(values, b, e)) << b << ".." << e;
+    }
+  }
 }
 
 TEST(CrackerIndexTest, SumPiecesIsExactAtTheInt64Extremes) {

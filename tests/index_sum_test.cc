@@ -3,15 +3,17 @@
 // every index-answered Sum must equal the streamed sum over the same
 // positions, and the cache must stay exact (ValidatePieces) through every
 // path that edits the array or the cuts — stochastic and thresholded
-// selects, MCI/MGI/MRI update merges, EraseCut, Clone, radix seeding and
-// organizer edits. Values include the integer type's extremes so the
-// 128-bit sums are exercised at their widest.
+// selects, MCI/MGI/MRI update merges, Clone, Clear, radix seeding and
+// organizer edits — and known through cracks of summed pieces. Values
+// include the integer type's extremes so the 128-bit sums are exercised
+// at their widest.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/cracker_column.h"
@@ -149,6 +151,8 @@ TYPED_TEST(IndexSumTest, CachedSumsSurviveEveryMergePolicy) {
   }
 }
 
+// A clone carries the cuts without the sums and fills them afresh; Clear
+// erases every cut and sum, leaving one piece.
 TYPED_TEST(IndexSumTest, ClonedAndErasedIndexesSumExactly) {
   using T = TypeParam;
   const std::int64_t domain = 1 << 15;
@@ -158,13 +162,7 @@ TYPED_TEST(IndexSumTest, ClonedAndErasedIndexesSumExactly) {
   for (int q = 0; q < 200; ++q) col.SumPartial(RandomRange<T>(domain, &rng));
   ASSERT_TRUE(col.ValidatePieces());
   CrackerIndex<T> copy = col.index().Clone();
-  ASSERT_TRUE(copy.ValidateOver(col.values()));
-  // Erase every third cut, then sum between random surviving boundaries.
-  std::vector<Cut<T>> cuts;
-  copy.VisitCuts([&](const Cut<T>& cut, const std::size_t&) { cuts.push_back(cut); });
-  for (std::size_t i = 0; i < cuts.size(); i += 3) {
-    ASSERT_TRUE(copy.EraseCut(cuts[i]));
-  }
+  ASSERT_EQ(copy.num_cuts(), col.index().num_cuts());
   ASSERT_TRUE(copy.ValidateOver(col.values()));
   std::vector<std::size_t> bounds{0};
   copy.VisitCuts([&](const Cut<T>&, const std::size_t& pos) { bounds.push_back(pos); });
@@ -178,6 +176,89 @@ TYPED_TEST(IndexSumTest, ClonedAndErasedIndexesSumExactly) {
                 SumValues<T>(col.values().subspan(b, e - b)));
     }
     ASSERT_TRUE(copy.ValidateOver(col.values()));
+  }
+  copy.Clear();
+  ASSERT_EQ(copy.num_pieces(), 1u);
+  ASSERT_TRUE(copy.ValidateOver(col.values()));
+  ASSERT_EQ(copy.SumPieces({0, col.size()}, col.values()), SumValues<T>(col.values()));
+  ASSERT_TRUE(copy.ValidateOver(col.values()));
+}
+
+/// A CrackerColumn whose index a test may sum against other values.
+template <typename T>
+class SummableColumn : public CrackerColumn<T> {
+ public:
+  using CrackerColumn<T>::CrackerColumn;
+  using CrackerColumn<T>::mutable_index;
+};
+
+// Counts crack pieces whose sums earlier Sums made known: crack-in-two,
+// crack-in-three, stochastic pre-cracks and thresholded edges must leave
+// every sum inside the summed ranges known and exact. Known, not only
+// exact: summing the core over an array of other values must still give
+// the true core sum, which it would not if any sum in it were refilled.
+TYPED_TEST(IndexSumTest, CracksOfSummedPiecesKeepTheirSumsKnown) {
+  using T = TypeParam;
+  const std::int64_t domain = 1 << 15;
+  for (const CrackerColumnOptions options :
+       {CrackerColumnOptions{.with_row_ids = false},
+        CrackerColumnOptions{.with_row_ids = false, .stochastic_threshold = 256},
+        CrackerColumnOptions{.with_row_ids = true, .min_piece_size = 64}}) {
+    Rng rng(43);
+    const std::vector<T> base = ValuesWithExtremes<T>(kRows, domain, &rng);
+    const std::vector<T> other(base.size(), T{1});
+    SummableColumn<T> col(base, options);
+    // Uniform in [from, to].
+    const auto draw = [&](std::int64_t from, std::int64_t to) {
+      return from + static_cast<std::int64_t>(
+                        rng.NextBounded(static_cast<std::uint64_t>(to - from) + 1));
+    };
+    // Value ranges whose Sums were answered from the index; one in four
+    // reaches T's min or max.
+    std::vector<std::pair<std::int64_t, std::int64_t>> summed;
+    const auto sum = [&] {
+      std::int64_t lo = draw(-domain, -1);
+      std::int64_t hi = draw(lo, lo + domain);
+      if (rng.NextBounded(4) == 0) lo = std::numeric_limits<T>::min();
+      if (rng.NextBounded(4) == 0) hi = std::numeric_limits<T>::max();
+      const auto pred = RangePredicate<T>::Between(static_cast<T>(lo), static_cast<T>(hi));
+      ASSERT_EQ(col.SumIndexed(col.Select(pred), pred), OracleSum<T>(base, pred));
+      summed.emplace_back(lo, hi);
+    };
+    for (int q = 0; q < 20; ++q) ASSERT_NO_FATAL_FAILURE(sum());
+    const CrackerStats before = col.stats();
+    int edges = 0;
+    for (int step = 0; step < 300; ++step) {
+      if (step % 10 == 9) {
+        ASSERT_NO_FATAL_FAILURE(sum());
+      } else {
+        // A Count whose bounds fall inside a summed range, mostly within
+        // 400 of each other, so some land in one piece.
+        const auto [lo, hi] = summed[rng.NextBounded(summed.size())];
+        const std::int64_t to = std::min(hi, domain);
+        std::int64_t a = draw(std::max(lo, -domain), to);
+        std::int64_t b = draw(a, std::min(to, a + 400));
+        if (lo < -domain && rng.NextBounded(4) == 0) a = lo;
+        if (hi > domain && rng.NextBounded(4) == 0) b = hi;
+        const auto pred = RangePredicate<T>::Between(static_cast<T>(a), static_cast<T>(b));
+        const CrackSelect sel = col.Select(pred);
+        edges += sel.num_edges;
+        ASSERT_EQ(col.CountFrom(sel, pred), ScanCount<T>(base, pred)) << "step " << step;
+        ASSERT_EQ(col.mutable_index().SumPieces(sel.core, other),
+                  SumValues<T>(col.values().subspan(sel.core.begin, sel.core.size())))
+            << "step " << step;
+      }
+      ASSERT_TRUE(col.ValidatePieces()) << "step " << step;
+    }
+    const CrackerStats& after = col.stats();
+    EXPECT_GT(after.num_crack_in_two, before.num_crack_in_two);
+    if (options.stochastic_threshold != 0) {
+      EXPECT_GT(after.num_stochastic_cracks, before.num_stochastic_cracks);
+    } else if (options.min_piece_size != 0) {
+      EXPECT_GT(edges, 0);
+    } else {
+      EXPECT_GT(after.num_crack_in_three, before.num_crack_in_three);
+    }
   }
 }
 

@@ -555,6 +555,87 @@ TEST(PartitionedCrackerTest, ConcurrentLongCoreSumsBesideWriters) {
   EXPECT_TRUE(col.ValidatePieces());
 }
 
+// Fast-path Counts crack pieces whose sums coarse-path Sums filled: the
+// crack streams the smaller side under its piece claim and stores both
+// sums under `index_latch` exclusive, beside long-core Sums on other
+// threads and a writer whose odd values send overlapping reads to the
+// coarse path, where the index is summed under `structural` exclusive.
+// Base values are even and never deleted.
+TEST(PartitionedCrackerTest, FastPathCracksOfSummedPiecesBesideLongCoreSums) {
+  constexpr std::size_t kCounters = 2;
+  constexpr std::size_t kSummers = 2;
+  constexpr int kOps = 300;
+  constexpr std::int64_t kDomain = 8000;
+  auto base = RandomValues(6 * kIndexedSumMinCore, kDomain / 2, 73);
+  for (auto& v : base) v *= 2;
+  Column col(base, {.num_partitions = 2});
+  // Crack a little, then one pending odd value at each end of the domain
+  // sends Sum(All) down the coarse path in both partitions, which merges
+  // them and fills every piece's sum.
+  Rng setup(7);
+  for (int q = 0; q < 20; ++q) col.Count(RandomPredicate(&setup, kDomain));
+  std::vector<std::int64_t> oracle = base;
+  for (const std::int64_t v : {std::int64_t{1}, kDomain - 1}) {
+    col.Insert(v);
+    oracle.push_back(v);
+  }
+  ASSERT_EQ(col.SumPartial(Pred::All()), SumValues<std::int64_t>(oracle));
+  const CrackerStats before = col.AggregatedStats();
+  const StripedReadPathStats reads_before = col.AggregatedReadPathStats();
+
+  std::atomic<int> failures{0};
+  std::vector<std::int64_t> kept;
+  std::vector<std::thread> threads;
+  threads.emplace_back([&] {
+    Rng rng(7000);
+    for (int i = 0; i < kOps / 3; ++i) {
+      if (kept.empty() || rng.NextBounded(3) != 0) {
+        const auto v = static_cast<std::int64_t>(2 * rng.NextBounded(kDomain / 2) + 1);
+        col.Insert(v);
+        kept.push_back(v);
+      } else {
+        const std::size_t pick = rng.NextBounded(kept.size());
+        if (!col.Delete(kept[pick])) failures.fetch_add(1);
+        kept[pick] = kept.back();
+        kept.pop_back();
+      }
+    }
+  });
+  for (std::size_t t = 0; t < kCounters; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(7100 + t);
+      for (int q = 0; q < kOps; ++q) {
+        // Narrow, so both bounds often fall in one summed piece.
+        const auto lo = static_cast<std::int64_t>(rng.NextBounded(kDomain));
+        const auto width = static_cast<std::int64_t>(rng.NextBounded(200));
+        const Pred p = Pred::Between(lo, lo + width);
+        if (col.Count(p) < ScanCount<std::int64_t>(base, p)) failures.fetch_add(1);
+      }
+    });
+  }
+  for (std::size_t t = 0; t < kSummers; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(7200 + t);
+      for (int q = 0; q < kOps; ++q) {
+        const auto lo = static_cast<std::int64_t>(rng.NextBounded(kDomain / 4));
+        const Pred p = Pred::Between(lo, lo + kDomain / 2);
+        // Inserted values are positive, so the sum never drops below the
+        // base's.
+        if (col.SumPartial(p) < SumValues<std::int64_t>(base, p)) failures.fetch_add(1);
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(failures.load(), 0);
+  oracle.insert(oracle.end(), kept.begin(), kept.end());
+  EXPECT_EQ(col.SumPartial(Pred::All()), SumValues<std::int64_t>(oracle));
+  const CrackerStats after = col.AggregatedStats();
+  EXPECT_GT(after.num_crack_in_two + after.num_crack_in_three,
+            before.num_crack_in_two + before.num_crack_in_three);
+  EXPECT_GT(col.AggregatedReadPathStats().fast_reads, reads_before.fast_reads);
+  EXPECT_TRUE(col.ValidatePieces());
+}
+
 // Same through the shared kParallelCrack access path, including the racy
 // lazy-construction moment with writers in the mix.
 TEST(PartitionedCrackerTest, ConcurrentMixedAccessPathStress) {
