@@ -39,7 +39,7 @@ class SegmentOrganizer;  // core/organizer.h; friend of CrackerColumn
 /// index's piece sums (SumIndexed); shorter cores stream (SumFrom). The
 /// index already wins bench_e12's converged_sum at 1,835 values
 /// (docs/BENCHMARKS.md), but a threshold of 512 cost engine_bench's
-/// write_mix about 5% of ops_per_s (ROADMAP.md, "Measured, don't").
+/// write_mix 11% of ops_per_s (ROADMAP.md, "Measured, don't").
 inline constexpr std::size_t kIndexedSumMinCore = 4096;
 
 template <ColumnValue T>
